@@ -281,6 +281,11 @@ def leaf_indices(family: LeafFamily, base_point, zs) -> np.ndarray:
     return np.clip(family.t[k] + u * (family.t[k + 1] - family.t[k]), 0.0, 1.0)
 
 
+# cosines this far above the least one have angles smaller by at least this
+# much (|arccos'| >= 1), far beyond arccos's rounding error
+_C0_COS_SLACK = 1e-9
+
+
 def c0_distance(a: LeafFamily, b: LeafFamily) -> float:
     """Sup over shared sample points (x, z) of the angle between leaf normals.
 
@@ -291,10 +296,14 @@ def c0_distance(a: LeafFamily, b: LeafFamily) -> float:
     if a.base != b.base:
         raise ValueError("families must share a base domain")
     n = a.base.nx * a.base.ny
-    va = a.values.reshape(a.m, n).T        # (n, ma)
-    vb = b.values.reshape(b.m, n).T
-    ga = _leaf_gradients(a).reshape(a.m, n, 2).transpose(1, 0, 2)  # (n, ma, 2)
-    gb = _leaf_gradients(b).reshape(b.m, n, 2).transpose(1, 0, 2)
+
+    def node_rows(grid, m):
+        # (m, nx, ny) -> contiguous (n, m): one row of leaf samples per node
+        return np.ascontiguousarray(grid.reshape(m, n).T)
+
+    va, vb = node_rows(a.values, a.m), node_rows(b.values, b.m)
+    ga = [node_rows(g, a.m) for g in np.moveaxis(_leaf_gradients(a), -1, 0)]
+    gb = [node_rows(g, b.m) for g in np.moveaxis(_leaf_gradients(b), -1, 0)]
 
     def grad_at(v, g, zq):
         # per-row searchsorted: heights sit in [0,1], so offsetting row r by
@@ -306,20 +315,26 @@ def c0_distance(a: LeafFamily, b: LeafFamily) -> float:
         idx = flat.reshape(zq.shape) - m * np.arange(v.shape[0])[:, None] - 1
         seg = np.clip(idx, 0, m - 2)
         pos = m * np.arange(v.shape[0])[:, None] + seg
-        vf, gf = v.ravel(), g.reshape(-1, 2)
+        vf = v.ravel()
         v_lo, v_hi = vf[pos], vf[pos + 1]
-        u = np.clip((zq - v_lo) / (v_hi - v_lo), 0.0, 1.0)[..., None]
-        return (1.0 - u) * gf[pos] + u * gf[pos + 1]
+        u = np.clip((zq - v_lo) / (v_hi - v_lo), 0.0, 1.0)
+        return [(1.0 - u) * c.ravel()[pos] + u * c.ravel()[pos + 1] for c in g]
+
+    def cosines(p, q):
+        # two-term sums in the order np.sum takes them over a size-2 axis
+        dot = p[0] * q[0] + p[1] * q[1] + 1.0
+        norm = np.sqrt((p[0] * p[0] + p[1] * p[1] + 1.0)
+                       * (q[0] * q[0] + q[1] * q[1] + 1.0))
+        return np.clip(dot / norm, -1.0, 1.0)
 
     # at a family's own sampled heights the interpolation is exact, so only
     # the other family's heights need the bracketing walk
-    qa = np.concatenate([ga, grad_at(va, ga, vb)], axis=1)
-    qb = np.concatenate([grad_at(vb, gb, va), gb], axis=1)
-    dot = np.sum(qa * qb, axis=-1) + 1.0
-    norm = np.sqrt((np.sum(qa * qa, axis=-1) + 1.0)
-                   * (np.sum(qb * qb, axis=-1) + 1.0))
-    ang = np.arccos(np.clip(dot / norm, -1.0, 1.0))
-    return float(ang.max())
+    cos = [cosines(ga, grad_at(vb, gb, va)), cosines(grad_at(va, ga, vb), gb)]
+    # the sup angle sits at the least cosine; arccos only the near-minimal
+    # ones so the max never leans on arccos being monotone to the last ulp
+    least = min(c.min() for c in cos)
+    return float(max(np.arccos(c[c <= least + _C0_COS_SLACK]).max(initial=0.0)
+                     for c in cos))
 
 
 @dataclass(frozen=True)

@@ -235,19 +235,37 @@ def test_measure_rejects_noninvariant_with_stage(scenes, tmp_path):
 # manifest invariants and exit codes
 
 
-def test_manifest_determinism_excluding_timestamp(tmp_path):
-    config = ScenarioConfig(kind="denjoy-circle", out=str(tmp_path),
-                            iterations=2000, audit_steps=50)
-    assert run(config) == 0
+# every scenario but smooth, at small sizes
+DETERMINISM_RUNS = {
+    "denjoy-circle": {"iterations": 2000, "audit_steps": 50},
+    "validate": {"scene": "split"},
+    "blowup": {"scene": "horizontal", "weights": (0.2, 0.1),
+               "packet_samples": 9},
+    "measure": {"scene": "horizontal"},
+    "tischler": {"coefficients": (1, math.sqrt(2.0)), "epsilons": (1e-3,)},
+}
+
+
+@pytest.mark.parametrize("kind", DETERMINISM_RUNS)
+def test_manifest_determinism_excluding_timestamp(kind, scenes, tmp_path):
+    options = dict(DETERMINISM_RUNS[kind])
+    if "scene" in options:
+        options["scene"] = str(scenes[options["scene"]])
+    config = ScenarioConfig(kind=kind, out=str(tmp_path), **options)
+    # split-t3 fails condition 5 by design; validate writes no CSV
+    code = 2 if kind == "validate" else 0
+    assert run(config) == code
     first = read_manifest(tmp_path)
-    first_csv = (tmp_path / "rotation.csv").read_bytes()
-    assert run(config) == 0
+    first_csv = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")}
+    assert first_csv or kind == "validate"
+    assert run(config) == code
     second = read_manifest(tmp_path)
     first.pop("created")
     second.pop("created")
     assert json.dumps(first, sort_keys=True) == \
         json.dumps(second, sort_keys=True)
-    assert (tmp_path / "rotation.csv").read_bytes() == first_csv
+    assert {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")} == \
+        first_csv
 
 
 def test_malformed_scene_file_exit_three(tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowbox.foliation import (
     BaseDomain,
@@ -20,7 +21,9 @@ from flowbox.foliation import (
     tangent_field,
     tilted_family,
     x_invariance_defect,
+    _leaf_gradients,
 )
+from flowbox.smoothing import smooth_in_t
 
 RECT = BaseDomain("rectangle", 33, 33)
 ANN = BaseDomain("annulus", 33, 32)
@@ -40,6 +43,43 @@ def sheared_leaf_index_oracle(x, z, shear=0.5):
 
 
 GOLDEN_INDEX = sheared_leaf_index_oracle(1.0, 0.5)  # (3 - sqrt 5)/2
+
+
+def c0_distance_oracle(a: LeafFamily, b: LeafFamily) -> float:
+    """Reference kernel for c0_distance: (n, m, 2) gradient stacks, np.sum
+    over the component axis and arccos at every sample."""
+    if a.base != b.base:
+        raise ValueError("families must share a base domain")
+    n = a.base.nx * a.base.ny
+    va = a.values.reshape(a.m, n).T        # (n, ma)
+    vb = b.values.reshape(b.m, n).T
+    ga = _leaf_gradients(a).reshape(a.m, n, 2).transpose(1, 0, 2)  # (n, ma, 2)
+    gb = _leaf_gradients(b).reshape(b.m, n, 2).transpose(1, 0, 2)
+
+    def grad_at(v, g, zq):
+        # per-row searchsorted: heights sit in [0,1], so offsetting row r by
+        # 2r makes the flattened array globally sorted
+        m = v.shape[1]
+        off = 2.0 * np.arange(v.shape[0], dtype=float)[:, None]
+        flat = np.searchsorted((v + off).ravel(), (zq + off).ravel(),
+                               side="right")
+        idx = flat.reshape(zq.shape) - m * np.arange(v.shape[0])[:, None] - 1
+        seg = np.clip(idx, 0, m - 2)
+        pos = m * np.arange(v.shape[0])[:, None] + seg
+        vf, gf = v.ravel(), g.reshape(-1, 2)
+        v_lo, v_hi = vf[pos], vf[pos + 1]
+        u = np.clip((zq - v_lo) / (v_hi - v_lo), 0.0, 1.0)[..., None]
+        return (1.0 - u) * gf[pos] + u * gf[pos + 1]
+
+    # at a family's own sampled heights the interpolation is exact, so only
+    # the other family's heights need the bracketing walk
+    qa = np.concatenate([ga, grad_at(va, ga, vb)], axis=1)
+    qb = np.concatenate([grad_at(vb, gb, va), gb], axis=1)
+    dot = np.sum(qa * qb, axis=-1) + 1.0
+    norm = np.sqrt((np.sum(qa * qa, axis=-1) + 1.0)
+                   * (np.sum(qb * qb, axis=-1) + 1.0))
+    ang = np.arccos(np.clip(dot / norm, -1.0, 1.0))
+    return float(ang.max())
 
 
 def test_oracle_against_closed_form():
@@ -181,7 +221,50 @@ def test_c0_distance_symmetry():
         s1, s2 = rng.uniform(-0.6, 0.6, 2)
         a = sheared_family(RECT, s1, 13)
         b = sheared_family(RECT, s2, 17)
-        assert c0_distance(a, b) == pytest.approx(c0_distance(b, a), abs=0)
+        assert c0_distance(a, b) == c0_distance(b, a)
+
+
+@st.composite
+def leaf_families(draw, base):
+    """Anchored family t + amp*t(1-t)*psi over base: psi random per node
+    (rough) or a smooth field periodic in y, on a random strictly
+    increasing t-grid."""
+    steps = draw(st.lists(st.integers(1, 4), min_size=1, max_size=40))
+    t = np.concatenate([[0.0], np.cumsum(steps) / sum(steps)])
+    x, y = np.meshgrid(base.x_nodes, base.y_nodes, indexing="ij")
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        psi = rng.uniform(-1.0, 1.0, x.shape)
+    else:
+        c = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+        psi = (c[0] * x + c[1] * np.sin(2 * np.pi * y)
+               + c[2] * x * np.cos(2 * np.pi * y))
+    psi = psi - psi[0, 0]
+    psi /= max(1.0, float(np.max(np.abs(psi))))
+    amp = draw(st.floats(0.0, 0.9))
+    vals = t[:, None, None] + amp * (t * (1.0 - t))[:, None, None] * psi[None]
+    return LeafFamily(base, t, vals, (0, 0))
+
+
+@st.composite
+def family_pairs(draw):
+    shape = draw(st.sampled_from(["rectangle", "annulus"]))
+    base = BaseDomain(shape, draw(st.integers(8, 17)), draw(st.integers(8, 17)))
+    a = draw(leaf_families(base))
+    if draw(st.booleans()):
+        return a, smooth_in_t(a, draw(st.sampled_from([0.3, 0.1, 0.03])))
+    return a, draw(leaf_families(base))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_pairs())
+def test_c0_distance_matches_oracle(pair):
+    a, b = pair
+    d = c0_distance(a, b)
+    assert d == c0_distance_oracle(a, b)
+    assert d == c0_distance(b, a)
+    assert c0_distance(a, a) == 0.0
+    assert c0_distance(b, b) == 0.0
 
 
 # ---------------------------------------------------------------- holonomy
