@@ -13,7 +13,6 @@ from .kernel import (
     build_collapse,
     build_collapse_fixed,
     choose_partition,
-    collapse_preimage,
     make_damping,
 )
 from .foliation import (
@@ -24,7 +23,6 @@ from .foliation import (
     c0_distance,
     holonomy,
     horizontal_family,
-    leaf_through,
     sheared_family,
     straight_path,
     tilted_family,

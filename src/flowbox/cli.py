@@ -272,8 +272,9 @@ def _run_smooth(config: ScenarioConfig, out_dir: Path):
         try:
             globally_smooth(scene, eps, report=report)
         except (RuntimeError, ValueError) as exc:
-            stages = report.get("stages", [])
-            stage = stages[-1]["stage"] if stages else "globally_smooth"
+            # the report is only filled once an attempt finishes, so the
+            # failed stage travels on the error itself
+            stage = getattr(exc, "stage", None) or "globally_smooth"
             raise PipelineFailure(stage, str(exc), results={"runs": runs}) from exc
         achieved = report["achieved_distance"]
         face = report["face_defect_after"]

@@ -9,7 +9,7 @@ coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -745,6 +745,44 @@ def maximal_faces(complex_: DecompositionComplex) -> FacePoset:
     maximal = tuple(i for i in range(len(keys))
                     if not any(a == i for (a, _) in contain))
     return FacePoset(faces, tuple(contain), maximal)
+
+
+# ---------------------------------------------------------- scene helpers
+
+def shared_faces(complex_: DecompositionComplex) -> list:
+    """Identified geometric faces, each as
+    (axis, pos, (id, E/N side), (id, W/S side))."""
+    out = []
+    for face in maximal_faces(complex_).faces:
+        owners = face["owners"]
+        head = [o for o in owners if o[1] in ("E", "N")]
+        tail = [o for o in owners if o[1] in ("W", "S")]
+        if len(owners) != 2 or len(head) != 1 or len(tail) != 1:
+            raise ValueError(
+                f"face {face['axis']}={face['pos']} x {face['span']} must "
+                "join exactly one E/N side to one W/S side")
+        out.append((face["axis"], face["pos"], head[0], tail[0]))
+    return out
+
+
+def with_families(complex_: DecompositionComplex,
+                  fams: dict) -> DecompositionComplex:
+    """The same decomposition with every box's family replaced by fams[id]."""
+    boxes = tuple(replace(box, family=fams[box.identifier])
+                  for box in complex_.boxes)
+    return DecompositionComplex(boxes, complex_.v_boxes)
+
+
+def side_nodes(base: BaseDomain, side: str) -> list:
+    """Grid nodes (ix, iy) along one side of a chart, ordered by position
+    on the side."""
+    if side in ("W", "E"):
+        ix = 0 if side == "W" else base.nx - 1
+        return [(ix, iy) for iy in range(base.ny)]
+    if side in ("S", "N"):
+        iy = 0 if side == "S" else base.ny - 1
+        return [(ix, iy) for ix in range(base.nx)]
+    raise ValueError(f"unknown side {side!r}")
 
 
 # ------------------------------------------------- regular neighborhoods

@@ -10,20 +10,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import DecompositionComplex, validate
-from .foliation import HolonomyMap, LeafFamily, SOLVER_TOL, c0_distance
+from .decomposition import (
+    DecompositionComplex,
+    shared_faces,
+    side_nodes,
+    validate,
+    with_families,
+)
+from .foliation import (
+    HolonomyMap,
+    LeafFamily,
+    SOLVER_TOL,
+    c0_distance,
+    fiber_transports,
+)
 from .kernel import (
     CollapseMap,
     InsertionSchedule,
     build_collapse,
     build_collapse_fixed,
 )
-from .smoothing import (
-    _rebuilt,
-    _shared_faces,
-    _side_fibers,
-    face_transport_defect,
-)
+from .smoothing import face_transport_defect
 
 FACE_RHO_TOL = 1e-6
 
@@ -273,16 +280,16 @@ def _packet_scene_defect(scene, packets, locus):
         fams = {b.identifier: _resolve_packets(packets, (lab,),
                                                b.identifier)[0]
                 for b in scene.boxes}
-        defect = face_transport_defect(_rebuilt(scene, fams))
+        defect = face_transport_defect(with_families(scene, fams))
         if defect > worst:
             worst, bad = defect, lab
     return worst, bad
 
 
-def _transport(family: LeafFamily, side: str, col: int) -> HolonomyMap:
-    fib = _side_fibers(family, side)
-    start = HolonomyMap(family.t, fib[:, 0]).inverse()
-    return HolonomyMap(family.t, fib[:, col]).compose(start)
+def _transport(family: LeafFamily, side: str) -> HolonomyMap:
+    """Leaf transport from the first to the last fiber along one side."""
+    nodes = side_nodes(family.base, side)
+    return fiber_transports(family, (nodes[0], nodes[-1]))[0]
 
 
 def _glued_rho(data, box, packet_fams, side: str) -> HolonomyMap:
@@ -293,8 +300,7 @@ def _glued_rho(data, box, packet_fams, side: str) -> HolonomyMap:
     xs = [np.array([0.0])]
     ys = [np.array([0.0])]
     for (lo, hi), pkt in zip(data.gaps(box), packet_fams):
-        rho_l = _transport(pkt, side, pkt.base.ny - 1
-                           if side in ("W", "E") else pkt.base.nx - 1)
+        rho_l = _transport(pkt, side)
         xs.append(lo + (hi - lo) * rho_l.inputs)
         ys.append(lo + (hi - lo) * rho_l.outputs)
     xs.append(np.array([1.0]))
@@ -324,7 +330,7 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
         raise ValueError("blowup_scene requires a valid decomposition")
     for box in scene.boxes:
         _require_horizontal(box.family, f"box {box.identifier}")
-    faces = _shared_faces(scene)
+    faces = shared_faces(scene)
     _check_locus(scene, locus, faces)
     pkt_defect, bad_label = _packet_scene_defect(scene, packets, locus)
     if pkt_defect > FACE_RHO_TOL:
@@ -347,7 +353,7 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
             collapses[ident] = d.collapse()
             fixed[ident] = ()
         data = CollapseData(schedules, collapses, fixed)
-        blown_scene = _rebuilt(scene, fams)
+        blown_scene = with_families(scene, fams)
 
         box_distances = {i: c0_distance(originals[i], fams[i])
                          for i in fams}
@@ -355,12 +361,10 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
 
         rho_defect = 0.0
         for axis, pos, (id_a, side_a), (id_b, side_b) in faces:
-            col = (scene.box(id_a).family.base.ny - 1 if axis == "x"
-                   else scene.box(id_a).family.base.nx - 1)
             pkts_a = _resolve_packets(packets, live.labels[id_a], id_a)
             predicted = _glued_rho(data, id_a, pkts_a, side_a)
             for ident, side in ((id_a, side_a), (id_b, side_b)):
-                actual = _transport(fams[ident], side, col)
+                actual = _transport(fams[ident], side)
                 gap = predicted.max_difference(actual)
                 rho_defect = max(rho_defect, gap)
                 if gap > FACE_RHO_TOL:

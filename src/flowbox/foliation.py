@@ -235,43 +235,12 @@ def tangent_field(family: LeafFamily) -> TangentPlaneField:
     return TangentPlaneField(family.base, family.t, normals)
 
 
-def leaf_through(family: LeafFamily, base_point, z: float) -> float:
-    """Leaf index of the point (base_point, z), by bisection to 1e-12.
-
-    Monotonicity makes the index unique; anchoring makes leaf_through at the
-    anchor the identity in z.
-    """
-    z = float(z)
-    if not -SOLVER_TOL <= z <= 1.0 + SOLVER_TOL:
-        raise ValueError("z must lie in [0, 1]")
-    pt = np.asarray(base_point, dtype=float).reshape(1, 2)
-    heights = family.values_at(pt)[:, 0]
-
-    def height(t):
-        k = min(max(int(np.searchsorted(family.t, t, side="right")) - 1, 0),
-                family.m - 2)
-        u = (t - family.t[k]) / (family.t[k + 1] - family.t[k])
-        return (1.0 - u) * heights[k] + u * heights[k + 1]
-
-    lo, hi = 0.0, 1.0
-    if z <= heights[0]:
-        return 0.0
-    if z >= heights[-1]:
-        return 1.0
-    while hi - lo > SOLVER_TOL:
-        mid = 0.5 * (lo + hi)
-        if height(mid) < z:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def leaf_indices(family: LeafFamily, base_point, zs) -> np.ndarray:
-    """Vectorized exact inverse of t -> f_t(base_point) on the sampled data.
+    """Leaf indices of the points (base_point, z): the exact inverse of
+    t -> f_t(base_point), piecewise linear on the sampled data.
 
-    Piecewise-linear inversion; agrees with leaf_through to bisection
-    tolerance.
+    Monotonicity makes each index unique; anchoring makes the inverse at the
+    anchor the identity in z.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
     pt = np.asarray(base_point, dtype=float).reshape(1, 2)
@@ -445,6 +414,22 @@ def straight_path(base: BaseDomain, p, q, samples: int = 65) -> BasePath:
     q = np.asarray(q, dtype=float)
     u = np.linspace(0.0, 1.0, samples)[:, None]
     return BasePath(base, (1.0 - u) * p + u * q)
+
+
+def fiber_map(family: LeafFamily, node) -> HolonomyMap:
+    """Leaf index -> height of that leaf over the grid node (ix, iy)."""
+    ix, iy = node
+    return HolonomyMap(family.t, family.values[:, ix, iy])
+
+
+def fiber_transports(family: LeafFamily, nodes) -> list:
+    """Leaf transports from the fiber over nodes[0] to each later node's.
+
+    Entry k sends a leaf's height over nodes[0] to the same leaf's height
+    over nodes[k + 1]; the start map is built and inverted once.
+    """
+    start = fiber_map(family, nodes[0]).inverse()
+    return [fiber_map(family, node).compose(start) for node in nodes[1:]]
 
 
 def holonomy(family: LeafFamily, path: BasePath) -> HolonomyMap:

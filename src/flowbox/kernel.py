@@ -354,11 +354,6 @@ def build_collapse_fixed(schedule: InsertionSchedule,
                        slope=None)
 
 
-def collapse_preimage(collapse: CollapseMap, y: float):
-    """Preimage of y under the collapse map: interval or point."""
-    return collapse.preimage(y)
-
-
 def _min_dots(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """Min over base samples of the normal dot products, (len(rows), len(cands)).
 

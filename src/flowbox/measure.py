@@ -14,14 +14,20 @@ import math
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .decomposition import DecompositionComplex, validate
+from .decomposition import (
+    DecompositionComplex,
+    shared_faces,
+    side_nodes,
+    validate,
+)
 from .foliation import (
     HolonomyMap,
     LeafFamily,
     SOLVER_TOL,
+    fiber_map,
+    fiber_transports,
     holonomy,
 )
-from .smoothing import _shared_faces, _side_fibers
 
 INVARIANCE_PRE_TOL = 1e-6
 INVARIANCE_POST_TOL = 1e-9
@@ -178,24 +184,6 @@ def smooth_measure_on_transversal(mu: TransverseMeasure, subsample_count: int,
     return f, smoothed
 
 
-def _fiber_map(family: LeafFamily, ix: int, iy: int) -> HolonomyMap:
-    """Leaf-index-to-height map of the fiber over one grid node."""
-    return HolonomyMap(family.t, family.values[:, ix, iy])
-
-
-def _field_map(mu: TransverseMeasure, fiber: HolonomyMap) -> HolonomyMap:
-    """Normalized cumulative of the measure transported to a fiber.
-
-    The anchor fiber's map is the identity, so the field cumulative at any
-    node is M o E^-1 with E the node's leaf-index map; its breakpoints are
-    the transported measure samples joined with E's own output breaks.
-    """
-    grid = _union_grid(fiber(mu.heights), fiber.outputs)
-    vals = mu(fiber.inverse()(grid)) / mu.total
-    vals[0], vals[-1] = 0.0, 1.0
-    return HolonomyMap(grid, vals)
-
-
 @dataclass(frozen=True, eq=False)
 class MeasuredScene:
     """A decomposition together with one transverse measure per box,
@@ -217,13 +205,6 @@ class MeasuredScene:
         return self.measures[identifier]
 
 
-def _face_endpoint_maps(family: LeafFamily, side: str):
-    """Fiber maps along one side, ordered by position on the side."""
-    fibers = _side_fibers(family, side)
-    return [HolonomyMap(family.t, fibers[:, k])
-            for k in range(fibers.shape[1])]
-
-
 def scene_invariance_defect(measured: MeasuredScene,
                             report: dict | None = None) -> float:
     """Worst disagreement, over shared faces and their fiber columns,
@@ -231,13 +212,13 @@ def scene_invariance_defect(measured: MeasuredScene,
     rows = []
     worst = 0.0
     for axis, pos, (id_a, side_a), (id_b, side_b) in \
-            _shared_faces(measured.scene):
+            shared_faces(measured.scene):
         fam_a = measured.scene.box(id_a).family
         fam_b = measured.scene.box(id_b).family
         mu_a = measured.measure(id_a)
         mu_b = measured.measure(id_b)
-        maps_a = _face_endpoint_maps(fam_a, side_a)
-        maps_b = _face_endpoint_maps(fam_b, side_b)
+        maps_a = [fiber_map(fam_a, n) for n in side_nodes(fam_a.base, side_a)]
+        maps_b = [fiber_map(fam_b, n) for n in side_nodes(fam_b.base, side_b)]
         if len(maps_a) != len(maps_b):
             raise ValueError(f"face {axis}={pos}: sides sampled differently")
         defect = 0.0
@@ -267,8 +248,8 @@ def _propagation_chain(face, scene, source, target) -> HolonomyMap:
     sides = {owner_a[0]: owner_a[1], owner_b[0]: owner_b[1]}
     fam_s = scene.box(source).family
     fam_t = scene.box(target).family
-    e_s = _face_endpoint_maps(fam_s, sides[source])[0]
-    e_t = _face_endpoint_maps(fam_t, sides[target])[0]
+    e_s = fiber_map(fam_s, side_nodes(fam_s.base, sides[source])[0])
+    e_t = fiber_map(fam_t, side_nodes(fam_t.base, sides[target])[0])
     return e_s.inverse().compose(e_t)
 
 
@@ -308,7 +289,7 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
     stages.append({"stage": "vertical-skeleton smoothing", "root": root,
                    "reparametrization_defect": f_root.identity_defect()})
 
-    faces = _shared_faces(scene)
+    faces = shared_faces(scene)
     adjacency = {}
     for face in faces:
         _, _, (id_a, _), (id_b, _) = face
@@ -344,14 +325,13 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
     for box in scene.boxes:
         fam = box.family
         mu_new = smoothed[box.identifier]
-        probes = sorted({1, fam.base.nx // 2, fam.base.nx - 2})
-        for ix in probes:
-            if not 0 < ix < fam.base.nx - 1:
-                continue
-            iy = fam.base.ny // 2
-            e_ij = _fiber_map(fam, ix, iy)
-            e_0j = _fiber_map(fam, 0, iy)
-            trans = e_ij.compose(e_0j.inverse())
+        iy = fam.base.ny // 2
+        nodes = [(0, iy)] + [(ix, iy) for ix in
+                             sorted({1, fam.base.nx // 2, fam.base.nx - 2})
+                             if 0 < ix < fam.base.nx - 1]
+        e_0j = fiber_map(fam, nodes[0])
+        for node, trans in zip(nodes[1:], fiber_transports(fam, nodes)):
+            e_ij = fiber_map(fam, node)
             grid = _union_grid(e_ij.outputs, trans.outputs)
             direct = mu_new(e_ij.inverse()(grid))
             via_edge = mu_new(e_0j.inverse()(trans.inverse()(grid)))

@@ -11,18 +11,26 @@ rather than derived from a priori constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .decomposition import DecompositionComplex, maximal_faces, validate
+from .decomposition import (
+    DecompositionComplex,
+    shared_faces,
+    side_nodes,
+    validate,
+    with_families,
+)
 from .foliation import (
     BaseDomain,
     HolonomyMap,
     LeafFamily,
     c0_distance,
     choose_partition,
+    fiber_map,
+    fiber_transports,
     holonomy,
     straight_path,
 )
@@ -32,7 +40,12 @@ _RAMP = make_damping(3, 256)
 
 
 class SmoothingError(RuntimeError):
-    """A smoothing run exhausted its retry budget."""
+    """A smoothing run exhausted its retry budget.
+
+    stage names the globally_smooth stage that raised, when one did.
+    """
+
+    stage = None
 
     def __init__(self, message: str, achieved: float | None = None):
         super().__init__(message)
@@ -177,9 +190,18 @@ def _merged_indices(ta: np.ndarray, tb: np.ndarray,
     return t[kept]
 
 
-def _resampled(family: LeafFamily, t: np.ndarray) -> np.ndarray:
-    """Leaf grids at the given indices; exact at the family's own samples."""
-    return family.leaves_at(t)
+def damped_blend(f: LeafFamily, g: LeafFamily, weight) -> LeafFamily:
+    """Leaves f + weight*(g - f) on the merged leaf indices of f and g.
+
+    The weight broadcasts against (len(t), nx, ny) leaf grids.  Grid values
+    where it is exactly zero are f's resampled values, and f's anchor column
+    is pinned to the merged indices, which resampling can miss by an ulp.
+    """
+    t = _merged_indices(f.t, g.t)
+    a = f.leaves_at(t)
+    vals = a + weight * (g.leaves_at(t) - a)
+    vals[:, f.anchor[0], f.anchor[1]] = t
+    return LeafFamily(f.base, t, vals, f.anchor)
 
 
 # ------------------------------------------------------------- smooth_in_t
@@ -315,17 +337,10 @@ def local_damped_replace(family: LeafFamily, target: LeafFamily,
         raise ValueError("family and target must share an anchor node")
     if s_samples < 2:
         raise ValueError("need at least the two endpoint slices")
-    t = _merged_indices(family.t, target.t)
-    f = _resampled(family, t)
-    g = _resampled(target, t)
     w = region.weight_grid()[None]
-    delta = g - f
-    slices = []
     s_values = np.linspace(0.0, 1.0, s_samples)
-    for s in s_values:
-        vals = f + (s * w) * delta
-        slices.append(LeafFamily(family.base, t, vals, family.anchor))
-    trace = IsotopyTrace(s_values, tuple(slices))
+    trace = IsotopyTrace(s_values, tuple(damped_blend(family, target, s * w)
+                                         for s in s_values))
     if report is not None:
         report.update({
             "operation": "local_damped_replace",
@@ -375,20 +390,6 @@ def straightening_isotopy(family: LeafFamily, target: LeafFamily,
 
 
 # ------------------------------------------- holonomy-constrained smoothing
-
-def _band_blend(family: LeafFamily, smoothed: LeafFamily,
-                mid_mask: RegionMask) -> LeafFamily:
-    """Blend toward the smoothed family away from the horizontal bands.
-
-    Computed as f + w*(g - f), so grid values where the mid-mask weight is
-    exactly zero (the declared bands) are bit-identical to the input's.
-    """
-    t = _merged_indices(family.t, smoothed.t)
-    f = _resampled(family, t)
-    g = _resampled(smoothed, t)
-    w = mid_mask.weight_grid()[None]
-    return LeafFamily(family.base, t, f + w * (g - f), family.anchor)
-
 
 def holonomy_correction(p_family: LeafFamily, s_family: LeafFamily,
                         path) -> HolonomyMap:
@@ -467,7 +468,8 @@ def smooth_with_holonomy_constraint(family: LeafFamily, epsilon: float,
     attempts = []
     for attempt in range(max_retries + 1):
         smoothed = smooth_in_t(family, inner_eps)
-        candidate = _band_blend(family, smoothed, mid)
+        # weight exactly zero on the declared bands keeps them bit-identical
+        candidate = damped_blend(family, smoothed, mid.weight_grid()[None])
         correction = holonomy_correction(family, candidate, alpha)
         snapped = correction.identity_defect() <= 1e-10
         if not snapped:
@@ -522,8 +524,8 @@ def damped_cone(annular: LeafFamily, disk_box: LeafFamily,
     # corrupted-input guard: the collar data must be C0-close to the box
     # family near the boundary frame
     t = _merged_indices(annular.t, disk_box.t)
-    a = _resampled(annular, t).reshape(t.size, -1)
-    d = _resampled(disk_box, t).reshape(t.size, -1)
+    a = annular.leaves_at(t).reshape(t.size, -1)
+    d = disk_box.leaves_at(t).reshape(t.size, -1)
     frame = _frame_nodes(disk_box.base, collar_width)
     gap = float(np.max(np.abs(a[:, frame] - d[:, frame])))
     if gap > closeness_tol:
@@ -533,12 +535,7 @@ def damped_cone(annular: LeafFamily, disk_box: LeafFamily,
     ring = RegionMask(disk_box.base, "ring",
                       (3 * c, 1.0 - 3 * c, 3 * c, 1.0 - 3 * c),
                       (c, 1.0 - c, c, 1.0 - c))
-    t2 = _merged_indices(t, smoothed.t)
-    a2 = _resampled(annular, t2)
-    s2 = _resampled(smoothed, t2)
-    w = ring.weight_grid()[None]
-    out = LeafFamily(disk_box.base, t2, a2 + (1.0 - w) * (s2 - a2),
-                     disk_box.anchor)
+    out = damped_blend(annular, smoothed, 1.0 - ring.weight_grid()[None])
     if report is not None:
         report.update({
             "operation": "damped_cone",
@@ -578,15 +575,6 @@ def x_invariant_normalize(family: LeafFamily) -> LeafFamily:
 FACE_COMPAT_TOL = 1e-6
 
 
-def _side_fibers(family: LeafFamily, side: str) -> np.ndarray:
-    """Boundary fibers along one side, indexed by position on the side."""
-    if side in ("W", "E"):
-        return family.values[:, 0 if side == "W" else -1, :]
-    if side in ("S", "N"):
-        return family.values[:, :, 0 if side == "S" else -1]
-    raise ValueError(f"unknown side {side!r}")
-
-
 def _grid_nodes(scene: DecompositionComplex) -> int:
     """Common chart size of a full-height grid scene; raises otherwise.
 
@@ -622,21 +610,6 @@ def _grid_nodes(scene: DecompositionComplex) -> int:
     return g
 
 
-def _shared_faces(scene: DecompositionComplex) -> list:
-    """Identified geometric faces as (axis, pos, (id, E/N side), (id, W/S side))."""
-    out = []
-    for face in maximal_faces(scene).faces:
-        owners = face["owners"]
-        head = [o for o in owners if o[1] in ("E", "N")]
-        tail = [o for o in owners if o[1] in ("W", "S")]
-        if len(owners) != 2 or len(head) != 1 or len(tail) != 1:
-            raise ValueError(
-                f"face {face['axis']}={face['pos']} x {face['span']} must "
-                "join exactly one E/N side to one W/S side")
-        out.append((face["axis"], face["pos"], head[0], tail[0]))
-    return out
-
-
 def face_transport_defect(scene: DecompositionComplex,
                           report: dict | None = None) -> float:
     """Sup disagreement between the holonomy transports the two sides of each
@@ -649,19 +622,16 @@ def face_transport_defect(scene: DecompositionComplex,
     """
     rows = []
     worst = 0.0
-    for axis, pos, (id_a, side_a), (id_b, side_b) in _shared_faces(scene):
+    for axis, pos, (id_a, side_a), (id_b, side_b) in shared_faces(scene):
         fam_a = scene.box(id_a).family
         fam_b = scene.box(id_b).family
-        fib_a = _side_fibers(fam_a, side_a)
-        fib_b = _side_fibers(fam_b, side_b)
-        if fib_a.shape[1] != fib_b.shape[1]:
+        nodes_a = side_nodes(fam_a.base, side_a)
+        nodes_b = side_nodes(fam_b.base, side_b)
+        if len(nodes_a) != len(nodes_b):
             raise ValueError(f"face {axis}={pos}: sides sampled differently")
-        e0a_inv = HolonomyMap(fam_a.t, fib_a[:, 0]).inverse()
-        e0b_inv = HolonomyMap(fam_b.t, fib_b[:, 0]).inverse()
         defect = 0.0
-        for k in range(1, fib_a.shape[1]):
-            ta = HolonomyMap(fam_a.t, fib_a[:, k]).compose(e0a_inv)
-            tb = HolonomyMap(fam_b.t, fib_b[:, k]).compose(e0b_inv)
+        for ta, tb in zip(fiber_transports(fam_a, nodes_a),
+                          fiber_transports(fam_b, nodes_b)):
             defect = max(defect, ta.max_difference(tb))
         rows.append({"axis": axis, "pos": pos, "boxes": [id_a, id_b],
                      "defect": defect})
@@ -711,10 +681,9 @@ def _face_chart(fam_a: LeafFamily, fam_b: LeafFamily, axis: str, width: int,
     reindexing is the identity and the chart's index set doubles as the
     W/S-side leaf index set.
     """
-    fib_a = (fam_a.values[:, -1, 0] if axis == "x"
-             else fam_a.values[:, 0, -1])
-    e_a = HolonomyMap(fam_a.t, fib_a)
-    zs = _merged_indices(fib_a, fam_b.t, tol=1e-10)
+    e_a = fiber_map(fam_a, (fam_a.base.nx - 1, 0) if axis == "x"
+                    else (0, fam_a.base.ny - 1))
+    zs = _merged_indices(e_a.outputs, fam_b.t, tol=1e-10)
     ta = e_a.inverse()(zs)
     ta[0], ta[-1] = 0.0, 1.0
     if not np.all(np.diff(ta) > 0.0):
@@ -741,18 +710,12 @@ def _chart_blend(chart: LeafFamily, smoothed: LeafFamily, width: int,
                  damping: DampingProfile = _RAMP) -> LeafFamily:
     """Damped write-in of the smoothed chart: full strength at the seam,
     exactly zero at the chart's outer columns so the paste leaves no seam."""
-    t3 = _merged_indices(chart.t, smoothed.t)
-    g0 = chart.leaves_at(t3)
-    g1 = smoothed.leaves_at(t3)
     du = 0.5 / width
     n_in, n_out = max(1, width // 4), max(3, (3 * width) // 4)
     w = _axis_weight(chart.base.x_nodes,
                      0.5 - n_in * du, 0.5 + n_in * du,
                      0.5 - n_out * du, 0.5 + n_out * du, damping)
-    vals = g0 + (amplitude * w)[None, :, None] * (g1 - g0)
-    # resampling the identity anchor column costs an ulp; keep it exact
-    vals[:, width, 0] = t3
-    return LeafFamily(chart.base, t3, vals, chart.anchor)
+    return damped_blend(chart, smoothed, (amplitude * w)[None, :, None])
 
 
 def _paste_strip(fam: LeafFamily, blended: LeafFamily, axis: str,
@@ -803,12 +766,6 @@ def _paste_self(fam: LeafFamily, blended: LeafFamily, e_a: HolonomyMap,
     return LeafFamily(fam.base, t_u, vals, fam.anchor)
 
 
-def _rebuilt(scene: DecompositionComplex, fams: dict) -> DecompositionComplex:
-    boxes = tuple(dataclass_replace(box, family=fams[box.identifier])
-                  for box in scene.boxes)
-    return DecompositionComplex(boxes, scene.v_boxes)
-
-
 def globally_smooth(scene: DecompositionComplex, epsilon: float,
                     max_retries: int = 5,
                     report: dict | None = None) -> DecompositionComplex:
@@ -838,7 +795,7 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
         raise ValueError(
             f"face holonomy data disagree beyond {FACE_COMPAT_TOL:g} "
             f"(sup defect {pre_defect:.3g}) on: " + ", ".join(bad))
-    faces = _shared_faces(scene)
+    faces = shared_faces(scene)
     originals = {box.identifier: box.family for box in scene.boxes}
     order = [box.identifier for box in scene.boxes]
     attempts = []
@@ -856,7 +813,8 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
             "region": "corner squares of side 1/4 in every box",
             "achieved_distance": max(
                 c0_distance(originals[i], fams[i]) for i in order),
-            "holonomy_defect": face_transport_defect(_rebuilt(scene, fams)),
+            "holonomy_defect": face_transport_defect(
+                with_families(scene, fams)),
             "retries": 0,
         })
         after_corners = dict(fams)
@@ -871,8 +829,10 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
                 smoothed = smooth_with_holonomy_constraint(
                     chart, eps_face, bands=bands, report=rep)
             except SmoothingError as err:
-                raise SmoothingError(f"{label}: {err}",
-                                     achieved=err.achieved) from err
+                failure = SmoothingError(f"{label}: {err}",
+                                         achieved=err.achieved)
+                failure.stage = "maximal-face neighborhoods"
+                raise failure from err
             blended = _chart_blend(chart, smoothed, width, amplitude)
             if id_a == id_b:
                 fams[id_a] = _paste_self(fams[id_a], blended, e_a, axis, width)
@@ -906,17 +866,11 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
                                     collar_width=1.0 / 16.0,
                                     epsilon=eps_cone)
             except (SmoothingError, StraighteningError) as err:
-                raise SmoothingError(
-                    f"box {ident} interior coning: {err}") from err
-            t4 = _merged_indices(fams[ident].t, coned.t)
-            f4 = fams[ident].leaves_at(t4)
-            c4 = coned.leaves_at(t4)
-            mixed = f4 + amplitude * (c4 - f4)
-            ax, ay = fams[ident].anchor
-            mixed[:, ax, ay] = t4
-            fams[ident] = LeafFamily(fams[ident].base, t4, mixed,
-                                     fams[ident].anchor)
-        result = _rebuilt(scene, fams)
+                failure = SmoothingError(f"box {ident} interior coning: {err}")
+                failure.stage = "interior coning"
+                raise failure from err
+            fams[ident] = damped_blend(fams[ident], coned, amplitude)
+        result = with_families(scene, fams)
         post_defect = face_transport_defect(result)
         stages.append({
             "stage": "interior coning",

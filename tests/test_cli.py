@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flowbox import smoothing
 from flowbox.cli import (
     GOLDEN_MEAN,
     MalformedInput,
@@ -19,6 +20,7 @@ from flowbox.cli import (
 from flowbox.decomposition import DecompositionComplex, validate
 from flowbox.denjoy import blowup_circle_map
 from flowbox.foliation import c0_distance, horizontal_family
+from flowbox.smoothing import SmoothingError
 
 
 def read_csv(path):
@@ -220,6 +222,26 @@ def test_measure_run_with_kinked_cumulative(scenes, tmp_path):
     assert {r[0] for r in rows} == {"b00", "b01", "b10", "b11"}
 
 
+@pytest.mark.parametrize("target, stage", [
+    ("smooth_with_holonomy_constraint", "maximal-face neighborhoods"),
+    ("damped_cone", "interior coning"),
+])
+def test_smooth_failure_names_the_failed_stage(target, stage, scenes,
+                                                tmp_path, monkeypatch):
+    # a failure inside the first attempt, before any report row exists,
+    # must still be named by its stage, not by the pipeline
+    def fail(*args, **kwargs):
+        raise SmoothingError("injected failure")
+
+    monkeypatch.setattr(smoothing, target, fail)
+    config = ScenarioConfig(kind="smooth", out=str(tmp_path),
+                            scene=str(scenes["sheared"]), epsilons=(0.3,))
+    assert run(config) == 1
+    manifest = read_manifest(tmp_path)
+    assert manifest["results"]["failed_stage"] == stage
+    assert "injected failure" in manifest["results"]["error"]
+
+
 def test_measure_rejects_noninvariant_with_stage(scenes, tmp_path):
     # Lebesgue is not holonomy-invariant on the sheared scene; the
     # pre-check must stop the pipeline and name the stage
@@ -235,7 +257,7 @@ def test_measure_rejects_noninvariant_with_stage(scenes, tmp_path):
 # manifest invariants and exit codes
 
 
-# every scenario but smooth, at small sizes
+# every scenario, at small sizes
 DETERMINISM_RUNS = {
     "denjoy-circle": {"iterations": 2000, "audit_steps": 50},
     "validate": {"scene": "split"},
@@ -243,6 +265,7 @@ DETERMINISM_RUNS = {
                "packet_samples": 9},
     "measure": {"scene": "horizontal"},
     "tischler": {"coefficients": (1, math.sqrt(2.0)), "epsilons": (1e-3,)},
+    "smooth": {"scene": "sheared", "epsilons": (0.3,)},
 }
 
 

@@ -24,10 +24,11 @@ from flowbox.foliation import (
     BaseDomain,
     c0_distance,
     horizontal_family,
-    leaf_through,
     sheared_family,
 )
 from flowbox.kernel import CollapseMap, InsertionSchedule, build_collapse
+
+from test_foliation import leaf_through
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -69,7 +70,7 @@ def circle_gaps_by_hand(alpha, n, weight_rule):
 
 def leaf_membership_by_inverse(original, collapsed_leaf, nodes):
     """Spread of original leaf indices over one collapsed leaf graph, probed
-    point by point through leaf_through (the library's scalar inverse)."""
+    point by point through the bisection oracle leaf_through."""
     ids = [leaf_through(original, (x, y), float(collapsed_leaf[i, j]))
            for (i, j, x, y) in nodes]
     return max(ids) - min(ids)

@@ -12,10 +12,10 @@ from flowbox.foliation import (
     LeafFamily,
     c0_distance,
     choose_partition,
+    fiber_transports,
     holonomy,
     horizontal_family,
     leaf_indices,
-    leaf_through,
     sheared_family,
     straight_path,
     tangent_field,
@@ -23,6 +23,7 @@ from flowbox.foliation import (
     x_invariance_defect,
     _leaf_gradients,
 )
+from flowbox.kernel import SOLVER_TOL
 from flowbox.smoothing import smooth_in_t
 
 RECT = BaseDomain("rectangle", 33, 33)
@@ -82,6 +83,35 @@ def c0_distance_oracle(a: LeafFamily, b: LeafFamily) -> float:
     return float(ang.max())
 
 
+def leaf_through(family: LeafFamily, base_point, z: float) -> float:
+    """Bisection oracle for leaf_indices: leaf index of the point
+    (base_point, z) to 1e-12."""
+    z = float(z)
+    if not -SOLVER_TOL <= z <= 1.0 + SOLVER_TOL:
+        raise ValueError("z must lie in [0, 1]")
+    pt = np.asarray(base_point, dtype=float).reshape(1, 2)
+    heights = family.values_at(pt)[:, 0]
+
+    def height(t):
+        k = min(max(int(np.searchsorted(family.t, t, side="right")) - 1, 0),
+                family.m - 2)
+        u = (t - family.t[k]) / (family.t[k + 1] - family.t[k])
+        return (1.0 - u) * heights[k] + u * heights[k + 1]
+
+    lo, hi = 0.0, 1.0
+    if z <= heights[0]:
+        return 0.0
+    if z >= heights[-1]:
+        return 1.0
+    while hi - lo > SOLVER_TOL:
+        mid = 0.5 * (lo + hi)
+        if height(mid) < z:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def test_oracle_against_closed_form():
     assert GOLDEN_INDEX == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, abs=1e-15)
     assert GOLDEN_INDEX == pytest.approx(0.3819660112501051, abs=1e-15)
@@ -128,27 +158,28 @@ def test_family_json_round_trip_bit_exact():
     assert back.anchor == fam.anchor
 
 
-# ---------------------------------------------------------------- leaf_through
+# ------------------------------------------------- the leaf through a point
 
 def test_leaf_through_horizontal():
     fam = horizontal_family(RECT, 17)
-    assert leaf_through(fam, (0.3, 0.7), 0.3) == pytest.approx(0.3, abs=1e-12)
+    got = float(leaf_indices(fam, (0.3, 0.7), 0.3)[0])
+    assert got == pytest.approx(0.3, abs=1e-12)
 
 
 def test_leaf_through_at_anchor_is_identity():
     fam = sheared_family(RECT, 0.5, 33)
     for z in (0.1, 0.5, 0.93):
-        assert leaf_through(fam, (0.0, 0.25), z) == pytest.approx(z, abs=1e-10)
+        got = float(leaf_indices(fam, (0.0, 0.25), z)[0])
+        assert got == pytest.approx(z, abs=1e-10)
 
 
 def test_leaf_through_sheared_quadratic():
     fam = sheared_family(RECT, 0.5, 65)
-    got = leaf_through(fam, (1.0, 0.5), 0.5)
+    got = float(leaf_indices(fam, (1.0, 0.5), 0.5)[0])
     # sampled-family index differs from the smooth solution only through
     # piecewise-linear interpolation error (~ (dt)^2 * curvature)
     assert got == pytest.approx(GOLDEN_INDEX, abs=5e-5)
-    assert got == pytest.approx(
-        float(leaf_indices(fam, (1.0, 0.5), 0.5)[0]), abs=1e-11)
+    assert got == pytest.approx(leaf_through(fam, (1.0, 0.5), 0.5), abs=1e-11)
 
 
 def test_leaf_through_inverse_property():
@@ -157,7 +188,8 @@ def test_leaf_through_inverse_property():
     for _ in range(25):
         pt = rng.uniform(0, 1, 2)
         z = rng.uniform(0, 1)
-        t = leaf_through(fam, pt, z)
+        t = float(leaf_indices(fam, pt, z)[0])
+        assert t == pytest.approx(leaf_through(fam, pt, z), abs=1e-11)
         back = fam.evaluate(np.array([t]), pt.reshape(1, 2))[0]
         assert back == pytest.approx(z, abs=1e-10)
 
@@ -265,6 +297,26 @@ def test_c0_distance_matches_oracle(pair):
     assert d == c0_distance(b, a)
     assert c0_distance(a, a) == 0.0
     assert c0_distance(b, b) == 0.0
+
+
+@st.composite
+def families_with_nodes(draw):
+    shape = draw(st.sampled_from(["rectangle", "annulus"]))
+    base = BaseDomain(shape, draw(st.integers(8, 17)), draw(st.integers(8, 17)))
+    node = st.tuples(st.integers(0, base.nx - 1), st.integers(0, base.ny - 1))
+    return (draw(leaf_families(base)),
+            draw(st.lists(node, min_size=1, max_size=6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(families_with_nodes())
+def test_fiber_transports_carry_each_leaf(case):
+    fam, nodes = case
+    maps = fiber_transports(fam, nodes)
+    assert len(maps) == len(nodes) - 1
+    start = fam.values[:, nodes[0][0], nodes[0][1]]
+    for rho, (ix, iy) in zip(maps, nodes[1:]):
+        assert np.max(np.abs(rho(start) - fam.values[:, ix, iy])) <= 1e-12
 
 
 # ---------------------------------------------------------------- holonomy

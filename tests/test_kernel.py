@@ -12,7 +12,6 @@ from flowbox.kernel import (
     build_collapse,
     build_collapse_fixed,
     choose_partition,
-    collapse_preimage,
     make_damping,
     smooth_ramp,
 )
@@ -163,7 +162,7 @@ def test_collapse_empty_schedule_is_identity():
     p = build_collapse(InsertionSchedule((), ()))
     x = np.linspace(0, 1, 17)
     np.testing.assert_allclose(p(x), x, atol=0)
-    assert collapse_preimage(p, 0.3) == pytest.approx(0.3)
+    assert p.preimage(0.3) == pytest.approx(0.3)
 
 
 def test_collapse_two_entry_widths():

@@ -18,6 +18,8 @@ from flowbox.foliation import (
     BaseDomain,
     HolonomyMap,
     LeafFamily,
+    fiber_map,
+    fiber_transports,
     horizontal_family,
     sheared_family,
     straight_path,
@@ -27,8 +29,6 @@ from flowbox.measure import (
     ClosedOneForm,
     MeasuredScene,
     TransverseMeasure,
-    _fiber_map,
-    _field_map,
     scene_invariance_defect,
     smooth_measure_on_transversal,
     smooth_measured_scene,
@@ -49,6 +49,20 @@ def bisect_preimage(cumulative, target, iterations=80):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _field_map(mu: TransverseMeasure, fiber: HolonomyMap) -> HolonomyMap:
+    """Normalized cumulative of the measure transported to a fiber.
+
+    The anchor fiber's map is the identity, so the field cumulative at any
+    node is M o E^-1 with E the node's leaf-index map; its breakpoints are
+    the transported measure samples joined with E's own output breaks.
+    """
+    grid = np.union1d([0.0, 1.0], np.union1d(fiber(mu.heights),
+                                             fiber.outputs))
+    vals = mu(fiber.inverse()(grid)) / mu.total
+    vals[0], vals[-1] = 0.0, 1.0
+    return HolonomyMap(grid, vals)
 
 
 def sqrt2_convergents_by_hand():
@@ -372,9 +386,9 @@ def test_sheared_but_invariant_scene_conjugation_oracle():
     out = smooth_measured_scene(measured, 9)
     fam = scene.box("a").family
     grid = fam.base.nx
-    e_west = _fiber_map(fam, 0, 0)
-    e_east = _fiber_map(fam, grid - 1, 0)
-    rho = e_east.compose(e_west.inverse())
+    e_west = fiber_map(fam, (0, 0))
+    e_east = fiber_map(fam, (grid - 1, 0))
+    [rho] = fiber_transports(fam, [(0, 0), (grid - 1, 0)])
     oracle = HolonomyMap(fam.t, fam.t + shear * fam.t * (1.0 - fam.t))
     assert rho.max_difference(oracle) <= 1e-12
     # after smoothing the holonomy is the conjugate of the identity by the
@@ -385,8 +399,7 @@ def test_sheared_but_invariant_scene_conjugation_oracle():
     assert rho.max_difference(conj) <= 1e-9
     # the mirrored box carries the inverse transport
     fam_b = scene.box("b").family
-    rho_b = _fiber_map(fam_b, grid - 1, 0).compose(
-        _fiber_map(fam_b, 0, 0).inverse())
+    [rho_b] = fiber_transports(fam_b, [(0, 0), (grid - 1, 0)])
     assert rho_b.max_difference(oracle.inverse()) <= 1e-12
 
 

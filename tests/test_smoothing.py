@@ -11,9 +11,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from flowbox.decomposition import DecompositionComplex, build_torus_scene
+from flowbox.decomposition import (
+    DecompositionComplex,
+    build_torus_scene,
+    shared_faces,
+)
 from flowbox.foliation import (
     BaseDomain,
     LeafFamily,
@@ -35,8 +40,8 @@ from flowbox.smoothing import (
     _corner_fiber_damp,
     _face_chart,
     _paste_strip,
-    _shared_faces,
     band_masks,
+    damped_blend,
     damped_cone,
     face_transport_defect,
     globally_smooth,
@@ -48,6 +53,8 @@ from flowbox.smoothing import (
     straightening_isotopy,
     x_invariant_normalize,
 )
+
+from test_foliation import leaf_families
 
 RECT = BaseDomain("rectangle", 33, 33)
 ANN = BaseDomain("annulus", 33, 32)
@@ -261,6 +268,33 @@ def test_local_replace_slices():
         assert np.array_equal(sl.values[:, outside], f[:, outside])
 
 
+@st.composite
+def blend_pairs(draw):
+    shape = draw(st.sampled_from(["rectangle", "annulus"]))
+    base = BaseDomain(shape, draw(st.integers(8, 17)), draw(st.integers(8, 17)))
+    return draw(leaf_families(base)), draw(leaf_families(base))
+
+
+@settings(max_examples=60, deadline=None)
+@given(blend_pairs())
+def test_damped_blend_endpoints(pair):
+    # the two families carry independent t-grids; weight 0 and 1 must give
+    # back either family resampled on the merged indices, anchor pinned
+    f, g = pair
+    off = np.ones((f.base.nx, f.base.ny), dtype=bool)
+    off[f.anchor] = False
+    at_zero = damped_blend(f, g, 0.0)
+    at_one = damped_blend(f, g, 1.0)
+    for out in (at_zero, at_one):
+        assert out.anchor == f.anchor
+        assert np.array_equal(out.values[:, f.anchor[0], f.anchor[1]], out.t)
+    assert np.array_equal(at_zero.values[:, off],
+                          f.leaves_at(at_zero.t)[:, off])
+    # f + (g - f) misses g by the rounding of g - f, at most one ulp of 1
+    gap = np.abs(at_one.values - g.leaves_at(at_one.t))[:, off]
+    assert gap.max() <= 2.0 ** -52
+
+
 def test_local_replace_anchor_mismatch():
     fam = horizontal_family(RECT, 17)
     target = tilted_family(RECT, 0.05, 17)
@@ -469,7 +503,7 @@ def _oracle_face_defect(scene):
     # worst side-vs-side transport disagreement over all shared faces,
     # sampled at a quarter, half, and the far column on a fixed height grid
     worst = 0.0
-    for _axis, _pos, (id_a, side_a), (id_b, side_b) in _shared_faces(scene):
+    for _axis, _pos, (id_a, side_a), (id_b, side_b) in shared_faces(scene):
         fam_a = scene.box(id_a).family
         fam_b = scene.box(id_b).family
         n_cols = _side_heights(fam_a, side_a).shape[1]
@@ -634,7 +668,7 @@ def test_corner_fiber_damp_keeps_transports(sheared_scene):
 
 
 def test_face_chart_paste_roundtrip(sheared_scene):
-    axis, _pos, (id_a, _sa), (id_b, _sb) = _shared_faces(sheared_scene)[0]
+    axis, _pos, (id_a, _sa), (id_b, _sb) = shared_faces(sheared_scene)[0]
     fam_a = sheared_scene.box(id_a).family
     fam_b = sheared_scene.box(id_b).family
     chart, e_a, seam_gap = _face_chart(fam_a, fam_b, axis, 8, "roundtrip")
