@@ -311,8 +311,9 @@ def _run_blowup(config: ScenarioConfig, out_dir: Path):
             blown, data = blowup_scene(scene, locus, {0: packet},
                                        epsilon, report=report)
         except (BlowupError, RuntimeError, ValueError) as exc:
-            stages = report.get("stages", [])
-            stage = stages[-1]["stage"] if stages else "blowup_scene"
+            # the report is only filled once an attempt finishes, so the
+            # failed stage travels on the error itself
+            stage = getattr(exc, "stage", None) or "blowup_scene"
             raise PipelineFailure(stage, str(exc), results={"runs": runs}) from exc
         verification = verify_blowup(scene, blown, data)
         achieved = report["achieved_distance"]

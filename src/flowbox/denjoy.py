@@ -6,6 +6,9 @@ defining properties of the collapse data, and the circle-dynamics shadow of
 the same construction (blown-up rotations, rotation numbers, wandering gaps).
 """
 
+import math
+from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,6 +314,17 @@ def _glued_rho(data, box, packet_fams, side: str) -> HolonomyMap:
     return HolonomyMap(x[keep], y[keep])
 
 
+@contextmanager
+def _failing_stage(name: str):
+    """Name the blowup_scene stage on an error escaping it, as exc.stage:
+    the report is only filled once a whole attempt has finished."""
+    try:
+        yield
+    except (RuntimeError, ValueError) as exc:
+        exc.stage = name
+        raise
+
+
 def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
                  epsilon: float, max_retries: int = 5, report: dict | None = None):
     """Denjoy blowup of a strictly horizontal scene.
@@ -343,15 +357,16 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
     for attempt in range(max_retries + 1):
         live = locus.scaled(0.5 ** attempt) if attempt else locus
         fams, schedules, collapses, fixed = {}, {}, {}, {}
-        for box in scene.boxes:
-            ident = box.identifier
-            sched = live.schedules[ident]
-            pkts = _resolve_packets(packets, live.labels[ident], ident)
-            blown, d = blowup_box(box.family, sched, pkts)
-            fams[ident] = blown
-            schedules[ident] = sched
-            collapses[ident] = d.collapse()
-            fixed[ident] = ()
+        with _failing_stage("edge-neighborhood boxes"):
+            for box in scene.boxes:
+                ident = box.identifier
+                sched = live.schedules[ident]
+                pkts = _resolve_packets(packets, live.labels[ident], ident)
+                blown, d = blowup_box(box.family, sched, pkts)
+                fams[ident] = blown
+                schedules[ident] = sched
+                collapses[ident] = d.collapse()
+                fixed[ident] = ()
         data = CollapseData(schedules, collapses, fixed)
         blown_scene = with_families(scene, fams)
 
@@ -360,18 +375,21 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
         worst = max(box_distances.values())
 
         rho_defect = 0.0
-        for axis, pos, (id_a, side_a), (id_b, side_b) in faces:
-            pkts_a = _resolve_packets(packets, live.labels[id_a], id_a)
-            predicted = _glued_rho(data, id_a, pkts_a, side_a)
-            for ident, side in ((id_a, side_a), (id_b, side_b)):
-                actual = _transport(fams[ident], side)
-                gap = predicted.max_difference(actual)
-                rho_defect = max(rho_defect, gap)
-                if gap > FACE_RHO_TOL:
-                    raise ValueError(
-                        f"face {axis}={pos} ({id_a}|{id_b}): blown holonomy "
-                        f"disagrees with the glued prediction by {gap:.3g}")
-        face_defect = face_transport_defect(blown_scene)
+        with _failing_stage("maximal-face gluing"):
+            for axis, pos, (id_a, side_a), (id_b, side_b) in faces:
+                pkts_a = _resolve_packets(packets, live.labels[id_a], id_a)
+                predicted = _glued_rho(data, id_a, pkts_a, side_a)
+                for ident, side in ((id_a, side_a), (id_b, side_b)):
+                    actual = _transport(fams[ident], side)
+                    gap = predicted.max_difference(actual)
+                    rho_defect = max(rho_defect, gap)
+                    if gap > FACE_RHO_TOL:
+                        raise ValueError(
+                            f"face {axis}={pos} ({id_a}|{id_b}): blown "
+                            f"holonomy disagrees with the glued prediction "
+                            f"by {gap:.3g}")
+        with _failing_stage("interior extension"):
+            face_defect = face_transport_defect(blown_scene)
 
         attempts.append(worst)
         if report is not None:
@@ -614,8 +632,23 @@ class CircleMapLift:
         ey = np.concatenate([[ys[-1] - 1.0], ys, [ys[0] + 1.0]])
         object.__setattr__(self, "_ex", ex)
         object.__setattr__(self, "_ey", ey)
+        object.__setattr__(self, "_ex_list", ex.tolist())
+        object.__setattr__(self, "_ey_list", ey.tolist())
 
     def __call__(self, x):
+        if type(x) is float and math.isfinite(x):
+            # np.interp's own arithmetic on one value, without the array
+            # round trip; x // 1.0 is np.floor, signed zero included.  u
+            # lies in [0, 1], inside the periodic extension, so of
+            # np.interp's edge cases only the last breakpoint can occur
+            k = x // 1.0
+            u = x - k
+            ex, ey = self._ex_list, self._ey_list
+            j = bisect_right(ex, u) - 1
+            if j == len(ex) - 1 or ex[j] == u:
+                return ey[j] + k
+            return ((ey[j + 1] - ey[j]) / (ex[j + 1] - ex[j]) * (u - ex[j])
+                    + ey[j] + k)
         x = np.asarray(x, dtype=float)
         k = np.floor(x)
         return np.interp(x - k, self._ex, self._ey) + k
@@ -719,25 +752,35 @@ def wandering_audit(lift: CircleMapLift, gaps, steps: int) -> dict:
     Zero revisits certifies wandering behavior at this finite horizon,
     nothing more; the truncated tail of the orbit is not blown up and an
     interval can in principle leak through it at longer horizons.
+
+    The gaps are iterated in cyclic order: sorted by lower end, with the
+    endpoints interleaved into one array, which is sorted when the gaps are
+    disjoint.
+    A degree-1 lift preserves cyclic order, so every iterate reduced mod 1
+    is a rotated sorted array, on which np.interp's guessed search is cheap.
+    np.interp gives each query the same value in any order, so the order
+    buys speed only; first_revisit names gaps in the caller's order.
     """
     gaps = [(float(lo), float(hi)) for lo, hi in gaps]
     lo0 = np.array([g[0] for g in gaps])
     hi0 = np.array([g[1] for g in gaps])
     if np.any(hi0 <= lo0):
         raise ValueError("gap intervals must have positive length")
-    cur_lo, cur_hi = lo0.copy(), hi0.copy()
+    order = np.argsort(lo0)
+    lo0, hi0 = lo0[order], hi0[order]
+    cur = np.column_stack([lo0, hi0]).ravel()
     revisits, first = 0, None
     for step in range(1, int(steps) + 1):
-        cur_lo, cur_hi = lift(cur_lo), lift(cur_hi)
-        f_lo = np.mod(cur_lo, 1.0)
-        f_hi = np.mod(cur_hi, 1.0)
+        cur = lift(cur)
+        frac = cur - np.floor(cur)
+        f_lo, f_hi = frac[0::2], frac[1::2]
         plain = f_lo <= f_hi
         hit = np.where(plain,
                        np.minimum(f_hi, hi0) > np.maximum(f_lo, lo0),
                        (f_lo < hi0) | (f_hi > lo0))
         k = int(np.count_nonzero(hit))
         if k and first is None:
-            first = {"step": step, "gap": int(np.argmax(hit))}
+            first = {"step": step, "gap": int(order[hit].min())}
         revisits += k
     return {"operation": "wandering_audit", "steps": int(steps),
             "gaps": len(gaps), "revisits": revisits,

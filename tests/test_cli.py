@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowbox import smoothing
+from flowbox import denjoy, smoothing
 from flowbox.cli import (
     GOLDEN_MEAN,
     MalformedInput,
@@ -236,6 +236,36 @@ def test_smooth_failure_names_the_failed_stage(target, stage, scenes,
     monkeypatch.setattr(smoothing, target, fail)
     config = ScenarioConfig(kind="smooth", out=str(tmp_path),
                             scene=str(scenes["sheared"]), epsilons=(0.3,))
+    assert run(config) == 1
+    manifest = read_manifest(tmp_path)
+    assert manifest["results"]["failed_stage"] == stage
+    assert "injected failure" in manifest["results"]["error"]
+
+
+@pytest.mark.parametrize("target, skip, stage", [
+    ("blowup_box", 0, "edge-neighborhood boxes"),
+    ("_glued_rho", 0, "maximal-face gluing"),
+    # the packet pre-check calls face_transport_defect once per leaf label
+    # before any attempt; the next call is the interior-extension check
+    ("face_transport_defect", 1, "interior extension"),
+])
+def test_blowup_failure_names_the_failed_stage(target, skip, stage, scenes,
+                                               tmp_path, monkeypatch):
+    # a failure inside the first attempt, before any report row exists,
+    # must still be named by its stage, not by the pipeline
+    real = getattr(denjoy, target)
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(target)
+        if len(calls) <= skip:
+            return real(*args, **kwargs)
+        raise ValueError("injected failure")
+
+    monkeypatch.setattr(denjoy, target, fail)
+    config = ScenarioConfig(kind="blowup", out=str(tmp_path),
+                            scene=str(scenes["horizontal"]), weights=(0.2,),
+                            packet_samples=9)
     assert run(config) == 1
     manifest = read_manifest(tmp_path)
     assert manifest["results"]["failed_stage"] == stage

@@ -68,6 +68,38 @@ def circle_gaps_by_hand(alpha, n, weight_rule):
     return {int(k): (float(lo[i]), float(hi[i])) for i, k in enumerate(ks)}
 
 
+def wandering_audit_oracle(lift: CircleMapLift, gaps, steps: int) -> dict:
+    """Iterate every gap interval under the lift and look for a return onto
+    itself (open-interval overlap on the circle).
+
+    Zero revisits certifies wandering behavior at this finite horizon,
+    nothing more; the truncated tail of the orbit is not blown up and an
+    interval can in principle leak through it at longer horizons.
+    """
+    gaps = [(float(lo), float(hi)) for lo, hi in gaps]
+    lo0 = np.array([g[0] for g in gaps])
+    hi0 = np.array([g[1] for g in gaps])
+    if np.any(hi0 <= lo0):
+        raise ValueError("gap intervals must have positive length")
+    cur_lo, cur_hi = lo0.copy(), hi0.copy()
+    revisits, first = 0, None
+    for step in range(1, int(steps) + 1):
+        cur_lo, cur_hi = lift(cur_lo), lift(cur_hi)
+        f_lo = np.mod(cur_lo, 1.0)
+        f_hi = np.mod(cur_hi, 1.0)
+        plain = f_lo <= f_hi
+        hit = np.where(plain,
+                       np.minimum(f_hi, hi0) > np.maximum(f_lo, lo0),
+                       (f_lo < hi0) | (f_hi > lo0))
+        k = int(np.count_nonzero(hit))
+        if k and first is None:
+            first = {"step": step, "gap": int(np.argmax(hit))}
+        revisits += k
+    return {"operation": "wandering_audit", "steps": int(steps),
+            "gaps": len(gaps), "revisits": revisits,
+            "wandering": revisits == 0, "first_revisit": first}
+
+
 def leaf_membership_by_inverse(original, collapsed_leaf, nodes):
     """Spread of original leaf indices over one collapsed leaf graph, probed
     point by point through the bisection oracle leaf_through."""
@@ -541,3 +573,92 @@ def test_wandering_audit_detects_rigid_returns():
     assert audit["first_revisit"]["step"] <= 17
     with pytest.raises(ValueError, match="positive length"):
         wandering_audit(lift, [(0.2, 0.2)], steps=10)
+
+
+@st.composite
+def circle_lifts(draw):
+    """A strictly increasing lift: random breakpoints, a rigid rotation, or
+    a small golden-mean blowup."""
+    kind = draw(st.sampled_from(["random", "rigid", "blowup"]))
+    if kind == "rigid":
+        shift = draw(st.floats(-3.0, 3.0))
+        return CircleMapLift(np.array([0.0, 0.5]),
+                             np.array([shift, shift + 0.5]))
+    if kind == "blowup":
+        return blowup_circle_map(GOLDEN, draw(st.integers(100, 130)))
+    n = draw(st.integers(2, 12))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    xs = np.unique(draw(st.lists(unit, min_size=n, max_size=n)))
+    assume(xs.size >= 2)
+    rises = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=xs.size,
+                                   max_size=xs.size)))
+    ys = np.cumsum(rises) * (0.99 / rises.sum()) + draw(st.floats(-2.0, 2.0))
+    assume(np.all(np.diff(ys) > 0.0) and ys[-1] - ys[0] < 1.0)
+    return CircleMapLift(xs, ys)
+
+
+@st.composite
+def audit_gaps(draw):
+    """Gap intervals in shuffled order: disjoint, or arbitrary (which may
+    overlap, so the endpoint order is not kept by the lift)."""
+    n = draw(st.integers(1, 12))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    if draw(st.booleans()):
+        ends = np.unique(draw(st.lists(unit, min_size=2 * n,
+                                       max_size=2 * n)))
+        assume(ends.size >= 2)
+        gaps = [(ends[i], ends[i + 1]) for i in range(0, ends.size - 1, 2)]
+    else:
+        pairs = draw(st.lists(st.tuples(unit, unit), min_size=n, max_size=n))
+        gaps = [(min(a, b), max(a, b)) for a, b in pairs if a != b]
+        assume(gaps)
+    return draw(st.permutations(gaps))
+
+
+@settings(max_examples=80, deadline=None)
+@given(circle_lifts(), audit_gaps(), st.integers(0, 200))
+def test_wandering_audit_matches_oracle(lift, gaps, steps):
+    # the cyclic-order audit reports what the per-gap oracle reports,
+    # first revisit included, in the caller's gap order
+    assert wandering_audit(lift, gaps, steps) == \
+        wandering_audit_oracle(lift, gaps, steps)
+
+
+def test_wandering_audit_matches_oracle_on_blown_gaps():
+    report = {}
+    lift = blowup_circle_map(GOLDEN, 150, report=report)
+    gaps = [tuple(v) for v in report["gaps"].values()]
+    gaps = gaps[::-1] + [(0.05, 0.4)]
+    audit = wandering_audit(lift, gaps, 200)
+    assert audit == wandering_audit_oracle(lift, gaps, 200)
+    assert audit["first_revisit"]["gap"] == len(gaps) - 1
+
+
+def _same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(circle_lifts(), st.data())
+def test_circle_lift_scalar_path_matches_array_path(lift, data):
+    # a Python float takes the pure-Python evaluation; it must return the
+    # array path's value bit for bit, signed zero included
+    turns = st.integers(-10_000, 10_000).map(float)
+    on_break = st.builds(lambda x, k: x + k, st.sampled_from(
+        lift.inputs.tolist()), turns)
+    xs = data.draw(st.lists(st.one_of(
+        st.floats(-1e4, 1e4), on_break, turns,
+        st.sampled_from([0.0, -0.0, -1e-18, 1e-300, -1e-300, 1.0 - 2**-53])),
+        min_size=1, max_size=20))
+    for x in xs:
+        value = lift(x)
+        assert type(value) is float
+        assert _same_float(value, float(lift(np.array([x]))[0]))
+
+
+def test_circle_lift_scalar_path_keeps_signed_zero():
+    # np.floor(-0.0) is -0.0, so an output of -0.0 at 0 survives the
+    # integer shift; a floor that drops the sign would return +0.0
+    lift = CircleMapLift(np.array([0.0, 0.5]), np.array([-0.0, 0.5]))
+    for x in (-0.0, 0.0):
+        assert _same_float(lift(x), float(lift(np.array([x]))[0]))

@@ -321,6 +321,30 @@ def test_fiber_transports_carry_each_leaf(case):
 
 # ---------------------------------------------------------------- holonomy
 
+def _unit_knots(rises):
+    """Strictly increasing knots from 0 to 1 exactly, spaced by the rises."""
+    knots = np.concatenate([[0.0], np.cumsum(rises) / np.sum(rises)])
+    knots[-1] = 1.0
+    return knots
+
+
+@st.composite
+def holonomy_maps(draw):
+    n = draw(st.integers(1, 24))
+    rise = st.floats(1e-3, 1.0)
+    xs = _unit_knots(draw(st.lists(rise, min_size=n, max_size=n)))
+    ys = _unit_knots(draw(st.lists(rise, min_size=n, max_size=n)))
+    return HolonomyMap(xs, ys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(holonomy_maps())
+def test_holonomy_compose_inverse_round_trips(h):
+    assert h.compose(h.inverse()).identity_defect() < 1e-9
+    assert h.inverse().compose(h).identity_defect() < 1e-9
+    assert h.inverse().inverse().max_difference(h) <= 1e-12
+
+
 def test_holonomy_horizontal_identity():
     fam = horizontal_family(RECT, 17)
     path = straight_path(RECT, (0.0, 0.5), (1.0, 0.5))
