@@ -422,14 +422,40 @@ def fiber_map(family: LeafFamily, node) -> HolonomyMap:
     return HolonomyMap(family.t, family.values[:, ix, iy])
 
 
+def node_columns(family: LeafFamily, nodes) -> np.ndarray:
+    """Fiber heights over the grid nodes (ix, iy), one column per node:
+    shape (m, len(nodes))."""
+    ix, iy = zip(*nodes)
+    return family.values[:, list(ix), list(iy)]
+
+
 def fiber_transports(family: LeafFamily, nodes) -> list:
     """Leaf transports from the fiber over nodes[0] to each later node's.
 
     Entry k sends a leaf's height over nodes[0] to the same leaf's height
-    over nodes[k + 1]; the start map is built and inverted once.
+    over nodes[k + 1].  Both fibers are sampled at the same leaves, so the
+    transport is exactly the pair of node columns.
     """
-    start = fiber_map(family, nodes[0]).inverse()
-    return [fiber_map(family, node).compose(start) for node in nodes[1:]]
+    cols = node_columns(family, nodes)
+    return [HolonomyMap(cols[:, 0], col) for col in cols[:, 1:].T]
+
+
+def interp_columns(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp(x, xp, fp[:, c]) for every column c of fp in one pass:
+    shape (len(x), fp.shape[1]), for queries x >= xp[0].
+
+    np.interp's own arithmetic, so each column matches it bit for bit:
+    fp[j] on an exact hit or at the last breakpoint, otherwise
+    slope * (x - xp[j]) + fp[j] with the segment's
+    slope = (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]).
+    """
+    last = xp.size - 1
+    j = np.searchsorted(xp, x, side="right") - 1
+    hit = (j == last) | (xp[j] == x)
+    k = np.minimum(j, last - 1)
+    slopes = (fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1])[:, None]
+    return np.where(hit[:, None], fp[j],
+                    slopes[k] * (x - xp[k])[:, None] + fp[k])
 
 
 def holonomy(family: LeafFamily, path: BasePath) -> HolonomyMap:

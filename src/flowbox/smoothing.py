@@ -30,8 +30,9 @@ from .foliation import (
     c0_distance,
     choose_partition,
     fiber_map,
-    fiber_transports,
     holonomy,
+    interp_columns,
+    node_columns,
     straight_path,
 )
 from .kernel import COMPARISON_TOL, DampingProfile, Partition, SOLVER_TOL, make_damping
@@ -625,14 +626,16 @@ def face_transport_defect(scene: DecompositionComplex,
     for axis, pos, (id_a, side_a), (id_b, side_b) in shared_faces(scene):
         fam_a = scene.box(id_a).family
         fam_b = scene.box(id_b).family
-        nodes_a = side_nodes(fam_a.base, side_a)
-        nodes_b = side_nodes(fam_b.base, side_b)
-        if len(nodes_a) != len(nodes_b):
+        cols_a = node_columns(fam_a, side_nodes(fam_a.base, side_a))
+        cols_b = node_columns(fam_b, side_nodes(fam_b.base, side_b))
+        if cols_a.shape[1] != cols_b.shape[1]:
             raise ValueError(f"face {axis}={pos}: sides sampled differently")
-        defect = 0.0
-        for ta, tb in zip(fiber_transports(fam_a, nodes_a),
-                          fiber_transports(fam_b, nodes_b)):
-            defect = max(defect, ta.max_difference(tb))
+        # every transport along a side starts from the same fiber, so all of
+        # them are evaluated on one union grid in one pass per side
+        xs = np.union1d(cols_a[:, 0], cols_b[:, 0])
+        ta = interp_columns(xs, cols_a[:, 0], cols_a[:, 1:])
+        tb = interp_columns(xs, cols_b[:, 0], cols_b[:, 1:])
+        defect = float(np.abs(ta - tb).max())
         rows.append({"axis": axis, "pos": pos, "boxes": [id_a, id_b],
                      "defect": defect})
         worst = max(worst, defect)

@@ -12,9 +12,11 @@ from flowbox.foliation import (
     LeafFamily,
     c0_distance,
     choose_partition,
+    fiber_map,
     fiber_transports,
     holonomy,
     horizontal_family,
+    interp_columns,
     leaf_indices,
     sheared_family,
     straight_path,
@@ -81,6 +83,13 @@ def c0_distance_oracle(a: LeafFamily, b: LeafFamily) -> float:
                    * (np.sum(qb * qb, axis=-1) + 1.0))
     ang = np.arccos(np.clip(dot / norm, -1.0, 1.0))
     return float(ang.max())
+
+
+def fiber_transports_oracle(family: LeafFamily, nodes) -> list:
+    """Reference for fiber_transports: each node's fiber map composed with
+    the inverted start fiber map."""
+    start = fiber_map(family, nodes[0]).inverse()
+    return [fiber_map(family, node).compose(start) for node in nodes[1:]]
 
 
 def leaf_through(family: LeafFamily, base_point, z: float) -> float:
@@ -304,8 +313,12 @@ def families_with_nodes(draw):
     shape = draw(st.sampled_from(["rectangle", "annulus"]))
     base = BaseDomain(shape, draw(st.integers(8, 17)), draw(st.integers(8, 17)))
     node = st.tuples(st.integers(0, base.nx - 1), st.integers(0, base.ny - 1))
-    return (draw(leaf_families(base)),
-            draw(st.lists(node, min_size=1, max_size=6)))
+    nodes = draw(st.lists(node, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        # a repeated node gives the identity transport
+        nodes.insert(draw(st.integers(0, len(nodes))),
+                     draw(st.sampled_from(nodes)))
+    return draw(leaf_families(base)), nodes
 
 
 @settings(max_examples=60, deadline=None)
@@ -316,7 +329,52 @@ def test_fiber_transports_carry_each_leaf(case):
     assert len(maps) == len(nodes) - 1
     start = fam.values[:, nodes[0][0], nodes[0][1]]
     for rho, (ix, iy) in zip(maps, nodes[1:]):
-        assert np.max(np.abs(rho(start) - fam.values[:, ix, iy])) <= 1e-12
+        assert np.array_equal(rho(start), fam.values[:, ix, iy])
+
+
+@settings(max_examples=60, deadline=None)
+@given(families_with_nodes())
+def test_fiber_transports_match_oracle(case):
+    fam, nodes = case
+    maps = fiber_transports(fam, nodes)
+    ref = fiber_transports_oracle(fam, nodes)
+    assert len(maps) == len(ref)
+    for rho, rho_ref in zip(maps, ref):
+        assert np.array_equal(rho.inputs, rho_ref.inputs)
+        assert np.array_equal(rho.outputs, rho_ref.outputs)
+
+
+def _same_floats(a, b):
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@st.composite
+def column_tables(draw):
+    """Strictly increasing breakpoints from 0 to 1, a table of arbitrary
+    columns on them, and queries: random points, every breakpoint, 0, 1."""
+    n = draw(st.integers(1, 30))
+    rise = st.floats(1e-6, 1.0)
+    xp = _unit_knots(draw(st.lists(rise, min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = draw(st.integers(1, 8))
+    fp = rng.uniform(-2.0, 2.0, (xp.size, cols))
+    if draw(st.booleans()):
+        fp = np.cumsum(np.abs(fp), axis=0)   # monotone, like leaf heights
+    x = np.concatenate([rng.uniform(0.0, 1.0, draw(st.integers(0, 40))),
+                        xp, [0.0, 1.0]])
+    rng.shuffle(x)
+    return x, xp, fp
+
+
+@settings(max_examples=100, deadline=None)
+@given(column_tables())
+def test_interp_columns_matches_np_interp(case):
+    x, xp, fp = case
+    out = interp_columns(x, xp, fp)
+    assert out.shape == (x.size, fp.shape[1])
+    for c in range(fp.shape[1]):
+        assert _same_floats(out[:, c], np.interp(x, xp, fp[:, c]))
 
 
 # ---------------------------------------------------------------- holonomy

@@ -18,7 +18,10 @@ from flowbox.decomposition import (
     DecompositionComplex,
     build_torus_scene,
     shared_faces,
+    side_nodes,
+    with_families,
 )
+from flowbox.denjoy import BlowupLocus, blowup_scene
 from flowbox.foliation import (
     BaseDomain,
     LeafFamily,
@@ -54,7 +57,7 @@ from flowbox.smoothing import (
     x_invariant_normalize,
 )
 
-from test_foliation import leaf_families
+from test_foliation import fiber_transports_oracle, leaf_families
 
 RECT = BaseDomain("rectangle", 33, 33)
 ANN = BaseDomain("annulus", 33, 32)
@@ -515,6 +518,32 @@ def _oracle_face_defect(scene):
     return worst
 
 
+def face_transport_defect_oracle(scene: DecompositionComplex,
+                                 report: dict | None = None) -> float:
+    """Reference for face_transport_defect: one compose-based transport and
+    one max_difference per node of each shared face."""
+    rows = []
+    worst = 0.0
+    for axis, pos, (id_a, side_a), (id_b, side_b) in shared_faces(scene):
+        fam_a = scene.box(id_a).family
+        fam_b = scene.box(id_b).family
+        nodes_a = side_nodes(fam_a.base, side_a)
+        nodes_b = side_nodes(fam_b.base, side_b)
+        if len(nodes_a) != len(nodes_b):
+            raise ValueError(f"face {axis}={pos}: sides sampled differently")
+        defect = 0.0
+        for ta, tb in zip(fiber_transports_oracle(fam_a, nodes_a),
+                          fiber_transports_oracle(fam_b, nodes_b)):
+            defect = max(defect, ta.max_difference(tb))
+        rows.append({"axis": axis, "pos": pos, "boxes": [id_a, id_b],
+                     "defect": defect})
+        worst = max(worst, defect)
+    if report is not None:
+        report.update({"operation": "face_transport_defect",
+                       "faces": rows, "max_defect": worst})
+    return worst
+
+
 @pytest.fixture(scope="module")
 def sheared_scene():
     return _scene()
@@ -562,6 +591,50 @@ def test_transport_oracle_agrees_with_defect_metric(sheared_scene):
     oracle = _oracle_face_defect(broken)
     assert oracle == pytest.approx(0.025, abs=1e-9)
     assert face_transport_defect(broken) == pytest.approx(oracle, abs=1e-9)
+
+
+def _assert_defect_matches_oracle(scene):
+    report, ref = {}, {}
+    assert (face_transport_defect(scene, report=report)
+            == face_transport_defect_oracle(scene, report=ref))
+    assert report == ref
+
+
+@pytest.fixture(scope="module")
+def blown_horizontal():
+    # the inserted packet leaves refine every box's leaf grid
+    scene = _scene(kind="horizontal", grid=17, samples=9)
+    packet = sheared_family(BaseDomain("rectangle", 17, 17), 0.3, 9)
+    locus = BlowupLocus.from_levels(scene, (0.5,), (0.1,))
+    out, _data = blowup_scene(scene, locus, {0: packet}, epsilon=0.5)
+    return out
+
+
+def test_face_transport_defect_matches_oracle_on_scenes(
+        sheared_scene, smoothed_sheared, blown_horizontal):
+    broken = _with_family(sheared_scene, "b00",
+                          horizontal_family(BaseDomain("rectangle", 33, 33)))
+    for scene in (sheared_scene, smoothed_sheared[0], broken,
+                  blown_horizontal):
+        _assert_defect_matches_oracle(scene)
+
+
+@st.composite
+def random_family_scenes(draw):
+    """2x2 scenes whose boxes carry random anchored monotone families, some
+    boxes possibly sharing one."""
+    grid = draw(st.integers(8, 17))
+    scene = _scene(kind="horizontal", grid=grid, samples=5)
+    base = BaseDomain("rectangle", grid, grid)
+    pool = draw(st.lists(leaf_families(base), min_size=1, max_size=4))
+    return with_families(scene, {box.identifier: draw(st.sampled_from(pool))
+                                 for box in scene.boxes})
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_family_scenes())
+def test_face_transport_defect_matches_oracle_on_random_families(scene):
+    _assert_defect_matches_oracle(scene)
 
 
 def test_globally_smooth_horizontal_identity():
