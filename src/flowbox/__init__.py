@@ -25,7 +25,6 @@ from .foliation import (
     horizontal_family,
     sheared_family,
     straight_path,
-    tilted_family,
 )
 from .smoothing import (
     SmoothingError,
@@ -60,7 +59,6 @@ from .measure import (
     smooth_measure_on_transversal,
     smooth_measured_scene,
     tischler_fibration,
-    verify_invariance,
 )
 from .cli import ScenarioConfig, generate_scene, run
 

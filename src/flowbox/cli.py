@@ -47,7 +47,7 @@ from .measure import (
     smooth_measured_scene,
     tischler_fibration,
 )
-from .smoothing import globally_smooth
+from .smoothing import globally_smooth, grid_nodes
 
 SCHEMA_VERSION = 1
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -265,6 +265,10 @@ def _run_validate(config: ScenarioConfig, out_dir: Path):
 def _run_smooth(config: ScenarioConfig, out_dir: Path):
     scene = _load_scene(config.scene)
     _require_valid(scene)
+    try:
+        grid_nodes(scene)
+    except ValueError as exc:
+        raise MalformedInput(f"scene cannot be smoothed: {exc}") from exc
     ladder = tuple(config.epsilons) or (0.3, 0.15, 0.075)
     rows, runs, checks = [], [], []
     for eps in ladder:

@@ -9,7 +9,7 @@ coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -48,16 +48,6 @@ def circ_contains(outer, inner) -> bool:
         return False
     d = _mod1(i_lo - o_lo)
     return d + (i_hi - i_lo) <= o_hi - o_lo
-
-
-def circ_contains_strictly(outer, inner) -> bool:
-    """Containment in the circular interior of outer."""
-    o_lo, o_hi = outer
-    i_lo, i_hi = inner
-    if o_hi - o_lo >= 1:
-        return True
-    d = _mod1(i_lo - o_lo)
-    return d > 0 and d + (i_hi - i_lo) < o_hi - o_lo
 
 
 def circ_components(a, b) -> list:
@@ -583,15 +573,14 @@ def _split_box(box: FlowBoxSpec, height_cuts, span_cuts) -> list:
     return out
 
 
-def enforce_condition5(complex_: DecompositionComplex,
-                       max_passes: int = 32) -> DecompositionComplex:
+def enforce_condition5(complex_: DecompositionComplex) -> DecompositionComplex:
     """Inductive subdivision making condition (5) hold.
 
     For each box in listing order, the union X of earlier vertical cells
     meeting its cells' interiors dictates horizontal splits (at the heights
     of the horizontal boundaries of X) and extra vertical edges (at the span
     boundaries of X).  Earlier boxes are never touched, so one forward pass
-    settles the induction; the outer loop is a guard.
+    settles the induction; the outer loop of at most 32 passes is a guard.
     """
     rep = validate(complex_)
     for cond in ("1", "2", "3", "4"):
@@ -600,7 +589,7 @@ def enforce_condition5(complex_: DecompositionComplex,
                 f"conditions (1)-(4) must hold before enforcing (5); "
                 f"condition ({cond}) fails")
     current = complex_
-    for _ in range(max_passes):
+    for _ in range(32):
         if validate(current)["conditions"]["5"]["pass"]:
             return current
         v_ids = current.v_boxes
@@ -642,54 +631,6 @@ def enforce_condition5(complex_: DecompositionComplex,
     if not final["conditions"]["5"]["pass"]:
         raise RuntimeError("condition (5) enforcement did not converge")
     return current
-
-
-# ------------------------------------------------------------- transitivity
-
-def _plane_cover(target: _GeomFace, covers: list) -> bool:
-    """Exact test that the target face is covered by the given same-plane
-    faces (2-d rectangle covering by breakpoint subdivision)."""
-    spans = sorted({target.span[0], target.span[1]}
-                   | {p for g in covers for p in g.span
-                      if target.span[0] < p < target.span[1]})
-    hs = sorted({target.heights[0], target.heights[1]}
-                | {h for g in covers for h in g.heights
-                   if target.heights[0] < h < target.heights[1]})
-    for s0, s1 in zip(spans, spans[1:]):
-        for h0, h1 in zip(hs, hs[1:]):
-            mid_s, mid_h = (s0 + s1) / 2, (h0 + h1) / 2
-            if not any(circ_contains(g.span, (mid_s, mid_s))
-                       and g.heights[0] <= mid_h <= g.heights[1]
-                       for g in covers):
-                return False
-    return True
-
-
-def check_transitive(complex_: DecompositionComplex) -> dict:
-    """Condition (6): each F_i must meet the union of V and the earlier boxes
-    in at least one full vertical 2-cell of F_i.
-
-    With empty V the first box seeds the union, so the check starts at the
-    second box.
-    """
-    f_boxes = complex_.f_boxes
-    v_list = [complex_.box(i) for i in sorted(complex_.v_boxes)]
-    for n, box in enumerate(f_boxes):
-        if n == 0 and not v_list:
-            continue
-        earlier = v_list + list(f_boxes[:n])
-        earlier_faces = [g for e in earlier for g in _geom_faces(e)]
-        found = False
-        for g in _geom_faces(box):
-            covers = [g0 for g0 in earlier_faces
-                      if g0.axis == g.axis and g0.pos == g.pos]
-            if covers and _plane_cover(g, covers):
-                found = True
-                break
-        if not found:
-            return {"transitive": False, "first_failure": box.identifier,
-                    "index": n + 1}
-    return {"transitive": True, "first_failure": None, "index": None}
 
 
 # -------------------------------------------------------------- face poset
@@ -783,121 +724,6 @@ def side_nodes(base: BaseDomain, side: str) -> list:
         iy = 0 if side == "S" else base.ny - 1
         return [(ix, iy) for ix in range(base.nx)]
     raise ValueError(f"unknown side {side!r}")
-
-
-# ------------------------------------------------- regular neighborhoods
-
-@dataclass(frozen=True)
-class RegularNeighborhoodStructure:
-    """Widths and derived masks for N_v (corner boxes around the vertical
-    1-cells) and the N(sigma_j) slabs around the maximal faces."""
-
-    edge_width: Fraction
-    face_width: Fraction
-    corner_points: tuple   # T^2 points carrying vertical edge circles
-    slabs: tuple           # per maximal face: dict geometry
-
-    def masks(self) -> dict:
-        return {
-            "corner_boxes": [
-                {"center": [str(p[0]), str(p[1])],
-                 "radius": str(self.edge_width)}
-                for p in self.corner_points],
-            "face_slabs": [dict(s) for s in self.slabs],
-        }
-
-
-def regular_neighborhood(complex_: DecompositionComplex, face_width,
-                         edge_width=None) -> RegularNeighborhoodStructure:
-    """Regular neighborhood structure around the maximal faces.
-
-    face_width is the slab half-width normal to each face (spans are extended
-    by the same amount so slabs hand off inside the corner boxes); edge_width
-    is the corner-box radius, default twice the face width.  Rejects, with a
-    witness pair, any slab-slab intersection escaping the corner boxes --
-    including the stacked-maximal-face geometry, whose shared horizontal edge
-    cannot sit inside a neighborhood of vertical 1-cells.
-    """
-    w = frac(face_width)
-    r = frac(edge_width) if edge_width is not None else 2 * w
-    if w <= 0 or r <= 0:
-        raise ValueError("widths must be positive")
-    if w >= r:
-        raise ValueError("edge width must exceed the face width")
-    poset = maximal_faces(complex_)
-    sigma = []
-    for i in poset.maximal:
-        f = poset.faces[i]
-        span = _interval_parse(f["span"])
-        heights = _interval_parse(f["heights"])
-        sigma.append({"axis": f["axis"], "pos": Fraction(f["pos"]),
-                      "span": span, "heights": heights,
-                      "owners": f["owners"]})
-    corner_pts = []
-    for s in sigma:
-        for e in (s["span"][0], s["span"][1]):
-            p = (s["pos"], _mod1(e)) if s["axis"] == "x" \
-                else (_mod1(e), s["pos"])
-            if p not in corner_pts:
-                corner_pts.append(p)
-    corner_pts.sort()
-
-    def slab_region(s):
-        normal = (_mod1(s["pos"] - w), _mod1(s["pos"] - w) + 2 * w)
-        along = (s["span"][0] - w, s["span"][1] + w)
-        if along[1] - along[0] > 1:
-            along = (along[0], along[0] + 1)
-        if s["axis"] == "x":
-            return normal, along
-        return along, normal
-
-    # corner boxes (drawn around the vertical edge circles, spanning the full
-    # leaf circle) must be pairwise disjoint; checked first so oversized
-    # widths reject on the corner pair instead of hiding inside degenerate
-    # full-circle containment
-    for a in range(len(corner_pts)):
-        for b in range(a + 1, len(corner_pts)):
-            (ax, ay), (bx, by) = corner_pts[a], corner_pts[b]
-            overlap_x = any(c[1] > c[0] for c in circ_components(
-                (ax - r, ax + r), (bx - r, bx + r)))
-            overlap_y = any(c[1] > c[0] for c in circ_components(
-                (ay - r, ay + r), (by - r, by + r)))
-            if overlap_x and overlap_y:
-                err = ValueError(
-                    f"corner boxes at {corner_pts[a]} and "
-                    f"{corner_pts[b]} overlap")
-                err.witness = (corner_pts[a], corner_pts[b])
-                raise err
-    # pairwise slab intersections must sit strictly inside corner boxes
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            zi, zj = sigma[i]["heights"], sigma[j]["heights"]
-            if not circ_components(zi, zj):
-                continue
-            (xi, yi), (xj, yj) = slab_region(sigma[i]), slab_region(sigma[j])
-            for xc in circ_components(xi, xj):
-                for yc in circ_components(yi, yj):
-                    inside = any(
-                        circ_contains_strictly((cx - r, cx + r), xc)
-                        and circ_contains_strictly((cy - r, cy + r), yc)
-                        for (cx, cy) in corner_pts)
-                    if not inside:
-                        err = ValueError(
-                            "N(sigma) slabs overlap outside N_v: faces "
-                            f"{i} and {j} (axes {sigma[i]['axis']}/"
-                            f"{sigma[j]['axis']} at {sigma[i]['pos']}/"
-                            f"{sigma[j]['pos']})")
-                        err.witness = (sigma[i], sigma[j])
-                        raise err
-    slabs = []
-    for s in sigma:
-        (xr, yr) = slab_region(s)
-        slabs.append({
-            "axis": s["axis"], "pos": str(s["pos"]),
-            "x_range": _interval_str(xr), "y_range": _interval_str(yr),
-            "heights": _interval_str(s["heights"]),
-            "owners": s["owners"]})
-    return RegularNeighborhoodStructure(r, w, tuple(corner_pts), tuple(slabs))
 
 
 # ------------------------------------------------------------ construction

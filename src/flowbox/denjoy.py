@@ -28,6 +28,8 @@ from .foliation import (
     fiber_transports,
 )
 from .kernel import (
+    COMPARISON_TOL,
+    MAX_RETRIES,
     CollapseMap,
     InsertionSchedule,
     build_collapse,
@@ -326,7 +328,7 @@ def _failing_stage(name: str):
 
 
 def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
-                 epsilon: float, max_retries: int = 5, report: dict | None = None):
+                 epsilon: float, report: dict | None = None):
     """Denjoy blowup of a strictly horizontal scene.
 
     Blows up every box fiberwise, verifies that the resulting face holonomy
@@ -354,7 +356,7 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
 
     originals = {b.identifier: b.family for b in scene.boxes}
     attempts = []
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         live = locus.scaled(0.5 ** attempt) if attempt else locus
         fams, schedules, collapses, fixed = {}, {}, {}, {}
         with _failing_stage("edge-neighborhood boxes"):
@@ -423,7 +425,7 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
         if worst <= epsilon:
             return blown_scene, data
     raise BlowupError(
-        f"scene blowup missed epsilon={epsilon} after {max_retries} weight "
+        f"scene blowup missed epsilon={epsilon} after {MAX_RETRIES} weight "
         f"halvings (best {min(attempts):.6g})", achieved=min(attempts))
 
 
@@ -458,8 +460,7 @@ def _leaf_membership_spread(orig: LeafFamily, heights: np.ndarray) -> tuple:
     return float(gaps[k]), {"leaf_row": k, "spread": float(gaps[k])}
 
 
-def verify_blowup(original, blown, data: CollapseData,
-                  tolerance: float = 1e-9) -> dict:
+def verify_blowup(original, blown, data: CollapseData) -> dict:
     """Check the eight defining properties of a Denjoy blowup at grid
     resolution.  Report-only: every property yields a defect and a pass flag,
     with a witness on failure."""
@@ -467,8 +468,8 @@ def verify_blowup(original, blown, data: CollapseData,
     rows = []
 
     def add(num, label, defect, witness=None):
-        row = {"property": num, "label": label,
-               "defect": float(defect), "pass": bool(defect <= tolerance)}
+        row = {"property": num, "label": label, "defect": float(defect),
+               "pass": bool(defect <= COMPARISON_TOL)}
         if witness is not None and not row["pass"]:
             row["witness"] = witness
         rows.append(row)
@@ -594,7 +595,7 @@ def verify_blowup(original, blown, data: CollapseData,
         defect, wit)
 
     worst = max(r["defect"] for r in rows)
-    return {"operation": "verify_blowup", "tolerance": tolerance,
+    return {"operation": "verify_blowup", "tolerance": COMPARISON_TOL,
             "properties": rows, "max_defect": worst,
             "all_pass": all(r["pass"] for r in rows)}
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel
 from .kernel import COMPARISON_TOL, SOLVER_TOL
 
 _SHAPES = ("rectangle", "annulus", "disk")
@@ -233,21 +232,6 @@ def tangent_field(family: LeafFamily) -> TangentPlaneField:
     normals = np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1)
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
     return TangentPlaneField(family.base, family.t, normals)
-
-
-def leaf_indices(family: LeafFamily, base_point, zs) -> np.ndarray:
-    """Leaf indices of the points (base_point, z): the exact inverse of
-    t -> f_t(base_point), piecewise linear on the sampled data.
-
-    Monotonicity makes each index unique; anchoring makes the inverse at the
-    anchor the identity in z.
-    """
-    zs = np.atleast_1d(np.asarray(zs, dtype=float))
-    pt = np.asarray(base_point, dtype=float).reshape(1, 2)
-    heights = family.values_at(pt)[:, 0]
-    k = np.clip(np.searchsorted(heights, zs, side="right") - 1, 0, family.m - 2)
-    u = (zs - heights[k]) / (heights[k + 1] - heights[k])
-    return np.clip(family.t[k] + u * (family.t[k + 1] - family.t[k]), 0.0, 1.0)
 
 
 # cosines this far above the least one have angles smaller by at least this
@@ -476,23 +460,6 @@ def holonomy(family: LeafFamily, path: BasePath) -> HolonomyMap:
     return HolonomyMap(ends, starts)
 
 
-def x_invariance_defect(family: LeafFamily) -> float:
-    """Sup over sampled leaves and y of the spread of f_t(., y): zero exactly
-    when the family is invariant in the first coordinate."""
-    if family.base.shape != "annulus":
-        raise ValueError("x-invariance is an annulus-base diagnostic")
-    spread = family.values.max(axis=1) - family.values.min(axis=1)
-    return float(spread.max())
-
-
-def choose_partition(family: LeafFamily, epsilon: float) -> kernel.Partition:
-    """Greedy tangent-angle partition of the family's leaf-index interval."""
-    tf = tangent_field(family)
-    m = family.m
-    normals = tf.normals.reshape(m, -1, 3)
-    return kernel.choose_partition(family.t, normals, epsilon)
-
-
 # ------------------------------------------------------------ constructors
 
 def _grid(base: BaseDomain):
@@ -523,22 +490,3 @@ def sheared_family(base: BaseDomain, shear: float = 0.5, m: int = 17,
     coord = x if axis == "x" else y
     vals = t[:, None, None] + shear * (t * (1.0 - t))[:, None, None] * coord[None]
     return LeafFamily(base, t, vals, (0, 0))
-
-
-def tilted_family(base: BaseDomain, slope: float = 0.1, m: int = 17) -> LeafFamily:
-    """Family whose middle leaf is the genuine tilted plane z = t + slope(x - 1/2).
-
-    The tilt is ramped in linearly from the horizontal boundary leaves
-    (hat profile 1 - |2t - 1|), so the normals at t = 1/2 are constant and
-    the family stays inside [0, 1].  Anchored at x = 1/2, which must be a
-    grid node (odd nx).
-    """
-    if base.nx % 2 == 0:
-        raise ValueError("tilted family needs an odd nx so x = 1/2 is a node")
-    if not abs(slope) < 0.5:
-        raise ValueError("|slope| must be below 1/2 for monotonicity")
-    t = np.linspace(0.0, 1.0, m)
-    x, _ = _grid(base)
-    hat = 1.0 - np.abs(2.0 * t - 1.0)
-    vals = t[:, None, None] + slope * hat[:, None, None] * (x[None] - 0.5)
-    return LeafFamily(base, t, vals, ((base.nx - 1) // 2, 0))

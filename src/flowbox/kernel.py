@@ -15,6 +15,8 @@ import numpy as np
 COMPARISON_TOL = 1e-9
 SOLVER_TOL = 1e-12
 FLAT_TOL = 1e-9
+# budget halvings a retry ladder makes after its first attempt
+MAX_RETRIES = 5
 
 
 def flat_bump(x):
@@ -51,7 +53,6 @@ class DampingProfile:
     flat_order: int
     arguments: np.ndarray
     values: np.ndarray
-    formula: str = "exp-reciprocal-ramp"
 
     def __post_init__(self):
         args = np.asarray(self.arguments, dtype=float)
@@ -80,20 +81,17 @@ class DampingProfile:
         return self.arguments.size - 1
 
     def __call__(self, x):
-        if self.formula == "exp-reciprocal-ramp":
-            return smooth_ramp(x)
-        return np.interp(x, self.arguments, self.values)
+        return smooth_ramp(x)
 
-    def endpoint_flatness(self, order: int | None = None) -> float:
+    def endpoint_flatness(self) -> float:
         """Worst finite-difference derivative magnitude at the endpoints.
 
         Forward differences at 0 and backward differences at 1, orders
-        1..order, step 1/resolution.
+        1..flat_order, step 1/resolution.
         """
-        m = self.flat_order if order is None else order
         h = 1.0 / self.resolution
         worst = 0.0
-        for k in range(1, m + 1):
+        for k in range(1, self.flat_order + 1):
             j = np.arange(k + 1)
             coef = np.array([math.comb(k, int(i)) for i in j]) * (-1.0) ** (k - j)
             at0 = float(np.sum(coef * self(j * h))) / h**k
@@ -233,17 +231,17 @@ class CollapseMap:
         return np.interp(np.asarray(x, dtype=float),
                          self._knots_x, self._knots_y)
 
-    def preimage(self, y: float, tol: float = SOLVER_TOL):
+    def preimage(self, y: float):
         """The interval (x_lo, x_hi) if y is a collapsed value, else the
         unique point of the complement mapping to y."""
         y = float(y)
-        if not -tol <= y <= 1.0 + tol:
+        if not -SOLVER_TOL <= y <= 1.0 + SOLVER_TOL:
             raise ValueError("value outside [0, 1]")
         for x_lo, x_hi, v in self.plateaus:
-            if abs(y - v) <= tol:
+            if abs(y - v) <= SOLVER_TOL:
                 return (x_lo, x_hi)
         for x_lo, x_hi, y_lo, y_hi in self.pieces:
-            if y_lo - tol <= y <= y_hi + tol:
+            if y_lo - SOLVER_TOL <= y <= y_hi + SOLVER_TOL:
                 u = (y - y_lo) / (y_hi - y_lo)
                 u = min(max(u, 0.0), 1.0)
                 return x_lo + u * (x_hi - x_lo)

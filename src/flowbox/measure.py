@@ -22,11 +22,9 @@ from .decomposition import (
 )
 from .foliation import (
     HolonomyMap,
-    LeafFamily,
     SOLVER_TOL,
     fiber_map,
     fiber_transports,
-    holonomy,
 )
 
 INVARIANCE_PRE_TOL = 1e-6
@@ -124,32 +122,6 @@ def _union_grid(*arrays) -> np.ndarray:
     for a in arrays:
         grid = np.union1d(grid, np.asarray(a, dtype=float))
     return grid
-
-
-def verify_invariance(family: LeafFamily, mu: TransverseMeasure, paths,
-                      report: dict | None = None) -> float:
-    """Sup defect |mu([s, t]) - mu(rho(beta)[s, t])| over the given paths.
-
-    The defect of one path is the oscillation of M - M o rho, which both
-    functions' piecewise linearity pins to the union of their breakpoints.
-    Closed paths have identity holonomy in a product box, so any measure is
-    a fixed point of its own loop pushforward and contributes zero.
-    """
-    rows = []
-    worst = 0.0
-    for path in paths:
-        rho = holonomy(family, path)
-        grid = _union_grid(mu.heights, rho.inputs, rho.inverse()(mu.heights))
-        diff = mu(grid) - mu(rho(grid))
-        defect = float(diff.max() - diff.min())
-        worst = max(worst, defect)
-        rows.append({"start": [float(v) for v in path.start],
-                     "end": [float(v) for v in path.end],
-                     "defect": defect})
-    if report is not None:
-        report.update({"operation": "verify_invariance",
-                       "paths": len(rows), "rows": rows, "defect": worst})
-    return worst
 
 
 def smooth_measure_on_transversal(mu: TransverseMeasure, subsample_count: int,

@@ -1,12 +1,11 @@
 """Smoothing and extension operators on leaf families.
 
-Interpolation smoothing in the leaf index, damped local replacement,
-straightening isotopies, holonomy-constrained smoothing, damped coning, and
-x-invariant normalization, plus the scene-level pipeline that glues the
-per-box operators across a flow box decomposition.  Every operator's output
-is defined by a closed convex-combination formula evaluated at grid nodes;
-compliance is checked, not assumed, and C0 budgets are measured with retry
-rather than derived from a priori constants.
+Interpolation smoothing in the leaf index, damped blending,
+holonomy-constrained smoothing and damped coning, plus the scene-level
+pipeline that glues the per-box operators across a flow box decomposition.
+Every operator's output is defined by a closed convex-combination formula
+evaluated at grid nodes; compliance is checked, not assumed, and C0 budgets
+are measured with retry rather than derived from a priori constants.
 """
 
 from __future__ import annotations
@@ -28,14 +27,21 @@ from .foliation import (
     HolonomyMap,
     LeafFamily,
     c0_distance,
-    choose_partition,
     fiber_map,
     holonomy,
     interp_columns,
     node_columns,
     straight_path,
+    tangent_field,
 )
-from .kernel import COMPARISON_TOL, DampingProfile, Partition, SOLVER_TOL, make_damping
+from .kernel import (
+    COMPARISON_TOL,
+    MAX_RETRIES,
+    Partition,
+    SOLVER_TOL,
+    choose_partition,
+    make_damping,
+)
 
 _RAMP = make_damping(3, 256)
 
@@ -64,15 +70,14 @@ class StraighteningError(ValueError):
 
 # ----------------------------------------------------------------- regions
 
-def _axis_weight(u: np.ndarray, lo_in, hi_in, lo_out, hi_out,
-                 damping: DampingProfile) -> np.ndarray:
+def _axis_weight(u: np.ndarray, lo_in, hi_in, lo_out, hi_out) -> np.ndarray:
     w = np.ones_like(u)
     if lo_out < lo_in:
         left = u < lo_in
-        w = np.where(left, damping((u - lo_out) / (lo_in - lo_out)), w)
+        w = np.where(left, _RAMP((u - lo_out) / (lo_in - lo_out)), w)
     if hi_out > hi_in:
         right = u > hi_in
-        w = np.minimum(w, np.where(right, damping((hi_out - u) / (hi_out - hi_in)),
+        w = np.minimum(w, np.where(right, _RAMP((hi_out - u) / (hi_out - hi_in)),
                                    np.ones_like(u)))
     return w
 
@@ -93,7 +98,6 @@ class RegionMask:
     kind: str
     inner: tuple
     outer: tuple
-    damping: DampingProfile = _RAMP
 
     def __post_init__(self):
         if self.kind not in ("rect", "ring"):
@@ -118,8 +122,8 @@ class RegionMask:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         x0, x1, y0, y1 = self.inner
         X0, X1, Y0, Y1 = self.outer
-        wx = _axis_weight(pts[..., 0], x0, x1, X0, X1, self.damping)
-        wy = _axis_weight(pts[..., 1], y0, y1, Y0, Y1, self.damping)
+        wx = _axis_weight(pts[..., 0], x0, x1, X0, X1)
+        wy = _axis_weight(pts[..., 1], y0, y1, Y0, Y1)
         w = wx * wy
         if self.kind == "ring":
             return 1.0 - w
@@ -145,37 +149,6 @@ def band_masks(base: BaseDomain, inner_frac: float = 0.125,
     j1 = RegionMask(base, "rect", (0.0, 1.0, 1.0 - inner_frac, 1.0),
                     (0.0, 1.0, 1.0 - outer_frac, 1.0))
     return j0, j1
-
-
-# ------------------------------------------------------------------ traces
-
-@dataclass(frozen=True)
-class IsotopyTrace:
-    """Sampled fiber-preserving isotopy: slice 0 is the input, slice 1 the
-    output; every slice is a valid leaf family."""
-
-    s_values: np.ndarray
-    slices: tuple
-
-    def __post_init__(self):
-        s = np.asarray(self.s_values, dtype=float)
-        object.__setattr__(self, "s_values", s)
-        object.__setattr__(self, "slices", tuple(self.slices))
-        if s.ndim != 1 or s.size != len(self.slices) or s.size < 2:
-            raise ValueError("trace needs one slice per s sample")
-        if s[0] != 0.0 or s[-1] != 1.0 or not np.all(np.diff(s) > 0):
-            raise ValueError("s samples must increase from 0 to 1")
-        bases = {sl.base for sl in self.slices}
-        if len(bases) != 1:
-            raise ValueError("all slices must share a base domain")
-
-    @property
-    def initial(self) -> LeafFamily:
-        return self.slices[0]
-
-    @property
-    def final(self) -> LeafFamily:
-        return self.slices[-1]
 
 
 def _merged_indices(ta: np.ndarray, tb: np.ndarray,
@@ -207,8 +180,7 @@ def damped_blend(f: LeafFamily, g: LeafFamily, weight) -> LeafFamily:
 
 # ------------------------------------------------------------- smooth_in_t
 
-def _formula_smooth(family: LeafFamily, partition: Partition,
-                    damping: DampingProfile) -> LeafFamily:
+def _formula_smooth(family: LeafFamily, partition: Partition) -> LeafFamily:
     """Damped convex-combination smoothing over the partition cells.
 
     Output leaves are reindexed by their anchor height, so each output leaf
@@ -233,7 +205,7 @@ def _formula_smooth(family: LeafFamily, partition: Partition,
         span = fb - fa
         last_s, last_g = a, fa
         for k in range(a_i + 1, b_i):
-            lam = float(damping((t[k] - a) / (b - a)))
+            lam = float(_RAMP((t[k] - a) / (b - a)))
             s = a + lam * (b - a)
             g = fa + lam * span
             if (s > last_s + gap and s < b - gap
@@ -270,7 +242,6 @@ def formula_residual(original: LeafFamily, smoothed: LeafFamily,
 
 
 def smooth_in_t(family: LeafFamily, epsilon: float, fixed_leaves=(),
-                max_retries: int = 5, damping: DampingProfile | None = None,
                 report: dict | None = None) -> LeafFamily:
     """Partitioned damped smoothing in the leaf index.
 
@@ -282,7 +253,6 @@ def smooth_in_t(family: LeafFamily, epsilon: float, fixed_leaves=(),
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    damping = damping or _RAMP
     fixed = tuple(float(x) for x in fixed_leaves)
     sampled = set(family.t.tolist())
     for x in fixed:
@@ -290,15 +260,16 @@ def smooth_in_t(family: LeafFamily, epsilon: float, fixed_leaves=(),
             raise ValueError("fixed leaves must be sampled leaf indices")
     budget = epsilon
     attempts = []
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         try:
-            part = choose_partition(family, budget)
+            normals = tangent_field(family).normals.reshape(family.m, -1, 3)
+            part = choose_partition(family.t, normals, budget)
         except ValueError:
             # budget finer than the sampling can certify: the finest
             # partition keeps every sample, reproducing the input exactly
             part = Partition(tuple(family.t.tolist()))
         part = part.refined_with(fixed)
-        out = _formula_smooth(family, part, damping)
+        out = _formula_smooth(family, part)
         achieved = c0_distance(family, out)
         attempts.append(achieved)
         if report is not None:
@@ -315,79 +286,8 @@ def smooth_in_t(family: LeafFamily, epsilon: float, fixed_leaves=(),
             return out
         budget *= 0.5
     raise SmoothingError(
-        f"could not meet epsilon={epsilon} after {max_retries} retries "
+        f"could not meet epsilon={epsilon} after {MAX_RETRIES} retries "
         f"(best {min(attempts):.6g})", achieved=min(attempts))
-
-
-# ------------------------------------------------------ damped replacement
-
-def local_damped_replace(family: LeafFamily, target: LeafFamily,
-                         region: RegionMask, s_samples: int = 5,
-                         report: dict | None = None) -> IsotopyTrace:
-    """Damped straight-line replacement of the family by the target.
-
-    Slice s has leaves f + s*w*(g - f) with w the region weight: exactly 1 on
-    S, exactly 0 outside N(S).  Grid values outside N(S) are bit-identical to
-    the input at every slice; slice 1 equals the target on S up to one ulp.
-    """
-    if family.base != target.base:
-        raise ValueError("family and target must share a base domain")
-    if region.base != family.base:
-        raise ValueError("region mask belongs to a different base")
-    if family.anchor != target.anchor:
-        raise ValueError("family and target must share an anchor node")
-    if s_samples < 2:
-        raise ValueError("need at least the two endpoint slices")
-    w = region.weight_grid()[None]
-    s_values = np.linspace(0.0, 1.0, s_samples)
-    trace = IsotopyTrace(s_values, tuple(damped_blend(family, target, s * w)
-                                         for s in s_values))
-    if report is not None:
-        report.update({
-            "operation": "local_damped_replace",
-            "region": region.summary(),
-            "target_distance": c0_distance(family, target),
-            "max_slice_distance": max(c0_distance(family, sl)
-                                      for sl in trace.slices),
-        })
-    return trace
-
-
-def _region_paths(family: LeafFamily, region: RegionMask) -> list:
-    """Generating paths from the anchor to the corners of N(S)."""
-    ix, iy = family.anchor
-    start = (family.base.x_nodes[ix], family.base.y_nodes[iy])
-    X0, X1, Y0, Y1 = region.outer
-    return [straight_path(family.base, start, corner)
-            for corner in ((X0, Y0), (X1, Y0), (X0, Y1), (X1, Y1))]
-
-
-def straightening_isotopy(family: LeafFamily, target: LeafFamily,
-                          region: RegionMask, paths=None, tol: float = 1e-6,
-                          s_samples: int = 5,
-                          report: dict | None = None) -> IsotopyTrace:
-    """Damped replacement guarded by holonomy agreement.
-
-    Holonomy maps of the two families along the generating paths (default:
-    anchor to the corners of N(S)) must agree within tol; the sup defect is
-    carried by the error otherwise.  Leaves of both families are matched by
-    their anchor index, which the agreement makes compatible over the region.
-    """
-    if paths is None:
-        paths = _region_paths(family, region)
-    defect = 0.0
-    for path in paths:
-        hf = holonomy(family, path)
-        hg = holonomy(target, path)
-        defect = max(defect, hf.max_difference(hg))
-    if defect > tol:
-        raise StraighteningError(defect)
-    trace = local_damped_replace(family, target, region,
-                                 s_samples=s_samples, report=report)
-    if report is not None:
-        report.update({"operation": "straightening_isotopy",
-                       "holonomy_defect": defect})
-    return trace
 
 
 # ------------------------------------------- holonomy-constrained smoothing
@@ -414,8 +314,7 @@ def holonomy_correction(p_family: LeafFamily, s_family: LeafFamily,
 
 
 def reindex_blend(s_family: LeafFamily, correction: HolonomyMap,
-                  y_lo: float, y_hi: float,
-                  damping: DampingProfile | None = None) -> LeafFamily:
+                  y_lo: float, y_hi: float) -> LeafFamily:
     """Leaves g_t = ell(y) s_t + (1 - ell(y)) s_{h(t)} with ell = 1 below
     y_lo and 0 above y_hi.
 
@@ -423,9 +322,8 @@ def reindex_blend(s_family: LeafFamily, correction: HolonomyMap,
     leaf indexing near one horizontal band so the holonomy along the core
     path is restored.  With h = id this is the identity operation.
     """
-    damping = damping or _RAMP
     base = s_family.base
-    ell = 1.0 - damping((base.y_nodes - y_lo) / (y_hi - y_lo))
+    ell = 1.0 - _RAMP((base.y_nodes - y_lo) / (y_hi - y_lo))
     shifted = s_family.leaves_at(correction(s_family.t))
     vals = s_family.values + (1.0 - ell)[None, None, :] \
         * (shifted - s_family.values)
@@ -434,7 +332,6 @@ def reindex_blend(s_family: LeafFamily, correction: HolonomyMap,
 
 def smooth_with_holonomy_constraint(family: LeafFamily, epsilon: float,
                                     bands: tuple | None = None,
-                                    max_retries: int = 5,
                                     report: dict | None = None) -> LeafFamily:
     """Smoothing of a rectangle-based family that preserves the holonomy
     along the core path alpha = {1/2} x [0,1] and is bit-identical to the
@@ -467,7 +364,7 @@ def smooth_with_holonomy_constraint(family: LeafFamily, epsilon: float,
     h_p = holonomy(family, alpha)
     inner_eps = epsilon
     attempts = []
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         smoothed = smooth_in_t(family, inner_eps)
         # weight exactly zero on the declared bands keeps them bit-identical
         candidate = damped_blend(family, smoothed, mid.weight_grid()[None])
@@ -554,29 +451,12 @@ def _frame_nodes(base: BaseDomain, width: float) -> np.ndarray:
     return np.flatnonzero((d <= width + SOLVER_TOL).ravel())
 
 
-# -------------------------------------------------------- x-invariance
-
-def x_invariant_normalize(family: LeafFamily) -> LeafFamily:
-    """Impose the fiber structure of the anchor longitude uniformly in x.
-
-    The output is exactly x-invariant and keeps the holonomy data along the
-    anchor longitude bit-identical; x-invariant input comes back unchanged.
-    """
-    if family.base.shape != "annulus":
-        raise ValueError("normalization is defined on annulus bases")
-    ix, _ = family.anchor
-    column = family.values[:, ix:ix + 1, :]
-    vals = np.broadcast_to(column,
-                           family.values.shape).copy()
-    return LeafFamily(family.base, family.t, vals, family.anchor)
-
-
 # --------------------------------------------------- scene-level pipeline
 
 FACE_COMPAT_TOL = 1e-6
 
 
-def _grid_nodes(scene: DecompositionComplex) -> int:
+def grid_nodes(scene: DecompositionComplex) -> int:
     """Common chart size of a full-height grid scene; raises otherwise.
 
     The face charts straddle whole sides, so the pipeline needs every box to
@@ -645,9 +525,7 @@ def face_transport_defect(scene: DecompositionComplex,
     return worst
 
 
-def _corner_fiber_damp(family: LeafFamily, amplitude: float,
-                       inner: float = 1.0 / 16.0, outer: float = 0.25,
-                       damping: DampingProfile = _RAMP) -> LeafFamily:
+def _corner_fiber_damp(family: LeafFamily, amplitude: float) -> LeafFamily:
     """Damped replacement toward each corner's own fiber.
 
     Establishes product structure near the vertical edges.  The replacement
@@ -655,6 +533,7 @@ def _corner_fiber_damp(family: LeafFamily, amplitude: float,
     face traces agree keep agreeing: face transports are preserved.  The
     anchor corner's fiber is the index itself, which keeps anchoring exact.
     """
+    inner, outer = 1.0 / 16.0, 0.25
     base = family.base
     xs, ys = base.x_nodes, base.y_nodes
     vals = family.values
@@ -664,10 +543,10 @@ def _corner_fiber_damp(family: LeafFamily, amplitude: float,
             dy = np.abs(ys - ys[cy])
             wx = np.where(dx <= inner, 1.0,
                           np.where(dx >= outer, 0.0,
-                                   damping((outer - dx) / (outer - inner))))
+                                   _RAMP((outer - dx) / (outer - inner))))
             wy = np.where(dy <= inner, 1.0,
                           np.where(dy >= outer, 0.0,
-                                   damping((outer - dy) / (outer - inner))))
+                                   _RAMP((outer - dy) / (outer - inner))))
             w = amplitude * (wx[:, None] * wy[None, :])
             fiber = vals[:, cx, cy]
             vals = vals + w[None, :, :] * (fiber[:, None, None] - vals)
@@ -709,15 +588,14 @@ def _face_chart(fam_a: LeafFamily, fam_b: LeafFamily, axis: str, width: int,
 
 
 def _chart_blend(chart: LeafFamily, smoothed: LeafFamily, width: int,
-                 amplitude: float,
-                 damping: DampingProfile = _RAMP) -> LeafFamily:
+                 amplitude: float) -> LeafFamily:
     """Damped write-in of the smoothed chart: full strength at the seam,
     exactly zero at the chart's outer columns so the paste leaves no seam."""
     du = 0.5 / width
     n_in, n_out = max(1, width // 4), max(3, (3 * width) // 4)
     w = _axis_weight(chart.base.x_nodes,
                      0.5 - n_in * du, 0.5 + n_in * du,
-                     0.5 - n_out * du, 0.5 + n_out * du, damping)
+                     0.5 - n_out * du, 0.5 + n_out * du)
     return damped_blend(chart, smoothed, (amplitude * w)[None, :, None])
 
 
@@ -770,7 +648,6 @@ def _paste_self(fam: LeafFamily, blended: LeafFamily, e_a: HolonomyMap,
 
 
 def globally_smooth(scene: DecompositionComplex, epsilon: float,
-                    max_retries: int = 5,
                     report: dict | None = None) -> DecompositionComplex:
     """Glue-respecting smoothing of a full-height grid scene.
 
@@ -786,7 +663,7 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    grid = _grid_nodes(scene)
+    grid = grid_nodes(scene)
     width = (grid - 1) // 4
     if not validate(scene)["valid"]:
         raise ValueError("globally_smooth requires a valid decomposition")
@@ -802,7 +679,7 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
     originals = {box.identifier: box.family for box in scene.boxes}
     order = [box.identifier for box in scene.boxes]
     attempts = []
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         scale = 0.5 ** attempt
         amplitude = min(1.0, epsilon) * scale
         eps_face = 0.5 * epsilon * scale
@@ -900,5 +777,5 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
         if worst <= epsilon:
             return result
     raise SmoothingError(
-        f"global pipeline missed epsilon={epsilon} after {max_retries} "
+        f"global pipeline missed epsilon={epsilon} after {MAX_RETRIES} "
         f"retries (best {min(attempts):.6g})", achieved=min(attempts))

@@ -336,6 +336,72 @@ def test_malformed_scene_file_exit_three(tmp_path):
     assert run(missing) == 3
 
 
+@pytest.fixture(scope="module")
+def grid9_scene(tmp_path_factory):
+    # passes validate, but its 9-node charts are too coarse for smoothing
+    root = tmp_path_factory.mktemp("grid9")
+    return generate_scene("sheared-t3", {"grid": 9, "samples": 9},
+                          root / "sheared9.json")
+
+
+def _leaf_nan(scene):
+    scene["boxes"][0]["family"]["values"][4][3][3] = math.nan
+
+
+def _t_inf(scene):
+    scene["boxes"][0]["family"]["t"][3] = math.inf
+
+
+def _height_nan(scene):
+    scene["boxes"][0]["faces"][0]["heights"][1] = math.nan
+
+
+def _far_anchor(scene):
+    scene["boxes"][0]["family"]["anchor"] = [99, 0]
+
+
+@pytest.mark.parametrize("kind", ["validate", "smooth"])
+@pytest.mark.parametrize("corrupt, reason", [
+    (_leaf_nan, "leaves must be strictly increasing"),
+    (_t_inf, "leaf indices must be strictly increasing"),
+    (_height_nan, "NaN"),
+    (_far_anchor, "anchor must be a grid node"),
+])
+def test_corrupted_scene_exit_three(kind, corrupt, reason, grid9_scene,
+                                    tmp_path):
+    data = json.loads(Path(grid9_scene).read_text())
+    corrupt(data["scene"])
+    path = tmp_path / "corrupted.json"
+    path.write_text(json.dumps(data))
+    config = ScenarioConfig(kind=kind, out=str(tmp_path / "run"),
+                            scene=str(path))
+    assert run(config) == 3
+    manifest = read_manifest(tmp_path / "run")
+    row = manifest["checks"][0]
+    assert row["name"] == "input-wellformed" and not row["pass"]
+    assert reason in row["detail"]
+
+
+def test_smooth_rejects_unchartable_scene_exit_three(grid9_scene, tmp_path):
+    assert run(ScenarioConfig(kind="validate", out=str(tmp_path / "v"),
+                              scene=str(grid9_scene))) == 0
+    assert run(ScenarioConfig(kind="smooth", out=str(tmp_path / "s"),
+                              scene=str(grid9_scene))) == 3
+    manifest = read_manifest(tmp_path / "s")
+    row = manifest["checks"][0]
+    assert row["name"] == "input-wellformed" and not row["pass"]
+    assert "4k+1 >= 17" in row["detail"]
+    assert "failed_stage" not in manifest["results"]
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
+def test_smooth_rejects_bad_epsilon_exit_three(epsilon, grid9_scene,
+                                               tmp_path, capsys):
+    assert main(["smooth", "--scene", str(grid9_scene),
+                 f"--epsilon={epsilon}", "--out", str(tmp_path)]) == 3
+    assert "epsilon" in capsys.readouterr().err
+
+
 def test_config_rejects_out_of_range_parameters(tmp_path):
     out = str(tmp_path)
     with pytest.raises(MalformedInput, match="unknown scenario kind"):

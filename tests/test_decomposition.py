@@ -13,13 +13,11 @@ from flowbox.decomposition import (
     Face,
     FlowBoxSpec,
     build_torus_scene,
-    check_transitive,
     circ_components,
     circ_contains,
     enforce_condition5,
     family_slice,
     maximal_faces,
-    regular_neighborhood,
     validate,
 )
 from flowbox.foliation import BaseDomain, horizontal_family, sheared_family
@@ -296,56 +294,6 @@ def test_enforce_span_subdivision_without_box_split():
         assert spans == [(F(0), F(1, 2)), (F(1, 2), F(1))]
 
 
-# ------------------------------------------------------------ transitivity
-
-def test_transitive_2x2_row_major():
-    scene = build_torus_scene((2, 2))
-    result = check_transitive(scene)
-    assert result["transitive"]
-    assert result["first_failure"] is None
-
-
-def test_transitive_fails_when_shuffled():
-    scene = build_torus_scene((2, 2)).reordered(
-        ["b00", "b11", "b01", "b10"])
-    result = check_transitive(scene)
-    assert not result["transitive"]
-    assert result["first_failure"] == "b11"
-    assert result["index"] == 2
-
-
-def test_transitive_vacuous_single_box_in_v():
-    scene = build_torus_scene((1, 1))
-    rel = DecompositionComplex(scene.boxes, frozenset({"b00"}))
-    result = check_transitive(rel)
-    assert result["transitive"]
-
-
-def test_transitive_union_coverage():
-    # two narrow boxes jointly cover the wide box's face: condition (6)
-    # accepts the union even before condition (5) subdivides it
-    base = BaseDomain("rectangle", 9, 9)
-    fam = horizontal_family(base, 9)
-    u1 = FlowBoxSpec.with_default_faces(
-        "u1", (F(0), F(1, 2)), (F(1, 2), F(1)), (F(0), F(1)), fam)
-    u2 = FlowBoxSpec.with_default_faces(
-        "u2", (F(1, 2), F(1)), (F(1, 2), F(1)), (F(0), F(1)), fam)
-    low = FlowBoxSpec.with_default_faces(
-        "low", (F(0), F(1)), (F(0), F(1, 2)), (F(0), F(1)), fam)
-    result = check_transitive(DecompositionComplex((u1, u2, low)))
-    assert result["transitive"]
-
-
-def test_transitive_fails_on_stacked_start():
-    # stacked halves meet only along a leaf: no vertical 2-cell is shared
-    scene = five_box_scene().reordered(
-        ["b00.0", "b00.1", "b10", "b01", "b11"])
-    result = check_transitive(scene)
-    assert not result["transitive"]
-    assert result["first_failure"] == "b00.1"
-    assert result["index"] == 2
-
-
 # -------------------------------------------------------------- face poset
 
 def test_maximal_faces_2x2_enumeration():
@@ -384,54 +332,6 @@ def test_face_poset_five_box_containments():
             direct = circ_contains(b[2], a[2]) and circ_contains(b[3], a[3])
             sampled = sampled_face_contained((b[2], b[3]), (a[2], a[3]))
             assert direct == sampled, (a, b)
-
-
-# ------------------------------------------------- regular neighborhoods
-
-def test_regular_neighborhood_2x2():
-    scene = build_torus_scene((2, 2))
-    rns = regular_neighborhood(scene, F(1, 20))
-    assert rns.face_width == F(1, 20)
-    assert rns.edge_width == F(1, 10)
-    assert set(rns.corner_points) == {
-        (F(0), F(0)), (F(0), F(1, 2)), (F(1, 2), F(0)),
-        (F(1, 2), F(1, 2))}
-    assert len(rns.slabs) == 8
-    masks = rns.masks()
-    assert len(masks["corner_boxes"]) == 4
-    assert len(masks["face_slabs"]) == 8
-
-
-def test_regular_neighborhood_rejects_wide():
-    scene = build_torus_scene((2, 2))
-    with pytest.raises(ValueError) as err:
-        regular_neighborhood(scene, F(2, 5))
-    assert hasattr(err.value, "witness")
-
-
-def test_regular_neighborhood_single_box():
-    scene = build_torus_scene((1, 1))
-    rns = regular_neighborhood(scene, F(1, 20))
-    assert rns.corner_points == ((F(0), F(0)),)
-    assert len(rns.slabs) == 2
-
-
-def test_regular_neighborhood_rejects_stacked_faces():
-    # after full enforcement every face is half-height; stacked maximal
-    # faces share a horizontal edge that no vertical-edge neighborhood
-    # can absorb
-    fixed = enforce_condition5(five_box_scene())
-    with pytest.raises(ValueError) as err:
-        regular_neighborhood(fixed, F(1, 20))
-    assert hasattr(err.value, "witness")
-
-
-def test_regular_neighborhood_rejects_bad_widths():
-    scene = build_torus_scene((2, 2))
-    with pytest.raises(ValueError, match="positive"):
-        regular_neighborhood(scene, F(0))
-    with pytest.raises(ValueError, match="exceed"):
-        regular_neighborhood(scene, F(1, 10), F(1, 20))
 
 
 # ------------------------------------------------------------ family slice

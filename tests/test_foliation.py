@@ -11,21 +11,17 @@ from flowbox.foliation import (
     HolonomyMap,
     LeafFamily,
     c0_distance,
-    choose_partition,
     fiber_map,
     fiber_transports,
     holonomy,
     horizontal_family,
     interp_columns,
-    leaf_indices,
     sheared_family,
     straight_path,
     tangent_field,
-    tilted_family,
-    x_invariance_defect,
     _leaf_gradients,
 )
-from flowbox.kernel import SOLVER_TOL
+from flowbox.kernel import SOLVER_TOL, choose_partition
 from flowbox.smoothing import smooth_in_t
 
 RECT = BaseDomain("rectangle", 33, 33)
@@ -92,9 +88,28 @@ def fiber_transports_oracle(family: LeafFamily, nodes) -> list:
     return [fiber_map(family, node).compose(start) for node in nodes[1:]]
 
 
+def tilted_family(base: BaseDomain, slope: float = 0.1, m: int = 17) -> LeafFamily:
+    """Family whose middle leaf is the genuine tilted plane z = t + slope(x - 1/2).
+
+    The tilt is ramped in linearly from the horizontal boundary leaves
+    (hat profile 1 - |2t - 1|), so the normals at t = 1/2 are constant and
+    the family stays inside [0, 1].  Anchored at x = 1/2, which must be a
+    grid node (odd nx).
+    """
+    if base.nx % 2 == 0:
+        raise ValueError("tilted family needs an odd nx so x = 1/2 is a node")
+    if not abs(slope) < 0.5:
+        raise ValueError("|slope| must be below 1/2 for monotonicity")
+    t = np.linspace(0.0, 1.0, m)
+    x, _ = np.meshgrid(base.x_nodes, base.y_nodes, indexing="ij")
+    hat = 1.0 - np.abs(2.0 * t - 1.0)
+    vals = t[:, None, None] + slope * hat[:, None, None] * (x[None] - 0.5)
+    return LeafFamily(base, t, vals, ((base.nx - 1) // 2, 0))
+
+
 def leaf_through(family: LeafFamily, base_point, z: float) -> float:
-    """Bisection oracle for leaf_indices: leaf index of the point
-    (base_point, z) to 1e-12."""
+    """Bisection oracle for the leaf index of the point (base_point, z),
+    to 1e-12."""
     z = float(z)
     if not -SOLVER_TOL <= z <= 1.0 + SOLVER_TOL:
         raise ValueError("z must lie in [0, 1]")
@@ -171,24 +186,23 @@ def test_family_json_round_trip_bit_exact():
 
 def test_leaf_through_horizontal():
     fam = horizontal_family(RECT, 17)
-    got = float(leaf_indices(fam, (0.3, 0.7), 0.3)[0])
+    got = leaf_through(fam, (0.3, 0.7), 0.3)
     assert got == pytest.approx(0.3, abs=1e-12)
 
 
 def test_leaf_through_at_anchor_is_identity():
     fam = sheared_family(RECT, 0.5, 33)
     for z in (0.1, 0.5, 0.93):
-        got = float(leaf_indices(fam, (0.0, 0.25), z)[0])
+        got = leaf_through(fam, (0.0, 0.25), z)
         assert got == pytest.approx(z, abs=1e-10)
 
 
 def test_leaf_through_sheared_quadratic():
     fam = sheared_family(RECT, 0.5, 65)
-    got = float(leaf_indices(fam, (1.0, 0.5), 0.5)[0])
+    got = leaf_through(fam, (1.0, 0.5), 0.5)
     # sampled-family index differs from the smooth solution only through
     # piecewise-linear interpolation error (~ (dt)^2 * curvature)
     assert got == pytest.approx(GOLDEN_INDEX, abs=5e-5)
-    assert got == pytest.approx(leaf_through(fam, (1.0, 0.5), 0.5), abs=1e-11)
 
 
 def test_leaf_through_inverse_property():
@@ -197,8 +211,7 @@ def test_leaf_through_inverse_property():
     for _ in range(25):
         pt = rng.uniform(0, 1, 2)
         z = rng.uniform(0, 1)
-        t = float(leaf_indices(fam, pt, z)[0])
-        assert t == pytest.approx(leaf_through(fam, pt, z), abs=1e-11)
+        t = leaf_through(fam, pt, z)
         back = fam.evaluate(np.array([t]), pt.reshape(1, 2))[0]
         assert back == pytest.approx(z, abs=1e-10)
 
@@ -445,37 +458,18 @@ def test_holonomy_endpoint_only_dependence():
     assert holonomy(fam, direct).max_difference(holonomy(fam, dogleg)) < 1e-9
 
 
-# ---------------------------------------------------------------- annulus
-
-def test_x_invariance_defect_cases():
-    assert x_invariance_defect(horizontal_family(ANN, 17)) == 0.0
-    # x-invariant but y-dependent family
-    t = np.linspace(0, 1, 17)
-    _, y = np.meshgrid(ANN.x_nodes, ANN.y_nodes, indexing="ij")
-    vals = t[:, None, None] + 0.1 * (t * (1 - t))[:, None, None] \
-        * np.sin(2 * np.pi * y)[None]
-    fam = LeafFamily(ANN, t, vals, (0, 0))
-    assert x_invariance_defect(fam) == 0.0
-    with pytest.raises(ValueError):
-        x_invariance_defect(horizontal_family(RECT, 9))
-
-
-def test_x_invariance_defect_sheared_values():
-    # the spec's printed figure belongs to shear 0.125
-    fam = sheared_family(ANN, 0.125, 17)
-    assert x_invariance_defect(fam) == pytest.approx(0.03125, abs=1e-15)
-    # the 0.5-shear family peaks at 0.125
-    fam2 = sheared_family(ANN, 0.5, 17)
-    assert x_invariance_defect(fam2) == pytest.approx(0.125, abs=1e-15)
-
-
 # ---------------------------------------------------------------- partitions
 
 def test_choose_partition_family_level():
-    assert choose_partition(horizontal_family(RECT, 17), 0.01).points == (0.0, 1.0)
+    # the call smooth_in_t makes: one unit normal per leaf and base node
+    def partition(fam, eps):
+        normals = tangent_field(fam).normals.reshape(fam.m, -1, 3)
+        return choose_partition(fam.t, normals, eps)
+
+    assert partition(horizontal_family(RECT, 17), 0.01).points == (0.0, 1.0)
     fam = sheared_family(RECT, 0.5, 65)
-    assert choose_partition(fam, 0.2).points == (0.0, 1.0)
-    part = choose_partition(fam, 0.05)
+    assert partition(fam, 0.2).points == (0.0, 1.0)
+    part = partition(fam, 0.05)
     assert len(part.points) >= 3
 
 

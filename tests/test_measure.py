@@ -20,9 +20,6 @@ from flowbox.foliation import (
     LeafFamily,
     fiber_map,
     fiber_transports,
-    horizontal_family,
-    sheared_family,
-    straight_path,
 )
 from flowbox.kernel import InsertionSchedule, build_collapse
 from flowbox.measure import (
@@ -33,7 +30,6 @@ from flowbox.measure import (
     smooth_measure_on_transversal,
     smooth_measured_scene,
     tischler_fibration,
-    verify_invariance,
 )
 
 
@@ -100,18 +96,6 @@ def kinked_measure(samples=41):
         lambda z: 0.85 * z + 0.3 * min(z, 0.5), samples)
 
 
-BASE = BaseDomain("rectangle", 17, 17)
-
-
-def square_loop(base):
-    legs = [((0, 0), (1, 0)), ((1, 0), (1, 0.5)),
-            ((1, 0.5), (0, 0.5)), ((0, 0.5), (0, 0))]
-    path = straight_path(base, *legs[0], samples=33)
-    for p, q in legs[1:]:
-        path = path.followed_by(straight_path(base, p, q, samples=33))
-    return path
-
-
 def mirrored_shear_scene(shear=0.3, grid=17, samples=17):
     """Two-box torus scene: one box sheared, the neighbor mirrored back.
 
@@ -174,45 +158,6 @@ def test_pushforward_is_definitional_fixed_point():
     for s, t in pairs:
         s_im, t_im = float(rho(s)), float(rho(t))
         assert nu.mass(s_im, t_im) == pytest.approx(mu.mass(s, t), abs=1e-12)
-
-
-# ---------------------------------------------------------- invariance
-
-def test_invariance_horizontal_lebesgue_zero():
-    fam = horizontal_family(BASE, 17)
-    leb = TransverseMeasure.lebesgue(33)
-    path = straight_path(BASE, (0, 0), (1, 0), 33)
-    assert verify_invariance(fam, leb, [path]) == 0.0
-
-
-def test_invariance_sheared_lebesgue_quadratic_oracle():
-    # holonomy of the sheared family is z -> z + shear*z*(1-z); against
-    # Lebesgue the defect is the oscillation of that quadratic, shear/4
-    shear = 0.3
-    fam = sheared_family(BASE, shear, 17)
-    leb = TransverseMeasure.lebesgue(33)
-    path = straight_path(BASE, (0, 0), (1, 0), 33)
-    report = {}
-    defect = verify_invariance(fam, leb, [path], report)
-    assert defect > 0.0
-    assert defect == pytest.approx(shear / 4.0, abs=1e-12)
-    assert report["operation"] == "verify_invariance"
-    assert report["paths"] == 1
-    assert report["rows"][0]["defect"] == defect
-
-
-def test_invariance_loop_is_fixed_point_for_any_measure():
-    fam = sheared_family(BASE, 0.45, 17)
-    mu, _ = staircase_measure()
-    defect = verify_invariance(fam, mu, [square_loop(BASE)])
-    assert defect < 1e-9
-
-
-def test_invariance_transverse_direction_trivial():
-    fam = sheared_family(BASE, 0.3, 17)
-    mu = kinked_measure()
-    path = straight_path(BASE, (0.5, 0), (0.5, 1), 33)
-    assert verify_invariance(fam, mu, [path]) < 1e-12
 
 
 # ------------------------------------------------- transversal smoothing

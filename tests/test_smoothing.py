@@ -30,13 +30,10 @@ from flowbox.foliation import (
     horizontal_family,
     sheared_family,
     straight_path,
-    tilted_family,
-    x_invariance_defect,
 )
 from flowbox.kernel import make_damping
 from flowbox.smoothing import (
     FACE_COMPAT_TOL,
-    IsotopyTrace,
     RegionMask,
     StraighteningError,
     _chart_blend,
@@ -49,15 +46,12 @@ from flowbox.smoothing import (
     face_transport_defect,
     globally_smooth,
     holonomy_correction,
-    local_damped_replace,
     reindex_blend,
     smooth_in_t,
     smooth_with_holonomy_constraint,
-    straightening_isotopy,
-    x_invariant_normalize,
 )
 
-from test_foliation import fiber_transports_oracle, leaf_families
+from test_foliation import fiber_transports_oracle, leaf_families, tilted_family
 
 RECT = BaseDomain("rectangle", 33, 33)
 ANN = BaseDomain("annulus", 33, 32)
@@ -76,26 +70,11 @@ def ramp_oracle(u: float) -> float:
     return a / (a + b)
 
 
-def shear_defect_oracle(shear: float, ts) -> float:
-    """Sup over sampled leaves of the sheared family's holonomy defect along
-    the full x-crossing (against the identity)."""
-    return max(shear * t * (1.0 - t) for t in ts)
-
-
 def shear_holonomy_oracle(shear: float, z: float) -> float:
     """Leaf index of height z at the far end of the shear: solves
     t + shear * t(1-t) = z by the quadratic formula."""
     s = shear
     return ((1.0 + s) - math.sqrt((1.0 + s) ** 2 - 4.0 * s * z)) / (2.0 * s)
-
-
-# frozen from the oracle below: sup defect of shear 0.5 against horizontal
-STRAIGHTENING_DEFECT = 0.125
-
-
-def test_straightening_defect_oracle_value():
-    ts = np.linspace(0.0, 1.0, 65)
-    assert shear_defect_oracle(0.5, ts) == STRAIGHTENING_DEFECT
 
 
 def random_family(base: BaseDomain, m: int, rng, amp: float = 0.35) -> LeafFamily:
@@ -157,14 +136,6 @@ def test_band_masks_geometry():
     assert j0.weight_at(np.array([[0.5, 0.5]]))[0] == 0.0
     assert j1.weight_at(np.array([[0.5, 0.9375]]))[0] == 1.0
     assert j1.weight_at(np.array([[0.5, 0.5]]))[0] == 0.0
-
-
-def test_trace_validation():
-    fam = horizontal_family(RECT, 5)
-    with pytest.raises(ValueError):
-        IsotopyTrace(np.array([0.0, 0.5]), (fam, fam))
-    with pytest.raises(ValueError):
-        IsotopyTrace(np.array([0.0, 0.5, 1.0]), (fam, fam))
 
 
 # ------------------------------------------------------------- smooth_in_t
@@ -255,19 +226,19 @@ def test_local_replace_slices():
     fam = horizontal_family(RECT, 17, anchor=(16, 0))
     target = tilted_family(RECT, 0.05, 17)
     region = _central_region()
-    trace = local_damped_replace(fam, target, region, s_samples=5)
-    assert len(trace.slices) == 5
-    t = trace.final.t
+    w = region.weight_grid()
+    slices = [damped_blend(fam, target, s * w[None])
+              for s in np.linspace(0.0, 1.0, 5)]
+    t = slices[-1].t
     f = fam.leaves_at(t)
     g = target.leaves_at(t)
-    assert np.array_equal(trace.initial.values, f)
+    assert np.array_equal(slices[0].values, f)
     # slice 1 equals the target on S
-    assert np.max(np.abs(trace.final.values[:, 12:21, 12:21]
+    assert np.max(np.abs(slices[-1].values[:, 12:21, 12:21]
                          - g[:, 12:21, 12:21])) <= 1e-12
     # all slices untouched outside N(S)
-    w = region.weight_grid()
     outside = w == 0.0
-    for sl in trace.slices:
+    for sl in slices:
         assert np.array_equal(sl.values[:, outside], f[:, outside])
 
 
@@ -296,45 +267,6 @@ def test_damped_blend_endpoints(pair):
     # f + (g - f) misses g by the rounding of g - f, at most one ulp of 1
     gap = np.abs(at_one.values - g.leaves_at(at_one.t))[:, off]
     assert gap.max() <= 2.0 ** -52
-
-
-def test_local_replace_anchor_mismatch():
-    fam = horizontal_family(RECT, 17)
-    target = tilted_family(RECT, 0.05, 17)
-    with pytest.raises(ValueError):
-        local_damped_replace(fam, target, _central_region())
-
-
-def test_straightening_mismatch_reports_sup_defect():
-    fam = sheared_family(RECT, 0.5, m=65)
-    target = horizontal_family(RECT, 65)
-    region = RegionMask(RECT, "rect", (0.5, 0.875, 0.125, 0.875),
-                        (0.375, 1.0, 0.0625, 0.9375))
-    with pytest.raises(StraighteningError) as exc:
-        straightening_isotopy(fam, target, region)
-    assert exc.value.defect == pytest.approx(STRAIGHTENING_DEFECT, abs=1e-15)
-
-
-def test_straightening_agreeing_holonomy_succeeds():
-    fam = horizontal_family(RECT, 33)
-    x, y = np.meshgrid(RECT.x_nodes, RECT.y_nodes, indexing="ij")
-    bump = 16.0 * x * (1.0 - x) * y * (1.0 - y)
-    t = np.linspace(0.0, 1.0, 33)
-    vals = t[:, None, None] + 0.3 * (t * (1.0 - t))[:, None, None] * bump[None]
-    target = LeafFamily(RECT, t, vals, (0, 0))
-    region = RegionMask(RECT, "rect", (0.375, 0.625, 0.375, 0.625),
-                        (0.0, 1.0, 0.0, 1.0))
-    trace = straightening_isotopy(fam, target, region)
-    g = target.leaves_at(trace.final.t)
-    assert np.max(np.abs(trace.final.values[:, 12:21, 12:21]
-                         - g[:, 12:21, 12:21])) <= 1e-9
-
-
-def test_straightening_identity_gives_constant_trace():
-    fam = sheared_family(RECT, 0.5, m=33)
-    trace = straightening_isotopy(fam, fam, _central_region())
-    for sl in trace.slices[1:]:
-        assert np.array_equal(sl.values, trace.initial.values)
 
 
 # ------------------------------------------- holonomy-constrained smoothing
@@ -431,35 +363,6 @@ def test_cone_validations():
         damped_cone(fam, fam, collar_width=0.3)
     with pytest.raises(ValueError):
         damped_cone(fam, horizontal_family(RECT, 9, anchor=(3, 3)))
-
-
-# -------------------------------------------------------- x-invariance
-
-def _y_modulated_annulus(x_coeff: float) -> LeafFamily:
-    x, y = np.meshgrid(ANN.x_nodes, ANN.y_nodes, indexing="ij")
-    psi = (0.3 + x_coeff * x) * np.sin(2.0 * np.pi * y)
-    t = np.linspace(0.0, 1.0, 17)
-    vals = t[:, None, None] + 0.2 * (t * (1.0 - t))[:, None, None] * psi[None]
-    return LeafFamily(ANN, t, vals, (0, 0))
-
-
-def test_x_invariant_normalize():
-    fam = _y_modulated_annulus(0.5)
-    # x-spread of 0.2 * t(1-t) * 0.5x * sin(2 pi y): max at t=1/2, sin=1
-    assert x_invariance_defect(fam) == pytest.approx(0.2 * 0.25 * 0.5, abs=1e-15)
-    out = x_invariant_normalize(fam)
-    assert x_invariance_defect(out) == 0.0
-    assert np.array_equal(out.values[:, 0, :], fam.values[:, 0, :])
-    for i in range(ANN.nx):
-        assert np.array_equal(out.values[:, i, :], fam.values[:, 0, :])
-
-
-def test_x_invariant_normalize_identity_and_rejection():
-    fam = _y_modulated_annulus(0.0)
-    out = x_invariant_normalize(fam)
-    assert np.array_equal(out.values, fam.values)
-    with pytest.raises(ValueError):
-        x_invariant_normalize(sheared_family(RECT, 0.3, m=9))
 
 
 # ---------------------------------------------------------------- scenes
