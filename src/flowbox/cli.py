@@ -181,13 +181,13 @@ def _jsonable(value):
     return str(value)
 
 
-def _write_manifest(out_dir: Path, config: ScenarioConfig, results,
-                    checks, exit_code: int) -> Path:
+def _write_manifest(out_dir: Path, config: dict, results, checks,
+                    exit_code: int) -> Path:
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "created": datetime.datetime.now(datetime.timezone.utc)
                    .isoformat(timespec="seconds"),
-        "config": config.to_json(),
+        "config": _jsonable(config),
         "results": _jsonable(results),
         "checks": _jsonable(checks),
         "ok": exit_code == 0,
@@ -503,6 +503,12 @@ _RUNNERS = {
 }
 
 
+def _malformed(exc: MalformedInput) -> tuple:
+    """Manifest results and check rows for input rejected as malformed."""
+    return ({"error": str(exc)},
+            [{"name": "input-wellformed", "pass": False, "detail": str(exc)}])
+
+
 def run(config: ScenarioConfig) -> int:
     """Dispatch one scenario and write manifest + CSV artifacts.
 
@@ -515,9 +521,7 @@ def run(config: ScenarioConfig) -> int:
         results, checks = _RUNNERS[config.kind](config, out_dir)
         code = 0
     except MalformedInput as exc:
-        results = {"error": str(exc)}
-        checks = [{"name": "input-wellformed", "pass": False,
-                   "detail": str(exc)}]
+        results, checks = _malformed(exc)
         code = 3
     except ValidationFailure as exc:
         results = exc.results or {"error": str(exc)}
@@ -533,7 +537,7 @@ def run(config: ScenarioConfig) -> int:
         code = 1
     if code == 0 and not all(row["pass"] for row in checks):
         code = 2 if config.kind == "validate" else 1
-    _write_manifest(out_dir, config, results, checks, code)
+    _write_manifest(out_dir, config.to_json(), results, checks, code)
     return code
 
 
@@ -775,6 +779,13 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
     except MalformedInput as exc:
         print(f"flowbox: error: {exc}", file=sys.stderr)
+        # no ScenarioConfig exists, so the manifest records the flags as
+        # parsed
+        flags = dict(vars(args))
+        flags["kind"] = flags.pop("command")
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_manifest(out_dir, flags, *_malformed(exc), 3)
         return 3
     code = run(config)
     manifest = Path(config.out) / "manifest.json"

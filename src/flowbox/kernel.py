@@ -374,7 +374,9 @@ def choose_partition(t_samples, normals, epsilon: float) -> Partition:
     Each cell is the longest run of sampled leaves whose unit normals stay
     pairwise within epsilon in angle at every base sample; cut points are
     taken from t_samples.  Greedy left-to-right maximal steps, so ties go to
-    larger cells.
+    larger cells.  Candidates are scored in blocks that start at 4 per cell
+    and double after every block that passes whole, up to 64, so a short
+    cell does not pay for a wide rectangle of dot products.
 
     t_samples: (m,) increasing with t[0] = 0, t[-1] = 1.
     normals:   (m, P, 3) unit leaf normals at P base samples.
@@ -392,12 +394,13 @@ def choose_partition(t_samples, normals, epsilon: float) -> Partition:
     i = 0
     while i < m - 1:
         j = i
+        block = 4
         while j < m - 1:
             # candidates j+1 .. j+span checked in one batch; candidate q is
             # admissible iff every leaf from i up to it stays within eps of it,
             # so the first failure ends the greedy run exactly as a
             # one-at-a-time scan would
-            span = min(m - 1 - j, 64)
+            span = min(m - 1 - j, block)
             rows = nrm[i:j + span]
             cands = nrm[j + 1:j + 1 + span]
             mins = _min_dots(rows, cands)
@@ -408,6 +411,7 @@ def choose_partition(t_samples, normals, epsilon: float) -> Partition:
             j += good
             if good < span:
                 break
+            block = min(2 * block, 64)
         if j == i:
             raise ValueError(
                 f"adjacent sampled leaves exceed epsilon={epsilon} near "

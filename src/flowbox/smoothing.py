@@ -60,11 +60,15 @@ class SmoothingError(RuntimeError):
 
 
 class StraighteningError(ValueError):
-    """Holonomy data of the two families disagree beyond tolerance."""
+    """Collar data sit farther from the box family than closeness_tol.
 
-    def __init__(self, defect: float):
+    defect is the sup height gap between the two families over the
+    boundary frame (a C0 gap, not a holonomy defect).
+    """
+
+    def __init__(self, defect: float, tol: float):
         super().__init__(
-            f"holonomy agreement failed: sup defect {defect:.6g}")
+            f"collar height gap {defect:.6g} exceeds closeness_tol {tol:.6g}")
         self.defect = defect
 
 
@@ -194,29 +198,30 @@ def _formula_smooth(family: LeafFamily, partition: Partition) -> LeafFamily:
     cut_idx = np.searchsorted(t, np.asarray(partition.points))
     if np.max(np.abs(t[cut_idx] - np.asarray(partition.points))) > 0:
         raise ValueError("partition points must be sampled leaf indices")
-    out_t = [0.0]
-    out_v = [v[0]]
+    out_t = [np.zeros(1)]
+    out_v = [v[:1]]
     # minimum sample gap: keeps increments far enough above one ulp that
     # later convex blends cannot collapse them into ties
     gap = SOLVER_TOL
     for a_i, b_i in zip(cut_idx, cut_idx[1:]):
         a, b = t[a_i], t[b_i]
         fa, fb = v[a_i], v[b_i]
-        span = fb - fa
+        lam = _RAMP((t[a_i + 1:b_i] - a) / (b - a))
+        s = a + lam * (b - a)
+        g = fa + lam[:, None, None] * (fb - fa)
+        # the upper bounds do not depend on earlier samples; the lower ones
+        # compare with the last accepted sample, so they are checked in order
+        fits = (s < b - gap) & np.all(g < fb - gap, axis=(1, 2))
+        kept = []
         last_s, last_g = a, fa
-        for k in range(a_i + 1, b_i):
-            lam = float(_RAMP((t[k] - a) / (b - a)))
-            s = a + lam * (b - a)
-            g = fa + lam * span
-            if (s > last_s + gap and s < b - gap
-                    and np.all(g > last_g + gap) and np.all(g < fb - gap)):
-                out_t.append(s)
-                out_v.append(g)
-                last_s, last_g = s, g
-        out_t.append(b)
-        out_v.append(fb)
-    return LeafFamily(family.base, np.array(out_t), np.stack(out_v),
-                      family.anchor)
+        for k in np.flatnonzero(fits):
+            if s[k] > last_s + gap and np.all(g[k] > last_g + gap):
+                kept.append(k)
+                last_s, last_g = s[k], g[k]
+        out_t += [s[kept], b[None]]
+        out_v += [g[kept], fb[None]]
+    return LeafFamily(family.base, np.concatenate(out_t),
+                      np.concatenate(out_v), family.anchor)
 
 
 def formula_residual(original: LeafFamily, smoothed: LeafFamily,
@@ -227,18 +232,15 @@ def formula_residual(original: LeafFamily, smoothed: LeafFamily,
     grid must equal f_a + (s-a)/(b-a) * (f_b - f_a).
     """
     t = original.t
-    cut_idx = np.searchsorted(t, np.asarray(partition.points))
-    worst = 0.0
     pts = np.asarray(partition.points)
-    for s, grid in zip(smoothed.t, smoothed.values):
-        c = np.clip(np.searchsorted(pts, s, side="right") - 1, 0, pts.size - 2)
-        a_i, b_i = cut_idx[c], cut_idx[c + 1]
-        a, b = t[a_i], t[b_i]
-        lam = (s - a) / (b - a)
-        expected = original.values[a_i] + lam * (original.values[b_i]
-                                                 - original.values[a_i])
-        worst = max(worst, float(np.max(np.abs(grid - expected))))
-    return worst
+    cut_idx = np.searchsorted(t, pts)
+    s = smoothed.t
+    c = np.clip(np.searchsorted(pts, s, side="right") - 1, 0, pts.size - 2)
+    a_i, b_i = cut_idx[c], cut_idx[c + 1]
+    lam = (s - t[a_i]) / (t[b_i] - t[a_i])
+    fa = original.values[a_i]
+    expected = fa + lam[:, None, None] * (original.values[b_i] - fa)
+    return float(np.max(np.abs(smoothed.values - expected)))
 
 
 def smooth_in_t(family: LeafFamily, epsilon: float, fixed_leaves=(),
@@ -427,7 +429,7 @@ def damped_cone(annular: LeafFamily, disk_box: LeafFamily,
     frame = _frame_nodes(disk_box.base, collar_width)
     gap = float(np.max(np.abs(a[:, frame] - d[:, frame])))
     if gap > closeness_tol:
-        raise StraighteningError(gap)
+        raise StraighteningError(gap, closeness_tol)
     smoothed = smooth_in_t(disk_box, epsilon)
     c = collar_width
     ring = RegionMask(disk_box.base, "ring",

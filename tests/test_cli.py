@@ -400,6 +400,16 @@ def test_smooth_rejects_bad_epsilon_exit_three(epsilon, grid9_scene,
     assert main(["smooth", "--scene", str(grid9_scene),
                  f"--epsilon={epsilon}", "--out", str(tmp_path)]) == 3
     assert "epsilon" in capsys.readouterr().err
+    # no ScenarioConfig could be built, so config holds the parsed flags
+    manifest = read_manifest(tmp_path)
+    assert manifest["exit_code"] == 3 and manifest["ok"] is False
+    assert manifest["config"]["kind"] == "smooth"
+    assert manifest["config"]["scene"] == str(grid9_scene)
+    assert repr(manifest["config"]["epsilon"]) == repr([float(epsilon)])
+    [row] = manifest["checks"]
+    assert row["name"] == "input-wellformed" and not row["pass"]
+    assert "must be finite and positive" in row["detail"]
+    assert manifest["results"]["error"] == row["detail"]
 
 
 def test_config_rejects_out_of_range_parameters(tmp_path):

@@ -301,6 +301,29 @@ def leaf_families(draw, base):
 
 
 @st.composite
+def long_leaf_families(draw):
+    """Like leaf_families, on a rectangle or annulus base, with 3 to 260
+    leaves, so greedy partition runs reach 64 candidates."""
+    shape = draw(st.sampled_from(["rectangle", "annulus"]))
+    base = BaseDomain(shape, draw(st.integers(8, 17)), draw(st.integers(8, 17)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = rng.integers(1, 5, size=draw(st.integers(2, 259)))
+    t = np.concatenate([[0.0], np.cumsum(steps) / steps.sum()])
+    x, y = np.meshgrid(base.x_nodes, base.y_nodes, indexing="ij")
+    if draw(st.booleans()):
+        psi = rng.uniform(-1.0, 1.0, x.shape)
+    else:
+        c = rng.uniform(-1.0, 1.0, 3)
+        psi = (c[0] * x + c[1] * np.sin(2 * np.pi * y)
+               + c[2] * x * np.cos(2 * np.pi * y))
+    psi = psi - psi[0, 0]
+    psi /= max(1.0, float(np.max(np.abs(psi))))
+    amp = draw(st.floats(0.0, 0.9))
+    vals = t[:, None, None] + amp * (t * (1.0 - t))[:, None, None] * psi[None]
+    return LeafFamily(base, t, vals, (0, 0))
+
+
+@st.composite
 def family_pairs(draw):
     shape = draw(st.sampled_from(["rectangle", "annulus"]))
     base = BaseDomain(shape, draw(st.integers(8, 17)), draw(st.integers(8, 17)))

@@ -2,19 +2,28 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from flowbox.foliation import (
+    BaseDomain,
+    horizontal_family,
+    sheared_family,
+    tangent_field,
+)
 from flowbox.kernel import (
     CollapseMap,
     InsertionSchedule,
     Partition,
+    _min_dots,
     build_collapse,
     build_collapse_fixed,
     choose_partition,
     make_damping,
     smooth_ramp,
 )
+
+from test_foliation import long_leaf_families
 
 
 # ---------------------------------------------------------------- oracles
@@ -53,6 +62,55 @@ def max_pairwise_angle(normals):
             ang = np.arccos(np.clip(dots, -1.0, 1.0)).max()
             worst = max(worst, float(ang))
     return worst
+
+
+def choose_partition_fixed_blocks(t_samples, normals, epsilon: float) -> Partition:
+    """Greedy partition of the leaf-index interval.
+
+    Each cell is the longest run of sampled leaves whose unit normals stay
+    pairwise within epsilon in angle at every base sample; cut points are
+    taken from t_samples.  Greedy left-to-right maximal steps, so ties go to
+    larger cells.
+
+    t_samples: (m,) increasing with t[0] = 0, t[-1] = 1.
+    normals:   (m, P, 3) unit leaf normals at P base samples.
+    """
+    t = np.asarray(t_samples, dtype=float)
+    nrm = np.asarray(normals, dtype=float)
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    if nrm.ndim != 3 or nrm.shape[0] != t.size or nrm.shape[2] != 3:
+        raise ValueError("normals must have shape (len(t), P, 3)")
+    # pairwise angle <= eps  <=>  dot >= cos(eps) for unit vectors
+    cos_floor = math.cos(min(epsilon, math.pi))
+    m = t.size
+    cuts = [0]
+    i = 0
+    while i < m - 1:
+        j = i
+        while j < m - 1:
+            # candidates j+1 .. j+span checked in one batch; candidate q is
+            # admissible iff every leaf from i up to it stays within eps of it,
+            # so the first failure ends the greedy run exactly as a
+            # one-at-a-time scan would
+            span = min(m - 1 - j, 64)
+            rows = nrm[i:j + span]
+            cands = nrm[j + 1:j + 1 + span]
+            mins = _min_dots(rows, cands)
+            pref = np.minimum.accumulate(mins, axis=0)
+            qs = np.arange(span)
+            ok = pref[j - i + qs, qs] >= cos_floor
+            good = int(np.argmin(ok)) if not ok.all() else span
+            j += good
+            if good < span:
+                break
+        if j == i:
+            raise ValueError(
+                f"adjacent sampled leaves exceed epsilon={epsilon} near "
+                f"t={t[i]:.6g}; grid too coarse for this bound")
+        cuts.append(j)
+        i = j
+    return Partition(tuple(float(t[k]) for k in cuts))
 
 
 def shear_normals(t_grid, coeff=0.5, samples=9):
@@ -106,6 +164,30 @@ def test_damping_rejects_bad_arguments():
 def test_ramp_outside_unit_interval():
     assert float(smooth_ramp(-0.5)) == 0.0
     assert float(smooth_ramp(1.5)) == 1.0
+
+
+def _ulp_neighbours(x, n=4):
+    """x and the n floats on either side of it."""
+    out, lo, hi = [x], x, x
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+RAMP_EDGE_POINTS = ([0.5, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                     1.0 - 5e-324] + _ulp_neighbours(0.0)
+                    + _ulp_neighbours(1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-0.5, 1.5), max_size=300))
+def test_smooth_ramp_array_matches_scalar(drawn):
+    # the per-cell smoothing evaluates the ramp on arrays of every length
+    # and relies on each element having the bits of a scalar call
+    xs = np.array(RAMP_EDGE_POINTS + drawn)
+    scalar = np.array([float(smooth_ramp(x)) for x in xs])
+    assert smooth_ramp(xs).tobytes() == scalar.tobytes()
 
 
 # ---------------------------------------------------------------- partition type
@@ -295,3 +377,44 @@ def test_partition_too_coarse_raises():
     normals[1] = tilt
     with pytest.raises(ValueError):
         choose_partition(t, normals, 0.01)
+
+
+def _partition_or_error(fn, t, normals, epsilon):
+    try:
+        return fn(t, normals, epsilon).points
+    except ValueError as exc:
+        return str(exc)
+
+
+def _family_normals(family):
+    return family.t, tangent_field(family).normals.reshape(family.m, -1, 3)
+
+
+@st.composite
+def wandering_normals(draw):
+    """Unit normals at 1 to 16 base samples whose tilt takes a random walk in
+    the leaf index, so the widest pair of a cell need not include its first
+    leaf (for t + amp*t(1-t)*psi families it always does until t = 1/2)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(3, 260))
+    step = draw(st.floats(1e-4, 0.05))
+    tilt = np.cumsum(rng.normal(0.0, step, (m, draw(st.integers(1, 16)), 2)),
+                     axis=0)
+    n = np.concatenate([-tilt, np.ones(tilt.shape[:2] + (1,))], axis=-1)
+    return np.linspace(0.0, 1.0, m), n / np.linalg.norm(n, axis=-1,
+                                                        keepdims=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(long_leaf_families().map(_family_normals),
+                 wandering_normals()),
+       st.floats(0.002, 0.5))
+@example(_family_normals(horizontal_family(BaseDomain("annulus", 9, 8), 260)),
+         0.002)
+@example(_family_normals(sheared_family(BaseDomain("rectangle", 9, 9), 0.3,
+                                        260)), 0.5)
+def test_choose_partition_matches_fixed_block_oracle(samples, epsilon):
+    t, normals = samples
+    assert (_partition_or_error(choose_partition, t, normals, epsilon)
+            == _partition_or_error(choose_partition_fixed_blocks, t, normals,
+                                   epsilon))

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from flowbox.decomposition import (
@@ -30,20 +30,29 @@ from flowbox.foliation import (
     horizontal_family,
     sheared_family,
     straight_path,
+    tangent_field,
 )
-from flowbox.kernel import make_damping
+from flowbox.kernel import (
+    SOLVER_TOL,
+    Partition,
+    choose_partition,
+    make_damping,
+)
 from flowbox.smoothing import (
     FACE_COMPAT_TOL,
     RegionMask,
     StraighteningError,
+    _RAMP,
     _chart_blend,
     _corner_fiber_damp,
     _face_chart,
+    _formula_smooth,
     _paste_strip,
     band_masks,
     damped_blend,
     damped_cone,
     face_transport_defect,
+    formula_residual,
     globally_smooth,
     holonomy_correction,
     reindex_blend,
@@ -51,7 +60,12 @@ from flowbox.smoothing import (
     smooth_with_holonomy_constraint,
 )
 
-from test_foliation import fiber_transports_oracle, leaf_families, tilted_family
+from test_foliation import (
+    fiber_transports_oracle,
+    leaf_families,
+    long_leaf_families,
+    tilted_family,
+)
 
 RECT = BaseDomain("rectangle", 33, 33)
 ANN = BaseDomain("annulus", 33, 32)
@@ -75,6 +89,67 @@ def shear_holonomy_oracle(shear: float, z: float) -> float:
     t + shear * t(1-t) = z by the quadratic formula."""
     s = shear
     return ((1.0 + s) - math.sqrt((1.0 + s) ** 2 - 4.0 * s * z)) / (2.0 * s)
+
+
+def formula_smooth_oracle(family: LeafFamily, partition: Partition) -> LeafFamily:
+    """Damped convex-combination smoothing over the partition cells.
+
+    Output leaves are reindexed by their anchor height, so each output leaf
+    at index s inside a cell [a, b] lies on the straight segment between the
+    cell's end leaves with coefficient (s-a)/(b-a); the damping profile shows
+    up as the reindexing speed.  Samples that collapse at float resolution
+    (the profile is flat to many orders near cell ends) are dropped.
+    """
+    t = family.t
+    v = family.values
+    cut_idx = np.searchsorted(t, np.asarray(partition.points))
+    if np.max(np.abs(t[cut_idx] - np.asarray(partition.points))) > 0:
+        raise ValueError("partition points must be sampled leaf indices")
+    out_t = [0.0]
+    out_v = [v[0]]
+    # minimum sample gap: keeps increments far enough above one ulp that
+    # later convex blends cannot collapse them into ties
+    gap = SOLVER_TOL
+    for a_i, b_i in zip(cut_idx, cut_idx[1:]):
+        a, b = t[a_i], t[b_i]
+        fa, fb = v[a_i], v[b_i]
+        span = fb - fa
+        last_s, last_g = a, fa
+        for k in range(a_i + 1, b_i):
+            lam = float(_RAMP((t[k] - a) / (b - a)))
+            s = a + lam * (b - a)
+            g = fa + lam * span
+            if (s > last_s + gap and s < b - gap
+                    and np.all(g > last_g + gap) and np.all(g < fb - gap)):
+                out_t.append(s)
+                out_v.append(g)
+                last_s, last_g = s, g
+        out_t.append(b)
+        out_v.append(fb)
+    return LeafFamily(family.base, np.array(out_t), np.stack(out_v),
+                      family.anchor)
+
+
+def formula_residual_oracle(original: LeafFamily, smoothed: LeafFamily,
+                            partition: Partition) -> float:
+    """Max node residual of the defining convex-combination formula.
+
+    For each output leaf index s in a cell [a, b] of the partition, the leaf
+    grid must equal f_a + (s-a)/(b-a) * (f_b - f_a).
+    """
+    t = original.t
+    cut_idx = np.searchsorted(t, np.asarray(partition.points))
+    worst = 0.0
+    pts = np.asarray(partition.points)
+    for s, grid in zip(smoothed.t, smoothed.values):
+        c = np.clip(np.searchsorted(pts, s, side="right") - 1, 0, pts.size - 2)
+        a_i, b_i = cut_idx[c], cut_idx[c + 1]
+        a, b = t[a_i], t[b_i]
+        lam = (s - a) / (b - a)
+        expected = original.values[a_i] + lam * (original.values[b_i]
+                                                 - original.values[a_i])
+        worst = max(worst, float(np.max(np.abs(grid - expected))))
+    return worst
 
 
 def random_family(base: BaseDomain, m: int, rng, amp: float = 0.35) -> LeafFamily:
@@ -205,6 +280,46 @@ def test_smooth_achieves_epsilon_ladder():
         out = smooth_in_t(fam, eps, report=rep)
         assert c0_distance(fam, out) <= eps
         assert rep["formula_residual"] <= 1e-12
+
+
+@st.composite
+def partitioned_families(draw):
+    """A family with either its greedy tangent-angle partition at an epsilon
+    in [0.002, 0.5] (every sample where that raises, as smooth_in_t does) or
+    a random subset of its leaf indices as cut points."""
+    family = draw(long_leaf_families())
+    if draw(st.booleans()):
+        normals = tangent_field(family).normals.reshape(family.m, -1, 3)
+        try:
+            part = choose_partition(family.t, normals,
+                                    draw(st.floats(0.002, 0.5)))
+        except ValueError:
+            part = Partition(tuple(family.t.tolist()))
+    else:
+        inner = family.t[1:-1][draw(st.lists(
+            st.booleans(), min_size=family.m - 2, max_size=family.m - 2))]
+        part = Partition((0.0, *inner.tolist(), 1.0))
+    return family, part
+
+
+@settings(max_examples=80, deadline=None)
+@given(partitioned_families())
+# over the first cell the leaves at x = 1 rise by less than the index does
+# (fb - fa < b - a), so g < fb - gap rejects a sample near the cell end
+# that s < b - gap accepts
+@example((sheared_family(BaseDomain("rectangle", 8, 8), -0.5, 65),
+          Partition((0.0, 0.890625, 1.0))))
+def test_formula_smooth_matches_per_sample_oracle(case):
+    family, part = case
+    out = _formula_smooth(family, part)
+    ref = formula_smooth_oracle(family, part)
+    assert np.array_equal(out.t, ref.t)
+    assert np.array_equal(out.values, ref.values)
+    # on the smoothed output the residual is rounding only; on the input it
+    # is the family's distance from its piecewise-linear interpolant
+    for smoothed in (out, family):
+        assert (formula_residual(family, smoothed, part)
+                == formula_residual_oracle(family, smoothed, part))
 
 
 def test_smooth_rejections():
@@ -355,6 +470,7 @@ def test_cone_corrupted_collar_rejected():
     with pytest.raises(StraighteningError) as exc:
         damped_cone(annular, disk, collar_width=0.125, closeness_tol=0.1)
     assert exc.value.defect == pytest.approx(0.9 * 0.25, abs=1e-15)
+    assert str(exc.value) == "collar height gap 0.225 exceeds closeness_tol 0.1"
 
 
 def test_cone_validations():
