@@ -44,9 +44,11 @@ from .denjoy import (
     BlowupError,
     BlowupLocus,
     CircleMapLift,
+    birkhoff_estimate,
     blowup_box,
     blowup_circle_map,
     blowup_scene,
+    circle_orbit,
     rotation_number,
     verify_blowup,
     wandering_audit,

@@ -33,9 +33,10 @@ from .decomposition import (
 from .denjoy import (
     BlowupError,
     BlowupLocus,
+    birkhoff_estimate,
     blowup_circle_map,
     blowup_scene,
-    rotation_number,
+    circle_orbit,
     verify_blowup,
     wandering_audit,
 )
@@ -402,14 +403,12 @@ def _run_denjoy_circle(config: ScenarioConfig, out_dir: Path):
                                  report=circle_report)
     except ValueError as exc:
         raise PipelineFailure("orbit blowup", str(exc)) from exc
-    rows = []
-    x = 0.0
-    for k in range(1, config.iterations + 1):
-        x = float(lift(x))
-        rows.append((k, x - math.floor(x), x / k))
-    final = rows[-1][2]
+    # one orbit feeds both the CSV and the Birkhoff estimate: the estimate
+    # is the last row's running average, bit for bit
+    orbit = circle_orbit(lift, config.iterations)
+    rows = [(k, x - math.floor(x), x / k) for k, x in enumerate(orbit, 1)]
     rotation_report = {}
-    rotation_number(lift, config.iterations, report=rotation_report)
+    final = birkhoff_estimate(orbit, report=rotation_report)
     gaps = [tuple(v) for v in circle_report["gaps"].values()]
     audit = wandering_audit(lift, gaps, config.audit_steps)
     checks = [

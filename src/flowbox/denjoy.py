@@ -26,6 +26,7 @@ from .foliation import (
     SOLVER_TOL,
     c0_distance,
     fiber_transports,
+    inverse_interp_columns,
 )
 from .kernel import (
     COMPARISON_TOL,
@@ -445,17 +446,9 @@ def _leaf_membership_spread(orig: LeafFamily, heights: np.ndarray) -> tuple:
     heights: (m, nx, ny) collapsed leaf graphs.  Returns (spread, witness).
     """
     m = heights.shape[0]
-    cols = heights.reshape(m, -1)
-    fibers = orig.values.reshape(orig.m, -1)
-    lo = hi = None
-    for node in range(cols.shape[1]):
-        idx = np.interp(cols[:, node], fibers[:, node], orig.t)
-        if lo is None:
-            lo, hi = idx.copy(), idx.copy()
-        else:
-            np.minimum(lo, idx, out=lo)
-            np.maximum(hi, idx, out=hi)
-    gaps = hi - lo
+    idx = inverse_interp_columns(heights.reshape(m, -1),
+                                 orig.values.reshape(orig.m, -1), orig.t)
+    gaps = idx.max(axis=1) - idx.min(axis=1)
     k = int(np.argmax(gaps))
     return float(gaps[k]), {"leaf_row": k, "spread": float(gaps[k])}
 
@@ -659,24 +652,28 @@ class CircleMapLift:
                 "outputs": self.outputs.tolist()}
 
 
-def rotation_number(lift: CircleMapLift, iterations: int,
-                    report: dict | None = None) -> float:
-    """Birkhoff average (h^n(x0) - x0)/n of the lift displacement.
+def circle_orbit(lift: CircleMapLift, iterations: int) -> list:
+    """The lift's orbit of x0 = 0: [h(0), h^2(0), ..., h^n(0)] as floats."""
+    x = 0.0
+    orbit = []
+    for _ in range(int(iterations)):
+        x = float(lift(x))
+        orbit.append(x)
+    return orbit
+
+
+def birkhoff_estimate(orbit: list, report: dict | None = None) -> float:
+    """Birkhoff average h^n(0)/n of the lift displacement over an orbit of
+    0 as circle_orbit returns it.
 
     The change in the running estimate over the final step is reported as an
     error proxy; it bounds nothing but tracks the averaging tail.
     """
-    n = int(iterations)
-    if n < 1000:
-        raise ValueError("rotation number needs at least 1000 iterations")
-    x0 = 0.0
-    x = x0
-    prev = 0.0
-    for i in range(n):
-        if i == n - 1:
-            prev = (x - x0) / (n - 1)
-        x = float(lift(x))
-    estimate = (x - x0) / n
+    n = len(orbit)
+    if n < 2:
+        raise ValueError("a Birkhoff estimate needs at least two iterates")
+    estimate = orbit[-1] / n
+    prev = orbit[-2] / (n - 1)
     if report is not None:
         report.update({
             "operation": "rotation_number",
@@ -685,6 +682,15 @@ def rotation_number(lift: CircleMapLift, iterations: int,
             "error_proxy": abs(estimate - prev),
         })
     return estimate
+
+
+def rotation_number(lift: CircleMapLift, iterations: int,
+                    report: dict | None = None) -> float:
+    """Birkhoff average h^n(0)/n over n >= 1000 iterates of the lift."""
+    n = int(iterations)
+    if n < 1000:
+        raise ValueError("rotation number needs at least 1000 iterations")
+    return birkhoff_estimate(circle_orbit(lift, n), report=report)
 
 
 def blowup_circle_map(alpha: float, orbit_length: int, weights=None,

@@ -442,6 +442,33 @@ def interp_columns(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
                     slopes[k] * (x - xp[k])[:, None] + fp[k])
 
 
+def inverse_interp_columns(x: np.ndarray, xp: np.ndarray,
+                           fp: np.ndarray) -> np.ndarray:
+    """np.interp(x[:, c], xp[:, c], fp) for every column c in one pass:
+    shape x.shape.  Queries and breakpoints are per column and fp is
+    shared, as when reading leaf indices fp off each node's fiber xp.
+
+    np.interp's own arithmetic, as in interp_columns: fp[0] below the
+    first breakpoint, fp[j] on an exact hit or at or past the last one,
+    otherwise slope * (x - xp[j]) + fp[j].  A query's segment j comes from
+    counting its column's breakpoints at or below it, one breakpoint row at
+    a time, so every temporary has the shape of x.
+    """
+    last = xp.shape[0] - 1
+    count = np.zeros(x.shape, dtype=np.intp)
+    for row in xp:
+        count += row <= x
+    j = count - 1
+    k = np.clip(j, 0, last - 1)
+    xk = np.take_along_axis(xp, k, axis=0)
+    slopes = (fp[1:] - fp[:-1])[:, None] / (xp[1:] - xp[:-1])
+    # xk == x finds hits on xp[0..last-1]; below xp[0] the clipped k points
+    # at xp[0] > x, so that case needs j < 0
+    exact = (j < 0) | (j == last) | (xk == x)
+    return np.where(exact, fp[np.clip(j, 0, last)],
+                    np.take_along_axis(slopes, k, axis=0) * (x - xk) + fp[k])
+
+
 def holonomy(family: LeafFamily, path: BasePath) -> HolonomyMap:
     """Holonomy along a base path, as the map (height over the path's end)
     -> (height of the same leaf over the path's start).

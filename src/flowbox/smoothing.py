@@ -774,6 +774,7 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
                 "face_defect_before": pre_defect,
                 "face_defect_after": post_defect,
                 "retries": attempt,
+                "attempt_distances": attempts,
                 "stages": stages,
             })
         if worst <= epsilon:

@@ -174,6 +174,21 @@ def test_denjoy_circle_golden_rotation_estimate(tmp_path):
     assert manifest["results"]["audit"]["revisits"] == 0
 
 
+def test_denjoy_circle_manifest_agrees_with_rotation_csv(tmp_path):
+    # the manifest's estimate and error proxy come from the same orbit as
+    # the CSV rows, so they equal what the last two rows say
+    config = ScenarioConfig(kind="denjoy-circle", out=str(tmp_path),
+                            iterations=2000, audit_steps=50)
+    assert run(config) == 0
+    _header, rows = read_csv(tmp_path / "rotation.csv")
+    estimates = [float(row[2]) for row in rows]
+    results = read_manifest(tmp_path)["results"]
+    rotation = results["rotation"]
+    assert rotation["estimate"] == results["final_estimate"] == estimates[-1]
+    assert rotation["error_proxy"] == abs(estimates[-1] - estimates[-2])
+    assert rotation["iterations"] == len(rows) == config.iterations
+
+
 def test_smooth_ladder_meets_each_epsilon(scenes, tmp_path):
     config = ScenarioConfig(kind="smooth", out=str(tmp_path),
                             scene=str(scenes["sheared"]),

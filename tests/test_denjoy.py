@@ -13,22 +13,26 @@ from flowbox.denjoy import (
     CircleMapLift,
     CollapseData,
     InsertedPacket,
+    _leaf_membership_spread,
+    birkhoff_estimate,
     blowup_box,
     blowup_circle_map,
     blowup_scene,
+    circle_orbit,
     rotation_number,
     verify_blowup,
     wandering_audit,
 )
 from flowbox.foliation import (
     BaseDomain,
+    LeafFamily,
     c0_distance,
     horizontal_family,
     sheared_family,
 )
 from flowbox.kernel import CollapseMap, InsertionSchedule, build_collapse
 
-from test_foliation import leaf_through
+from test_foliation import leaf_families, leaf_through
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -106,6 +110,51 @@ def leaf_membership_by_inverse(original, collapsed_leaf, nodes):
     ids = [leaf_through(original, (x, y), float(collapsed_leaf[i, j]))
            for (i, j, x, y) in nodes]
     return max(ids) - min(ids)
+
+
+def leaf_membership_spread_oracle(orig: LeafFamily,
+                                  heights: np.ndarray) -> tuple:
+    """The per-node loop _leaf_membership_spread replaced: one np.interp
+    through each node's original fiber."""
+    m = heights.shape[0]
+    cols = heights.reshape(m, -1)
+    fibers = orig.values.reshape(orig.m, -1)
+    lo = hi = None
+    for node in range(cols.shape[1]):
+        idx = np.interp(cols[:, node], fibers[:, node], orig.t)
+        if lo is None:
+            lo, hi = idx.copy(), idx.copy()
+        else:
+            np.minimum(lo, idx, out=lo)
+            np.maximum(hi, idx, out=hi)
+    gaps = hi - lo
+    k = int(np.argmax(gaps))
+    return float(gaps[k]), {"leaf_row": k, "spread": float(gaps[k])}
+
+
+def rotation_number_oracle(lift, iterations: int,
+                           report: dict | None = None) -> float:
+    """rotation_number before it was split into circle_orbit and
+    birkhoff_estimate."""
+    n = int(iterations)
+    if n < 1000:
+        raise ValueError("rotation number needs at least 1000 iterations")
+    x0 = 0.0
+    x = x0
+    prev = 0.0
+    for i in range(n):
+        if i == n - 1:
+            prev = (x - x0) / (n - 1)
+        x = float(lift(x))
+    estimate = (x - x0) / n
+    if report is not None:
+        report.update({
+            "operation": "rotation_number",
+            "iterations": n,
+            "estimate": estimate,
+            "error_proxy": abs(estimate - prev),
+        })
+    return estimate
 
 
 # ---------------------------------------------------------------- one box
@@ -442,6 +491,49 @@ def test_verify_blowup_flags_corrupted_collapse(blown_sheared):
     assert row["defect"] > 1e-6
 
 
+def _assert_membership_matches_oracle(orig, heights):
+    got = _leaf_membership_spread(orig, heights)
+    assert got == leaf_membership_spread_oracle(orig, heights)
+    return got[0]
+
+
+def test_leaf_membership_spread_matches_oracle_on_blowup(blown_sheared):
+    scene, _locus, _packets, out, data, _report = blown_sheared
+    (lo, hi), = data.gaps("b00")
+    shifted = CollapseMap(
+        plateaus=((lo + 0.01, hi + 0.01, 0.5),),
+        pieces=((0.0, lo + 0.01, 0.0, 0.5), (hi + 0.01, 1.0, 0.5, 1.0)),
+        slope=None)
+    for box in scene.boxes:
+        fam = out.box(box.identifier).family
+        collapsed = data.pi(fam.values, box=box.identifier)
+        assert _assert_membership_matches_oracle(box.family, collapsed) < 1e-9
+        # a collapse off the blown gap spreads leaves over many indices
+        assert _assert_membership_matches_oracle(
+            box.family, shifted(fam.values)) > 1e-6
+
+
+@st.composite
+def membership_cases(draw):
+    """An original family and collapsed-looking grids on its base: rows of
+    another monotone family, with the original's own leaves mixed in so
+    that queries hit breakpoints exactly."""
+    base = BaseDomain(draw(st.sampled_from(["rectangle", "annulus"])),
+                      draw(st.integers(8, 12)), draw(st.integers(8, 12)))
+    orig = draw(leaf_families(base))
+    heights = draw(leaf_families(base)).values
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        heights = rng.permutation(np.concatenate([heights, orig.values]))
+    return orig, heights
+
+
+@settings(max_examples=60, deadline=None)
+@given(membership_cases())
+def test_leaf_membership_spread_matches_oracle_on_random_families(case):
+    _assert_membership_matches_oracle(*case)
+
+
 def test_locus_and_packet_validation():
     scene = _torus()
     with pytest.raises(ValueError, match="label"):
@@ -662,3 +754,28 @@ def test_circle_lift_scalar_path_keeps_signed_zero():
     lift = CircleMapLift(np.array([0.0, 0.5]), np.array([-0.0, 0.5]))
     for x in (-0.0, 0.0):
         assert _same_float(lift(x), float(lift(np.array([x]))[0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(circle_lifts(), st.integers(1000, 1200))
+def test_rotation_number_matches_single_loop_oracle(lift, n):
+    report, ref_report = {}, {}
+    value = rotation_number(lift, n, report)
+    assert _same_float(value, rotation_number_oracle(lift, n, ref_report))
+    assert report == ref_report
+
+
+def test_circle_orbit_feeds_the_birkhoff_estimate():
+    lift = blowup_circle_map(GOLDEN, 200)
+    orbit = circle_orbit(lift, 1500)
+    assert len(orbit) == 1500 and all(type(x) is float for x in orbit)
+    x = 0.0
+    for value in orbit:
+        x = float(lift(x))
+        assert value == x
+    report = {}
+    assert birkhoff_estimate(orbit, report) == rotation_number(lift, 1500)
+    assert report["estimate"] == orbit[-1] / 1500
+    assert report["error_proxy"] == abs(orbit[-1] / 1500 - orbit[-2] / 1499)
+    with pytest.raises(ValueError, match="two iterates"):
+        birkhoff_estimate(orbit[:1])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flowbox.foliation import (
     BaseDomain,
@@ -16,6 +16,7 @@ from flowbox.foliation import (
     holonomy,
     horizontal_family,
     interp_columns,
+    inverse_interp_columns,
     sheared_family,
     straight_path,
     tangent_field,
@@ -411,6 +412,57 @@ def test_interp_columns_matches_np_interp(case):
     assert out.shape == (x.size, fp.shape[1])
     for c in range(fp.shape[1]):
         assert _same_floats(out[:, c], np.interp(x, xp, fp[:, c]))
+
+
+@st.composite
+def fiber_tables(draw):
+    """Strictly increasing breakpoints per column, one shared fp, and
+    per-column queries: random points below, inside and above the column's
+    breakpoints, every breakpoint, the last one again, and tied repeats."""
+    m = draw(st.integers(2, 30))
+    cols = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xp = (np.cumsum(rng.uniform(1e-6, 1.0, (m, cols)), axis=0)
+          + rng.uniform(-1.0, 1.0, cols))
+    if draw(st.booleans()):
+        # unit fibers, like leaf heights over grid nodes
+        xp = (xp - xp[0]) / (xp[-1] - xp[0])
+        xp[0], xp[-1] = 0.0, 1.0
+    assume(np.all(np.diff(xp, axis=0) > 0.0))
+    fp = rng.uniform(-2.0, 2.0, m)
+    if draw(st.booleans()):
+        fp = np.linspace(0.0, 1.0, m)   # leaf indices
+    span = xp[-1] - xp[0]
+    inside = xp[0] + span * rng.uniform(-0.5, 1.5,
+                                         (draw(st.integers(0, 40)), cols))
+    x = np.concatenate([inside, xp, xp[-1:], xp[:1] - span])
+    ties = x[rng.integers(0, x.shape[0], draw(st.integers(0, 10)))]
+    x = rng.permuted(np.concatenate([x, ties]), axis=0)
+    return x, xp, fp
+
+
+@settings(max_examples=100, deadline=None)
+@given(fiber_tables())
+def test_inverse_interp_columns_matches_np_interp(case):
+    x, xp, fp = case
+    out = inverse_interp_columns(x, xp, fp)
+    assert out.shape == x.shape
+    for c in range(x.shape[1]):
+        assert _same_floats(out[:, c], np.interp(x[:, c], xp[:, c], fp))
+
+
+def test_inverse_interp_columns_exact_hits_on_steep_segments():
+    # a subnormal breakpoint gap makes the slope infinite; np.interp
+    # returns fp[j] on an exact hit instead of inf * 0
+    xp = np.array([[0.0, 0.0], [5e-324, 0.5], [1.0, 1.0]])
+    fp = np.array([0.0, 1.0, 2.0])
+    x = np.array([[0.0, 0.0], [5e-324, 0.5], [1.0, 0.25], [2.0, -1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = inverse_interp_columns(x, xp, fp)
+    for c in range(2):
+        ref = np.interp(x[:, c], xp[:, c], fp)
+        assert not np.isnan(ref).any()
+        assert _same_floats(out[:, c], ref)
 
 
 # ---------------------------------------------------------------- holonomy

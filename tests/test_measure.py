@@ -12,6 +12,8 @@ from flowbox.decomposition import (
     DecompositionComplex,
     FlowBoxSpec,
     build_torus_scene,
+    shared_faces,
+    side_nodes,
     validate,
 )
 from flowbox.foliation import (
@@ -26,6 +28,7 @@ from flowbox.measure import (
     ClosedOneForm,
     MeasuredScene,
     TransverseMeasure,
+    _union_grid,
     scene_invariance_defect,
     smooth_measure_on_transversal,
     smooth_measured_scene,
@@ -59,6 +62,37 @@ def _field_map(mu: TransverseMeasure, fiber: HolonomyMap) -> HolonomyMap:
     vals = mu(fiber.inverse()(grid)) / mu.total
     vals[0], vals[-1] = 0.0, 1.0
     return HolonomyMap(grid, vals)
+
+
+def scene_invariance_defect_oracle(measured: MeasuredScene,
+                                   report: dict | None = None) -> float:
+    """The per-node loop scene_invariance_defect replaced: one fiber map,
+    one sorted union grid and two inverse maps per node of every face."""
+    rows = []
+    worst = 0.0
+    for axis, pos, (id_a, side_a), (id_b, side_b) in \
+            shared_faces(measured.scene):
+        fam_a = measured.scene.box(id_a).family
+        fam_b = measured.scene.box(id_b).family
+        mu_a = measured.measure(id_a)
+        mu_b = measured.measure(id_b)
+        maps_a = [fiber_map(fam_a, n) for n in side_nodes(fam_a.base, side_a)]
+        maps_b = [fiber_map(fam_b, n) for n in side_nodes(fam_b.base, side_b)]
+        if len(maps_a) != len(maps_b):
+            raise ValueError(f"face {axis}={pos}: sides sampled differently")
+        defect = 0.0
+        for ea, eb in zip(maps_a, maps_b):
+            grid = _union_grid(ea(mu_a.heights), eb(mu_b.heights),
+                               ea.outputs, eb.outputs)
+            diff = mu_a(ea.inverse()(grid)) - mu_b(eb.inverse()(grid))
+            defect = max(defect, float(diff.max() - diff.min()))
+        worst = max(worst, defect)
+        rows.append({"face": f"{axis}={pos}", "owners": [id_a, id_b],
+                     "defect": defect})
+    if report is not None:
+        report.update({"operation": "scene_invariance_defect",
+                       "rows": rows, "defect": worst})
+    return worst
 
 
 def sqrt2_convergents_by_hand():
@@ -96,20 +130,31 @@ def kinked_measure(samples=41):
         lambda z: 0.85 * z + 0.3 * min(z, 0.5), samples)
 
 
-def mirrored_shear_scene(shear=0.3, grid=17, samples=17):
+def nudged_measure(mu, size):
+    """mu with size added to the cumulative at samples in (0.4, 0.6)."""
+    return TransverseMeasure(
+        mu.heights, mu.totals + np.where(
+            (mu.heights > 0.4) & (mu.heights < 0.6), size, 0.0))
+
+
+def mirrored_shear_scene(shear=0.3, grid=17, samples=17, shear_b=None):
     """Two-box torus scene: one box sheared, the neighbor mirrored back.
 
     Face fibers agree bitwise, the within-box holonomy is the quadratic
     shear map, and pushing any one reference cumulative around the scene
-    returns it, so every shared cumulative is an invariant measure.
+    returns it, so every shared cumulative is an invariant measure.  A
+    different shear_b for the mirrored box breaks that: the face between
+    them then joins two different curved fibers.
     """
+    shear_b = shear if shear_b is None else shear_b
     base = BaseDomain("rectangle", grid, grid)
     t = np.linspace(0.0, 1.0, samples)
     x = np.linspace(0.0, 1.0, grid)
     bump = (t * (1.0 - t))[:, None, None]
     ones = np.ones(grid)[None, None, :]
     vals_a = t[:, None, None] + shear * bump * x[None, :, None] * ones
-    vals_b = t[:, None, None] + shear * bump * (1.0 - x)[None, :, None] * ones
+    vals_b = (t[:, None, None]
+              + shear_b * bump * (1.0 - x)[None, :, None] * ones)
     fam_a = LeafFamily(base, t, vals_a, (0, 0))
     fam_b = LeafFamily(base, t, vals_b, (grid - 1, 0))
     box_a = FlowBoxSpec.with_default_faces(
@@ -287,11 +332,8 @@ def test_scene_never_increases_defect():
     # stage propagates a single smoothed reference everywhere
     scene = horizontal_scene()
     mu = kinked_measure()
-    bumped = TransverseMeasure(
-        mu.heights, mu.totals + np.where(
-            (mu.heights > 0.4) & (mu.heights < 0.6), 1e-8, 0.0))
     measures = {b.identifier: mu for b in scene.boxes}
-    measures["b11"] = bumped
+    measures["b11"] = nudged_measure(mu, 1e-8)
     measured = MeasuredScene(scene, measures)
     pre = scene_invariance_defect(measured)
     assert 0.0 < pre <= 1e-6
@@ -308,6 +350,85 @@ def test_scene_rejects_noninvariant_measure():
                                      for b in scene.boxes})
     with pytest.raises(ValueError, match="invariance defect"):
         smooth_measured_scene(measured)
+
+
+def _assert_matches_invariance_oracle(measured):
+    report, ref_report = {}, {}
+    value = scene_invariance_defect(measured, report)
+    assert value == scene_invariance_defect_oracle(measured, ref_report)
+    assert report == ref_report
+    return value
+
+
+def _sheared_torus(shear, samples=17, grid=17):
+    return build_torus_scene(
+        (2, 2), foliation={"kind": "sheared", "shear": shear,
+                           "samples": samples, "grid": grid})
+
+
+def test_scene_invariance_defect_matches_oracle_on_invariant_scenes():
+    staircase, _ = staircase_measure()
+    for scene, mu in ((horizontal_scene(), kinked_measure()),
+                      (horizontal_scene(), staircase),
+                      (mirrored_shear_scene(), staircase)):
+        measured = MeasuredScene(scene, {b.identifier: mu
+                                         for b in scene.boxes})
+        assert _assert_matches_invariance_oracle(measured) <= 1e-12
+
+
+def test_scene_invariance_defect_matches_oracle_on_noninvariant_scenes():
+    for leb in (TransverseMeasure.lebesgue(33), TransverseMeasure.lebesgue(2)):
+        scene = _sheared_torus(0.3)
+        measured = MeasuredScene(scene, {b.identifier: leb
+                                         for b in scene.boxes})
+        assert _assert_matches_invariance_oracle(measured) > 1e-3
+    scene = horizontal_scene()
+    mu = kinked_measure()
+    measures = {b.identifier: mu for b in scene.boxes}
+    measures["b11"] = nudged_measure(mu, 1e-8)
+    measured = MeasuredScene(scene, measures)
+    assert _assert_matches_invariance_oracle(measured) > 0.0
+    leb = TransverseMeasure.lebesgue(2)
+    measured = MeasuredScene(mirrored_shear_scene(0.3, shear_b=-0.2),
+                             {"a": leb, "b": leb})
+    assert _assert_matches_invariance_oracle(measured) > 1e-3
+
+
+@st.composite
+def measured_scenes(draw):
+    """A horizontal or sheared 2 x 2 torus scene, or a mirrored two-box
+    scene with unequal shears, with a random cumulative, sampled at random
+    heights, on each box."""
+    kind = draw(st.sampled_from(["horizontal", "sheared", "mirrored"]))
+    grid = draw(st.sampled_from([9, 17]))
+    samples = draw(st.integers(2, 17))
+    if kind == "horizontal":
+        scene = horizontal_scene(grid, samples)
+    elif kind == "sheared":
+        scene = _sheared_torus(draw(st.sampled_from([0.3, -0.45])),
+                               samples, grid)
+    else:
+        scene = mirrored_shear_scene(draw(st.floats(-0.5, 0.5)), grid,
+                                     samples, draw(st.floats(-0.5, 0.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    measures = {}
+    for box in scene.boxes:
+        # n = 0 leaves a linear cumulative, whose defect sits at fiber nodes
+        n = int(rng.integers(0, 40))
+        heights = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, n)), [1.0]])
+        if draw(st.booleans()):
+            heights = np.union1d(heights, box.family.t)
+        heights = np.unique(heights)
+        totals = np.concatenate([[0.0], np.cumsum(
+            rng.uniform(1e-3, 1.0, heights.size - 1))])
+        measures[box.identifier] = TransverseMeasure(heights, totals)
+    return MeasuredScene(scene, measures)
+
+
+@settings(max_examples=40, deadline=None)
+@given(measured_scenes())
+def test_scene_invariance_defect_matches_oracle_on_random_measures(measured):
+    assert _assert_matches_invariance_oracle(measured) > 0.0
 
 
 def test_scene_rejects_invalid_decomposition():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
+from flowbox import smoothing
 from flowbox.decomposition import (
     DecompositionComplex,
     build_torus_scene,
@@ -701,6 +702,7 @@ def test_globally_smooth_report_shape(smoothed_sheared):
     assert report["operation"] == "globally_smooth"
     assert report["epsilon"] == 0.3
     assert report["retries"] == 0
+    assert report["attempt_distances"] == [report["achieved_distance"]]
     assert report["face_defect_before"] <= 1e-12
     assert report["face_defect_after"] < 1e-6
     assert sorted(report["box_distances"]) == ["b00", "b01", "b10", "b11"]
@@ -714,6 +716,26 @@ def test_globally_smooth_report_shape(smoothed_sheared):
     rows = report["stages"][1]["faces"]
     assert len(rows) == 8
     assert all(row["seam_gap"] <= 1e-9 for row in rows)
+
+
+def test_globally_smooth_reports_outer_attempt_distances(monkeypatch):
+    # distances from the input families read ten times too large, so the
+    # first outer attempt misses epsilon and a halved retry meets it
+    scene = _scene(grid=17, samples=9)
+    originals = [box.family for box in scene.boxes]
+    real = smoothing.c0_distance
+
+    def inflated(a, b):
+        d = real(a, b)
+        return 10.0 * d if any(a is f for f in originals) else d
+
+    monkeypatch.setattr(smoothing, "c0_distance", inflated)
+    report = {}
+    globally_smooth(scene, 0.3, report=report)
+    distances = report["attempt_distances"]
+    assert report["retries"] >= 1
+    assert len(distances) == report["retries"] + 1
+    assert distances[-1] == report["achieved_distance"] <= 0.3 < distances[0]
 
 
 def test_globally_smooth_rejects_bad_scenes(sheared_scene):
