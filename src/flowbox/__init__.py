@@ -11,7 +11,6 @@ from .kernel import (
     InsertionSchedule,
     Partition,
     build_collapse,
-    build_collapse_fixed,
     choose_partition,
     make_damping,
 )

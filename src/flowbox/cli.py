@@ -574,34 +574,39 @@ def generate_scene(template: str, parameters: dict | None = None,
     split = _parse_split(params.pop("split", (2, 2)))
     if params:
         raise MalformedInput(f"unknown parameters {sorted(params)}")
-    if grid < 2 or samples < 3:
-        raise MalformedInput("need grid >= 2 and samples >= 3")
+    if samples < 3:
+        raise MalformedInput("need samples >= 3")
 
     used = {"seed": seed, "grid": grid, "samples": samples}
-    if template == "horizontal-t3":
-        used["split"] = list(split)
-        scene = build_torus_scene(split, foliation={
-            "kind": "horizontal", "grid": grid, "samples": samples})
-    elif template == "sheared-t3":
-        used["split"] = list(split)
-        used["shear"] = shear
-        scene = build_torus_scene(split, foliation={
-            "kind": "sheared", "shear": shear,
-            "grid": grid, "samples": samples})
-    elif template == "split-t3":
-        # the condition-(5) violator: 2x2 torus with one box height-split
-        scene = build_torus_scene((2, 2),
-                                  height_splits={(0, 0): [Fraction(1, 2)]},
-                                  foliation={"kind": "horizontal",
-                                             "grid": grid,
-                                             "samples": samples})
-    else:
-        base = BaseDomain("rectangle", grid, grid)
-        family = horizontal_family(base, samples)
-        box = FlowBoxSpec.with_default_faces(
-            "annulus", (Fraction(0), Fraction(1)),
-            (Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)), family)
-        scene = DecompositionComplex((box,))
+    try:
+        if template == "horizontal-t3":
+            used["split"] = list(split)
+            scene = build_torus_scene(split, foliation={
+                "kind": "horizontal", "grid": grid, "samples": samples})
+        elif template == "sheared-t3":
+            used["split"] = list(split)
+            used["shear"] = shear
+            scene = build_torus_scene(split, foliation={
+                "kind": "sheared", "shear": shear,
+                "grid": grid, "samples": samples})
+        elif template == "split-t3":
+            # the condition-(5) violator: 2x2 torus with one box height-split
+            scene = build_torus_scene((2, 2),
+                                      height_splits={(0, 0): [Fraction(1, 2)]},
+                                      foliation={"kind": "horizontal",
+                                                 "grid": grid,
+                                                 "samples": samples})
+        else:
+            base = BaseDomain("rectangle", grid, grid)
+            family = horizontal_family(base, samples)
+            box = FlowBoxSpec.with_default_faces(
+                "annulus", (Fraction(0), Fraction(1)),
+                (Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)), family)
+            scene = DecompositionComplex((box,))
+    except ValueError as exc:
+        # the constructors' own range checks, e.g. BaseDomain's 8-node
+        # minimum or sheared_family's |shear| < 1
+        raise MalformedInput(f"cannot build {template}: {exc}") from exc
 
     payload = {"schema_version": SCHEMA_VERSION,
                "template": template,

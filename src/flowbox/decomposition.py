@@ -293,13 +293,6 @@ class DecompositionComplex:
     def volume(self) -> Fraction:
         return sum((b.volume for b in self.boxes), Fraction(0))
 
-    def reordered(self, identifiers) -> "DecompositionComplex":
-        identifiers = list(identifiers)
-        if sorted(identifiers) != sorted(b.identifier for b in self.boxes):
-            raise ValueError("reordering must be a permutation of the boxes")
-        return DecompositionComplex(
-            tuple(self.box(i) for i in identifiers), self.v_boxes)
-
     def to_json(self) -> dict:
         return {"boxes": [b.to_json() for b in self.boxes],
                 "v_boxes": sorted(self.v_boxes)}

@@ -34,7 +34,6 @@ from .kernel import (
     CollapseMap,
     InsertionSchedule,
     build_collapse,
-    build_collapse_fixed,
 )
 from .smoothing import face_transport_defect
 
@@ -112,10 +111,6 @@ class InsertedPacket:
     label: object
     families: dict
 
-    @classmethod
-    def uniform(cls, label, family: LeafFamily, scene) -> "InsertedPacket":
-        return cls(label, {b.identifier: family for b in scene.boxes})
-
     def family_for(self, box) -> LeafFamily:
         if box not in self.families:
             raise ValueError(f"packet {self.label!r} is underdetermined: "
@@ -135,14 +130,10 @@ class CollapseData:
 
     schedules: dict
     collapses: dict
-    fixed: dict
 
     @classmethod
-    def single(cls, schedule, collapse, fixed=()) -> "CollapseData":
-        return cls({None: schedule}, {None: collapse}, {None: tuple(fixed)})
-
-    def boxes(self):
-        return tuple(self.collapses)
+    def single(cls, schedule, collapse) -> "CollapseData":
+        return cls({None: schedule}, {None: collapse})
 
     def schedule(self, box=None) -> InsertionSchedule:
         return self.schedules[box]
@@ -171,12 +162,6 @@ class CollapseData:
             raise ValueError("isotopy time must lie in [0, 1]")
         return (1.0 - s) * z + s * self.collapses[box](z)
 
-    def to_json(self) -> dict:
-        return {str(k): {"schedule": s.to_json(),
-                         "collapse": self.collapses[k].to_json(),
-                         "fixed": list(self.fixed[k])}
-                for k, s in self.schedules.items()}
-
 
 # ------------------------------------------------------------ one flow box
 
@@ -190,16 +175,14 @@ def _require_horizontal(family: LeafFamily, label: str) -> None:
             f"(defect {defect:.3g}); straighten the chart first")
 
 
-def blowup_box(family: LeafFamily, schedule: InsertionSchedule, packets,
-               fixed_leaves=()):
+def blowup_box(family: LeafFamily, schedule: InsertionSchedule, packets):
     """Denjoy blowup of one strictly horizontal box.
 
     Cuts the fiber at each scheduled height, opens a gap of the scheduled
     weight (rescaled so the fiber keeps length one), fills the gap with the
     packet family mapped in affinely, and keeps the complement leaves flat at
     their re-embedded heights.  The collapse map, built fiberwise by the
-    kernel, undoes the insertion; fixed leaves are pinned pointwise by
-    splitting the fiber there before blowing up.
+    kernel, undoes the insertion.
 
     Returns the blown family and its CollapseData.
     """
@@ -212,10 +195,8 @@ def blowup_box(family: LeafFamily, schedule: InsertionSchedule, packets,
             raise ValueError("packet base must match the box chart")
         if tuple(pkt.anchor) != tuple(family.anchor):
             raise ValueError("packet must share the box anchor node")
-    fixed = tuple(sorted(float(t) for t in fixed_leaves))
-    collapse = (build_collapse_fixed(schedule, fixed) if fixed
-                else build_collapse(schedule))
-    data = CollapseData.single(schedule, collapse, fixed)
+    collapse = build_collapse(schedule)
+    data = CollapseData.single(schedule, collapse)
     if not schedule.points:
         return family, data
 
@@ -359,7 +340,7 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
     attempts = []
     for attempt in range(MAX_RETRIES + 1):
         live = locus.scaled(0.5 ** attempt) if attempt else locus
-        fams, schedules, collapses, fixed = {}, {}, {}, {}
+        fams, schedules, collapses = {}, {}, {}
         with _failing_stage("edge-neighborhood boxes"):
             for box in scene.boxes:
                 ident = box.identifier
@@ -369,8 +350,7 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
                 fams[ident] = blown
                 schedules[ident] = sched
                 collapses[ident] = d.collapse()
-                fixed[ident] = ()
-        data = CollapseData(schedules, collapses, fixed)
+        data = CollapseData(schedules, collapses)
         blown_scene = with_families(scene, fams)
 
         box_distances = {i: c0_distance(originals[i], fams[i])
@@ -646,10 +626,6 @@ class CircleMapLift:
         x = np.asarray(x, dtype=float)
         k = np.floor(x)
         return np.interp(x - k, self._ex, self._ey) + k
-
-    def to_json(self) -> dict:
-        return {"inputs": self.inputs.tolist(),
-                "outputs": self.outputs.tolist()}
 
 
 def circle_orbit(lift: CircleMapLift, iterations: int) -> list:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import COMPARISON_TOL, SOLVER_TOL
+from .kernel import SOLVER_TOL
 
 _SHAPES = ("rectangle", "annulus", "disk")
 
@@ -163,36 +163,6 @@ class LeafFamily:
         u = u[:, None, None]
         return (1.0 - u) * self.values[k] + u * self.values[k + 1]
 
-    def evaluate(self, ts, pts) -> np.ndarray:
-        """Heights f_{ts[i]}(pts[i]) for paired index/point arrays."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        heights = self.values_at(pts)
-        if ts.size != heights.shape[1]:
-            raise ValueError("evaluate pairs one index with one base point")
-        k = np.clip(np.searchsorted(self.t, ts, side="right") - 1, 0, self.m - 2)
-        u = (ts - self.t[k]) / (self.t[k + 1] - self.t[k])
-        cols = np.arange(heights.shape[1])
-        return (1.0 - u) * heights[k, cols] + u * heights[k + 1, cols]
-
-    def refined(self, factor: int = 2) -> "LeafFamily":
-        """Resample onto a grid refined by the given factor (same interpolant)."""
-        if factor < 1:
-            raise ValueError("factor must be a positive integer")
-        nx2 = (self.base.nx - 1) * factor + 1
-        ny2 = self.base.ny * factor if self.base.periodic_y \
-            else (self.base.ny - 1) * factor + 1
-        base2 = BaseDomain(self.base.shape, nx2, ny2)
-        xs = base2.x_nodes
-        ys = base2.y_nodes
-        pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-        vals = self.values_at(pts).reshape(self.m, nx2, ny2)
-        # boundary leaves and anchor column are exact by constant interpolation
-        vals[0] = 0.0
-        vals[-1] = 1.0
-        ix, iy = self.anchor
-        vals[:, ix * factor, iy * factor] = self.t
-        return LeafFamily(base2, self.t, vals, (ix * factor, iy * factor))
-
     def to_json(self) -> dict:
         return {
             "base": self.base.to_json(),
@@ -313,10 +283,6 @@ class HolonomyMap:
         if not (np.all(np.diff(xi) > 0.0) and np.all(np.diff(yo) > 0.0)):
             raise ValueError("holonomy must be strictly increasing")
 
-    @classmethod
-    def identity(cls) -> "HolonomyMap":
-        return cls(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-
     def __call__(self, z):
         return np.interp(np.asarray(z, dtype=float), self.inputs, self.outputs)
 
@@ -378,18 +344,6 @@ class BasePath:
     @property
     def end(self) -> np.ndarray:
         return self.points[-1]
-
-    def reversed(self) -> "BasePath":
-        return BasePath(self.base, self.points[::-1].copy())
-
-    def followed_by(self, other: "BasePath") -> "BasePath":
-        gap = np.abs(self.end - other.start)
-        if self.base.periodic_y:
-            frac = gap[1] % 1.0
-            gap[1] = min(frac, 1.0 - frac)
-        if gap.max() > COMPARISON_TOL:
-            raise ValueError("paths are not concatenable")
-        return BasePath(self.base, np.vstack([self.points, other.points[1:]]))
 
 
 def straight_path(base: BaseDomain, p, q, samples: int = 65) -> BasePath:

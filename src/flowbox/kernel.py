@@ -136,14 +136,6 @@ class Partition:
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("partition points must be strictly increasing")
 
-    @property
-    def cells(self) -> tuple:
-        return tuple(zip(self.points[:-1], self.points[1:]))
-
-    def refined_with(self, extra) -> "Partition":
-        merged = sorted(set(self.points) | {float(t) for t in extra})
-        return Partition(tuple(merged))
-
 
 @dataclass(frozen=True)
 class InsertionSchedule:
@@ -173,10 +165,6 @@ class InsertionSchedule:
     def to_json(self) -> dict:
         return {"points": list(self.points), "weights": list(self.weights)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "InsertionSchedule":
-        return cls(tuple(data["points"]), tuple(data["weights"]))
-
 
 @dataclass(frozen=True)
 class CollapseMap:
@@ -184,13 +172,10 @@ class CollapseMap:
 
     plateaus: (x_lo, x_hi, value) intervals collapsed to a point.
     pieces:   (x_lo, x_hi, y_lo, y_hi) strictly increasing affine segments.
-    slope:    the common complement slope 1+w, or None when pieces differ
-              (the fixed-leaf variant rescales per segment).
     """
 
     plateaus: tuple
     pieces: tuple
-    slope: float | None
 
     def __post_init__(self):
         segs = sorted(
@@ -261,53 +246,6 @@ class CollapseMap:
         u = np.clip((y - y_lo) / (y_hi - y_lo), 0.0, 1.0)
         return self._px[idx, 0] + u * (self._px[idx, 1] - self._px[idx, 0])
 
-    def total_plateau_length(self) -> float:
-        return float(sum(hi - lo for lo, hi, _ in self.plateaus))
-
-    def to_json(self) -> dict:
-        return {
-            "plateaus": [list(p) for p in self.plateaus],
-            "pieces": [list(p) for p in self.pieces],
-            "slope": self.slope,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CollapseMap":
-        slope = data.get("slope")
-        return cls(
-            plateaus=tuple(tuple(float(v) for v in p) for p in data["plateaus"]),
-            pieces=tuple(tuple(float(v) for v in p) for p in data["pieces"]),
-            slope=None if slope is None else float(slope),
-        )
-
-
-def _segment_collapse(a: float, b: float, inside: list) -> tuple:
-    """Collapse data for one segment [a, b] with schedule entries inside.
-
-    Scales [a,b] onto [a, b+W], inserts the intervals, and collapses back:
-    plateau widths come out as w_i * L / (L + W).  Returns (plateaus, pieces).
-    """
-    length = b - a
-    total = sum(w for _, w in inside)
-    shrink = length / (length + total)
-    plateaus = []
-    cum = 0.0
-    for z, w in inside:
-        lo = a + (z + cum - a) * shrink
-        hi = lo + w * shrink
-        plateaus.append((lo, hi, z))
-        cum += w
-    xs = [a] + [x for p in plateaus for x in (p[0], p[1])] + [b]
-    if any(v <= u for u, v in zip(xs, xs[1:])):
-        raise ValueError("inserted intervals overlap")
-    pieces = []
-    x_lo, y_lo = a, a
-    for lo, hi, z in plateaus:
-        pieces.append((x_lo, lo, y_lo, z))
-        x_lo, y_lo = hi, z
-    pieces.append((x_lo, b, y_lo, b))
-    return plateaus, pieces
-
 
 def build_collapse(schedule: InsertionSchedule) -> CollapseMap:
     """Collapse map p = c∘s for a schedule: s scales [0,1] onto [0, 1+w] and
@@ -316,40 +254,23 @@ def build_collapse(schedule: InsertionSchedule) -> CollapseMap:
     Collapsed intervals have width w_i/(1+w); the complement maps with
     slope 1+w.
     """
-    if not schedule.points:
-        return CollapseMap(plateaus=(), pieces=((0.0, 1.0, 0.0, 1.0),),
-                           slope=1.0)
-    inside = list(zip(schedule.points, schedule.weights))
-    plateaus, pieces = _segment_collapse(0.0, 1.0, inside)
-    return CollapseMap(plateaus=tuple(plateaus), pieces=tuple(pieces),
-                       slope=1.0 + schedule.total_weight)
-
-
-def build_collapse_fixed(schedule: InsertionSchedule,
-                         fixed_points=()) -> CollapseMap:
-    """Collapse map that fixes the given points exactly: p(b) = b.
-
-    Built by applying the scale-and-collapse construction independently on
-    each segment between consecutive fixed points.  Plateau widths on a
-    segment of length L carrying inserted weight W are w_i * L / (L + W);
-    the slope field is None because the complement slope varies per segment.
-    """
-    bounds = [0.0] + sorted(float(b) for b in fixed_points) + [1.0]
-    if any(v <= u for u, v in zip(bounds, bounds[1:])):
-        raise ValueError("fixed points must be distinct and inside (0, 1)")
-    if set(bounds) & set(schedule.points):
-        raise ValueError("fixed points must avoid blowup points")
-    if not fixed_points:
-        return build_collapse(schedule)
-    plateaus, pieces = [], []
-    for a, b in zip(bounds, bounds[1:]):
-        inside = [(z, w) for z, w in zip(schedule.points, schedule.weights)
-                  if a < z < b]
-        seg_plateaus, seg_pieces = _segment_collapse(a, b, inside)
-        plateaus.extend(seg_plateaus)
-        pieces.extend(seg_pieces)
-    return CollapseMap(plateaus=tuple(plateaus), pieces=tuple(pieces),
-                       slope=None)
+    shrink = 1.0 / (1.0 + schedule.total_weight)
+    plateaus = []
+    cum = 0.0
+    for z, w in zip(schedule.points, schedule.weights):
+        lo = (z + cum) * shrink
+        plateaus.append((lo, lo + w * shrink, z))
+        cum += w
+    xs = [0.0] + [x for p in plateaus for x in p[:2]] + [1.0]
+    if any(v <= u for u, v in zip(xs, xs[1:])):
+        raise ValueError("inserted intervals overlap")
+    pieces = []
+    x_lo, y_lo = 0.0, 0.0
+    for lo, hi, z in plateaus:
+        pieces.append((x_lo, lo, y_lo, z))
+        x_lo, y_lo = hi, z
+    pieces.append((x_lo, 1.0, y_lo, 1.0))
+    return CollapseMap(plateaus=tuple(plateaus), pieces=tuple(pieces))
 
 
 def _min_dots(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:

@@ -65,10 +65,6 @@ class TransverseMeasure:
         if np.any(np.diff(totals) <= 0.0):
             raise ValueError("cumulative must be strictly increasing")
 
-    @property
-    def total(self) -> float:
-        return float(self.totals[-1])
-
     def __call__(self, z):
         zs = np.asarray(z, dtype=float)
         if zs.size and (zs.min() < -SOLVER_TOL or zs.max() > 1.0 + SOLVER_TOL):
@@ -76,39 +72,10 @@ class TransverseMeasure:
         out = np.interp(zs, self.heights, self.totals)
         return float(out) if np.isscalar(z) or zs.ndim == 0 else out
 
-    def mass(self, s, t):
-        """Signed measure of the fiber interval [s, t]."""
-        return self(t) - self(s)
-
-    def normalized_map(self) -> HolonomyMap:
-        """The cumulative rescaled to a self-map of [0, 1]."""
-        return HolonomyMap(self.heights, self.totals / self.total)
-
-    def pushforward(self, rho: HolonomyMap) -> "TransverseMeasure":
-        """Image measure under a fiber homeomorphism.
-
-        Totals are carried verbatim to the transported sample points, so
-        the image of [0, z] has the original measure of [0, z] exactly at
-        every stored sample.
-        """
-        heights = np.asarray(rho(self.heights), dtype=float)
-        heights[0], heights[-1] = 0.0, 1.0
-        return TransverseMeasure(heights, self.totals.copy())
-
     @classmethod
     def lebesgue(cls, samples: int = 33) -> "TransverseMeasure":
         grid = np.linspace(0.0, 1.0, int(samples))
         return cls(grid, grid.copy())
-
-    @classmethod
-    def from_cumulative(cls, fn, samples=65) -> "TransverseMeasure":
-        """Sample a cumulative function; the value at 0 is subtracted off."""
-        if np.isscalar(samples):
-            grid = np.linspace(0.0, 1.0, int(samples))
-        else:
-            grid = np.asarray(samples, dtype=float)
-        vals = np.asarray([float(fn(z)) for z in grid])
-        return cls(grid, vals - vals[0])
 
     def to_json(self) -> dict:
         return {"heights": self.heights.tolist(),
@@ -375,10 +342,6 @@ class ClosedOneForm:
         """Unoriented angle between the two kernel fields, in radians."""
         dot = abs(float(np.dot(self.direction(), other.direction())))
         return float(math.acos(min(dot, 1.0)))
-
-    def to_json(self) -> dict:
-        return {"coefficients": [str(c) if _as_exact(c) is not None
-                                 else float(c) for c in self.coefficients]}
 
 
 def _convergents(value: float) -> list:

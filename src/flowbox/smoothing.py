@@ -243,23 +243,17 @@ def formula_residual(original: LeafFamily, smoothed: LeafFamily,
     return float(np.max(np.abs(smoothed.values - expected)))
 
 
-def smooth_in_t(family: LeafFamily, epsilon: float, fixed_leaves=(),
+def smooth_in_t(family: LeafFamily, epsilon: float,
                 report: dict | None = None) -> LeafFamily:
     """Partitioned damped smoothing in the leaf index.
 
-    Chooses a tangent-angle partition (refined to contain fixed_leaves),
-    applies the convex-combination formula on each cell, measures the C0
-    distance to the input, and retries with a halved angle budget until the
-    requested epsilon is met.  Leaves at partition points are bit-identical
-    to the input's.
+    Chooses a tangent-angle partition, applies the convex-combination
+    formula on each cell, measures the C0 distance to the input, and retries
+    with a halved angle budget until the requested epsilon is met.  Leaves
+    at partition points are bit-identical to the input's.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    fixed = tuple(float(x) for x in fixed_leaves)
-    sampled = set(family.t.tolist())
-    for x in fixed:
-        if x not in sampled:
-            raise ValueError("fixed leaves must be sampled leaf indices")
     budget = epsilon
     attempts = []
     for attempt in range(MAX_RETRIES + 1):
@@ -270,7 +264,6 @@ def smooth_in_t(family: LeafFamily, epsilon: float, fixed_leaves=(),
             # budget finer than the sampling can certify: the finest
             # partition keeps every sample, reproducing the input exactly
             part = Partition(tuple(family.t.tolist()))
-        part = part.refined_with(fixed)
         out = _formula_smooth(family, part)
         achieved = c0_distance(family, out)
         attempts.append(achieved)
@@ -294,44 +287,6 @@ def smooth_in_t(family: LeafFamily, epsilon: float, fixed_leaves=(),
 
 # ------------------------------------------- holonomy-constrained smoothing
 
-def holonomy_correction(p_family: LeafFamily, s_family: LeafFamily,
-                        path) -> HolonomyMap:
-    """Leaf-index correction making the smoothed family's holonomy along the
-    path match the input's after end-fiber reindexing.
-
-    Composes the four sampled end-fiber evaluation maps; reduces to
-    rho_S(alpha) o rho_P(alpha)^{-1} when the smoothing preserves the start
-    fiber, and to the identity when it preserves both.
-    """
-    def fiber_map(fam: LeafFamily, point) -> HolonomyMap:
-        heights = fam.values_at(np.asarray(point, float).reshape(1, 2))[:, 0]
-        heights[0], heights[-1] = 0.0, 1.0
-        return HolonomyMap(fam.t, heights)
-
-    e0_p = fiber_map(p_family, path.start)
-    e1_p = fiber_map(p_family, path.end)
-    e0_s = fiber_map(s_family, path.start)
-    e1_s = fiber_map(s_family, path.end)
-    return e1_s.inverse().compose(e1_p).compose(e0_p.inverse()).compose(e0_s)
-
-
-def reindex_blend(s_family: LeafFamily, correction: HolonomyMap,
-                  y_lo: float, y_hi: float) -> LeafFamily:
-    """Leaves g_t = ell(y) s_t + (1 - ell(y)) s_{h(t)} with ell = 1 below
-    y_lo and 0 above y_hi.
-
-    The general path of the constrained smoother: the correction h twists the
-    leaf indexing near one horizontal band so the holonomy along the core
-    path is restored.  With h = id this is the identity operation.
-    """
-    base = s_family.base
-    ell = 1.0 - _RAMP((base.y_nodes - y_lo) / (y_hi - y_lo))
-    shifted = s_family.leaves_at(correction(s_family.t))
-    vals = s_family.values + (1.0 - ell)[None, None, :] \
-        * (shifted - s_family.values)
-    return LeafFamily(base, s_family.t, vals, s_family.anchor)
-
-
 def smooth_with_holonomy_constraint(family: LeafFamily, epsilon: float,
                                     bands: tuple | None = None,
                                     report: dict | None = None) -> LeafFamily:
@@ -339,12 +294,11 @@ def smooth_with_holonomy_constraint(family: LeafFamily, epsilon: float,
     along the core path alpha = {1/2} x [0,1] and is bit-identical to the
     input on neighborhoods of the horizontal edges.
 
-    The smoothed interior is blended in away from the bands, which pins both
-    end fibers of alpha; the leaf-index correction is then the identity (it
-    is measured, snapped when below 1e-10, and applied through reindex_blend
-    otherwise).  The returned family satisfies rho_G(alpha) = rho_P(alpha)
-    within 1e-9, measured at the sampled fibers, with C0 distance at most
-    epsilon.
+    The smoothed interior is blended in away from the bands, so the bands
+    pin both end fibers of alpha to the input's leaf heights, and with them
+    the holonomy along alpha.  The holonomy is still checked: the returned
+    family satisfies rho_G(alpha) = rho_P(alpha) within 1e-9, measured at
+    the sampled fibers, with C0 distance at most epsilon.
     """
     base = family.base
     if base.shape != "rectangle":
@@ -370,11 +324,6 @@ def smooth_with_holonomy_constraint(family: LeafFamily, epsilon: float,
         smoothed = smooth_in_t(family, inner_eps)
         # weight exactly zero on the declared bands keeps them bit-identical
         candidate = damped_blend(family, smoothed, mid.weight_grid()[None])
-        correction = holonomy_correction(family, candidate, alpha)
-        snapped = correction.identity_defect() <= 1e-10
-        if not snapped:
-            candidate = reindex_blend(candidate, correction,
-                                      j0.inner[3], j1.inner[2])
         h_g = holonomy(candidate, alpha)
         zs = np.linspace(0.0, 1.0, 101)
         hol_defect = float(np.max(np.abs(h_g(zs) - h_p(zs))))
@@ -386,9 +335,9 @@ def smooth_with_holonomy_constraint(family: LeafFamily, epsilon: float,
                 "epsilon": epsilon,
                 "achieved_distance": achieved,
                 "holonomy_defect": hol_defect,
-                "correction_snapped": bool(snapped),
                 "bands": [j0.summary(), j1.summary()],
                 "retries": attempt,
+                "attempt_distances": attempts,
             })
         if achieved <= epsilon and hol_defect <= COMPARISON_TOL:
             return candidate

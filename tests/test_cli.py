@@ -98,6 +98,27 @@ def test_generate_rejects_unknown_template(tmp_path):
         generate_scene("moebius-band", {}, tmp_path / "x.json")
     with pytest.raises(MalformedInput, match="unknown parameters"):
         generate_scene("horizontal-t3", {"stripes": 3}, tmp_path / "x.json")
+    # values the scene constructors reject: BaseDomain needs 8 nodes per
+    # axis, sheared_family needs |shear| < 1
+    for template, params in (("horizontal-t3", {"grid": 4}),
+                             ("horizontal-t3", {"grid": 1}),
+                             ("split-t3", {"grid": 7}),
+                             ("annulus-box", {"grid": 7}),
+                             ("sheared-t3", {"shear": 1.5})):
+        with pytest.raises(MalformedInput, match=f"cannot build {template}"):
+            generate_scene(template, params, tmp_path / "x.json")
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--grid", "4"], ["--grid", "7"],
+                                   ["--shear", "1.5"]])
+def test_main_generate_out_of_range_exits_three(tmp_path, capsys, flags):
+    code = main(["generate", "--template", "sheared-t3",
+                 "--out", str(tmp_path)] + flags)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("flowbox: error: cannot build sheared-t3: ")
+    assert not (tmp_path / "sheared-t3.json").exists()
 
 
 def test_generate_is_deterministic(tmp_path):

@@ -168,8 +168,9 @@ def test_five_box_failing_order_witness():
 
 
 def test_five_box_passing_order():
-    scene = five_box_scene().reordered(
-        ["b10", "b11", "b01", "b00.0", "b00.1"])
+    scene = five_box_scene()
+    scene = DecompositionComplex(tuple(
+        scene.box(i) for i in ["b10", "b11", "b01", "b00.0", "b00.1"]))
     report = validate(scene)
     assert report["valid"]
 
@@ -311,8 +312,9 @@ def test_maximal_faces_2x2_enumeration():
 
 
 def test_face_poset_five_box_containments():
-    scene = five_box_scene().reordered(
-        ["b10", "b11", "b01", "b00.0", "b00.1"])
+    scene = five_box_scene()
+    scene = DecompositionComplex(tuple(
+        scene.box(i) for i in ["b10", "b11", "b01", "b00.0", "b00.1"]))
     poset = maximal_faces(scene)
     by_key = {(f["axis"], F(f["pos"]),
                (F(f["span"][0]), F(f["span"][1])),

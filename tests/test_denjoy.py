@@ -220,25 +220,6 @@ def test_blowup_box_sheared_packet_distance():
     assert measured <= math.atan(shear * weight / (1.0 + weight))
 
 
-def test_blowup_box_fixed_leaves_are_pinned():
-    base = BaseDomain("rectangle", 9, 9)
-    fam = horizontal_family(base, 21)
-    sched = InsertionSchedule((0.3, 0.7), (0.4, 0.4))
-    blown, data = blowup_box(fam, sched,
-                             [horizontal_family(base, 7)] * 2,
-                             fixed_leaves=(0.5,))
-    assert float(data.pi(0.5)) == 0.5
-    assert 0.5 in blown.t
-    assert data.collapse().slope is None
-    # per-segment width rule: w * L / (L + W) on each side of the pin
-    (lo0, hi0), (lo1, hi1) = data.gaps()
-    assert hi0 - lo0 == pytest.approx(0.4 * 0.5 / 0.9, abs=1e-12)
-    assert hi1 - lo1 == pytest.approx(0.4 * 0.5 / 0.9, abs=1e-12)
-    with pytest.raises(ValueError):
-        blowup_box(fam, sched, [horizontal_family(base, 7)] * 2,
-                   fixed_leaves=(0.3,))
-
-
 def test_blowup_box_rejects_bad_inputs():
     base = BaseDomain("rectangle", 9, 9)
     fam = horizontal_family(base, 9)
@@ -478,11 +459,9 @@ def test_verify_blowup_flags_corrupted_collapse(blown_sheared):
     (lo, hi), = data.gaps("b00")
     shifted = CollapseMap(
         plateaus=((lo + 0.01, hi + 0.01, 0.5),),
-        pieces=((0.0, lo + 0.01, 0.0, 0.5), (hi + 0.01, 1.0, 0.5, 1.0)),
-        slope=None)
+        pieces=((0.0, lo + 0.01, 0.0, 0.5), (hi + 0.01, 1.0, 0.5, 1.0)))
     corrupted = CollapseData(dict(data.schedules),
-                             {**data.collapses, "b00": shifted},
-                             dict(data.fixed))
+                             {**data.collapses, "b00": shifted})
     rep = verify_blowup(scene, out, corrupted)
     assert not rep["all_pass"]
     row = next(r for r in rep["properties"] if r["property"] == 6)
@@ -502,8 +481,7 @@ def test_leaf_membership_spread_matches_oracle_on_blowup(blown_sheared):
     (lo, hi), = data.gaps("b00")
     shifted = CollapseMap(
         plateaus=((lo + 0.01, hi + 0.01, 0.5),),
-        pieces=((0.0, lo + 0.01, 0.0, 0.5), (hi + 0.01, 1.0, 0.5, 1.0)),
-        slope=None)
+        pieces=((0.0, lo + 0.01, 0.0, 0.5), (hi + 0.01, 1.0, 0.5, 1.0)))
     for box in scene.boxes:
         fam = out.box(box.identifier).family
         collapsed = data.pi(fam.values, box=box.identifier)
@@ -549,8 +527,8 @@ def test_locus_and_packet_validation():
     locus = BlowupLocus.from_levels(scene, (0.5,), (0.1,))
     half = locus.scaled(0.5)
     assert half.schedules["b00"].weights == (0.05,)
-    pkt = InsertedPacket.uniform(
-        0, horizontal_family(BaseDomain("rectangle", 17, 17), 9), scene)
+    family = horizontal_family(BaseDomain("rectangle", 17, 17), 9)
+    pkt = InsertedPacket(0, {b.identifier: family for b in scene.boxes})
     assert pkt.family_for("b01").m == 9
     with pytest.raises(ValueError, match="underdetermined"):
         pkt.family_for("nope")

@@ -213,7 +213,7 @@ def test_leaf_through_inverse_property():
         pt = rng.uniform(0, 1, 2)
         z = rng.uniform(0, 1)
         t = leaf_through(fam, pt, z)
-        back = fam.evaluate(np.array([t]), pt.reshape(1, 2))[0]
+        back = np.interp(t, fam.t, fam.values_at(pt.reshape(1, 2))[:, 0])
         assert back == pytest.approx(z, abs=1e-10)
 
 
@@ -246,7 +246,14 @@ def test_tangent_field_sheared_matches_analytic_gradient():
 
 def test_tangent_refinement_stability():
     fam = sheared_family(RECT, 0.5, 17)
-    fine = fam.refined(2)
+    # the same interpolant resampled on a grid refined by 2
+    n = 2 * RECT.nx - 1
+    base = BaseDomain("rectangle", n, n)
+    pts = np.stack(np.meshgrid(base.x_nodes, base.y_nodes, indexing="ij"),
+                   axis=-1).reshape(-1, 2)
+    vals = fam.values_at(pts).reshape(fam.m, n, n)
+    vals[0], vals[-1] = 0.0, 1.0
+    fine = LeafFamily(base, fam.t, vals)
     tf = tangent_field(fam)
     tf2 = tangent_field(fine)
     # coarse nodes appear at even indices of the fine grid
@@ -502,7 +509,7 @@ def test_holonomy_reversed_is_inverse():
     fam = sheared_family(RECT, 0.5, 33)
     path = straight_path(RECT, (0.0, 0.25), (1.0, 0.75))
     h = holonomy(fam, path)
-    hr = holonomy(fam, path.reversed())
+    hr = holonomy(fam, BasePath(RECT, path.points[::-1]))
     assert h.compose(hr).identity_defect() < 1e-9
     assert hr.max_difference(h.inverse()) < 1e-9
 
@@ -520,7 +527,8 @@ def test_holonomy_functorial():
     fam = sheared_family(RECT, 0.5, 33)
     p1 = straight_path(RECT, (0.0, 0.2), (0.6, 0.5))
     p2 = straight_path(RECT, (0.6, 0.5), (1.0, 0.9))
-    whole = holonomy(fam, p1.followed_by(p2))
+    whole = holonomy(fam, BasePath(RECT, np.vstack([p1.points,
+                                                    p2.points[1:]])))
     split = holonomy(fam, p1).compose(holonomy(fam, p2))
     assert whole.max_difference(split) < 1e-9
 
@@ -528,8 +536,9 @@ def test_holonomy_functorial():
 def test_holonomy_endpoint_only_dependence():
     fam = sheared_family(RECT, 0.5, 33)
     direct = straight_path(RECT, (0.0, 0.1), (1.0, 0.8))
-    dogleg = straight_path(RECT, (0.0, 0.1), (0.5, 0.95)).followed_by(
-        straight_path(RECT, (0.5, 0.95), (1.0, 0.8)))
+    dogleg = BasePath(RECT, np.vstack([
+        straight_path(RECT, (0.0, 0.1), (0.5, 0.95)).points,
+        straight_path(RECT, (0.5, 0.95), (1.0, 0.8)).points[1:]]))
     assert holonomy(fam, direct).max_difference(holonomy(fam, dogleg)) < 1e-9
 
 

@@ -58,3 +58,70 @@ def test_rule_catches_private_imports(tmp_path):
         (2, "flowbox.kernel", "_min_dots"),
         (4, "kernel", "_min_dots"),
     ]
+
+
+# argparse calls this override itself; nothing in flowbox names it
+USED_BY_FRAMEWORK = {("_Parser", "error")}
+
+
+def unused_definitions(paths) -> list:
+    """(file, class, name) of every function, method or class defined in the
+    files whose name the files never use: no import, attribute read or bare
+    name mentions it.  Dunder methods and USED_BY_FRAMEWORK are exempt.
+
+    The check matches by name only, so a definition counts as used when
+    anything of the same name is used: it cannot see an unused serializer
+    that shares a name like to_json with one that is called.
+    """
+    defined, used = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = [(tree, None)]
+        while owners:
+            node, owner = owners.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    defined.append((path.name, owner, child.name))
+                    if isinstance(child, ast.ClassDef):
+                        owners.append((child, child.name))
+                        continue
+                owners.append((child, owner))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.split(".")[-1])
+    return sorted(
+        (row for row in defined
+         if row[2] not in used and (row[1], row[2]) not in USED_BY_FRAMEWORK
+         and not (row[2].startswith("__") and row[2].endswith("__"))),
+        key=lambda row: (row[0], row[1] or "", row[2]))
+
+
+def test_every_definition_is_used_in_src():
+    # code only tests call is either used by a pipeline or removed
+    assert unused_definitions(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_rule_catches_unused_definitions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .kernel import imported\n"
+                     "class Box:\n"
+                     "    def __repr__(self): return ''\n"
+                     "    def read(self): return self.size\n"
+                     "    def size(self): return 0\n"
+                     "    def lonely(self): return helper()\n"
+                     "def helper(): return Box().read, _Parser\n"
+                     "def imported(): pass\n"
+                     "def orphan():\n"
+                     "    def inner(): pass\n"
+                     "class _Parser:\n"
+                     "    def error(self, message): pass\n")
+    assert unused_definitions([probe]) == [
+        ("probe.py", None, "inner"),
+        ("probe.py", None, "orphan"),
+        ("probe.py", "Box", "lonely"),
+    ]

@@ -25,6 +25,7 @@ from flowbox.decomposition import (
 from flowbox.denjoy import BlowupLocus, blowup_scene
 from flowbox.foliation import (
     BaseDomain,
+    HolonomyMap,
     LeafFamily,
     c0_distance,
     holonomy,
@@ -34,6 +35,8 @@ from flowbox.foliation import (
     tangent_field,
 )
 from flowbox.kernel import (
+    COMPARISON_TOL,
+    MAX_RETRIES,
     SOLVER_TOL,
     Partition,
     choose_partition,
@@ -42,6 +45,7 @@ from flowbox.kernel import (
 from flowbox.smoothing import (
     FACE_COMPAT_TOL,
     RegionMask,
+    SmoothingError,
     StraighteningError,
     _RAMP,
     _chart_blend,
@@ -55,8 +59,6 @@ from flowbox.smoothing import (
     face_transport_defect,
     formula_residual,
     globally_smooth,
-    holonomy_correction,
-    reindex_blend,
     smooth_in_t,
     smooth_with_holonomy_constraint,
 )
@@ -153,6 +155,104 @@ def formula_residual_oracle(original: LeafFamily, smoothed: LeafFamily,
     return worst
 
 
+def holonomy_correction_oracle(p_family: LeafFamily, s_family: LeafFamily,
+                               path) -> HolonomyMap:
+    """Leaf-index correction making the smoothed family's holonomy along the
+    path match the input's after end-fiber reindexing.
+
+    Composes the four sampled end-fiber evaluation maps; reduces to
+    rho_S(alpha) o rho_P(alpha)^{-1} when the smoothing preserves the start
+    fiber, and to the identity when it preserves both.
+    """
+    def fiber_map(fam: LeafFamily, point) -> HolonomyMap:
+        heights = fam.values_at(np.asarray(point, float).reshape(1, 2))[:, 0]
+        heights[0], heights[-1] = 0.0, 1.0
+        return HolonomyMap(fam.t, heights)
+
+    e0_p = fiber_map(p_family, path.start)
+    e1_p = fiber_map(p_family, path.end)
+    e0_s = fiber_map(s_family, path.start)
+    e1_s = fiber_map(s_family, path.end)
+    return e1_s.inverse().compose(e1_p).compose(e0_p.inverse()).compose(e0_s)
+
+
+def reindex_blend_oracle(s_family: LeafFamily, correction: HolonomyMap,
+                         y_lo: float, y_hi: float) -> LeafFamily:
+    """Leaves g_t = ell(y) s_t + (1 - ell(y)) s_{h(t)} with ell = 1 below
+    y_lo and 0 above y_hi.
+
+    The general path of the constrained smoother: the correction h twists the
+    leaf indexing near one horizontal band so the holonomy along the core
+    path is restored.  With h = id this is the identity operation.
+    """
+    base = s_family.base
+    ell = 1.0 - _RAMP((base.y_nodes - y_lo) / (y_hi - y_lo))
+    shifted = s_family.leaves_at(correction(s_family.t))
+    vals = s_family.values + (1.0 - ell)[None, None, :] \
+        * (shifted - s_family.values)
+    return LeafFamily(base, s_family.t, vals, s_family.anchor)
+
+
+def smooth_with_holonomy_constraint_oracle(
+        family: LeafFamily, epsilon: float, bands: tuple | None = None,
+        report: dict | None = None) -> LeafFamily:
+    """The constrained smoother with its leaf-index correction: measured,
+    snapped to the identity below 1e-10 and applied through the reindexing
+    blend otherwise (correction_snapped says which).  Used as an == oracle:
+    the bands pin both end fibers, so the correction always snaps.
+    """
+    base = family.base
+    if base.shape != "rectangle":
+        raise ValueError("holonomy-constrained smoothing needs a rectangle base")
+    if bands is None:
+        bands = band_masks(base)
+    j0, j1 = bands
+    if j0.inner[0] != 0.0 or j0.inner[1] != 1.0 or j0.inner[2] != 0.0:
+        raise ValueError("first band must be a neighborhood of the edge y=0")
+    if j1.inner[0] != 0.0 or j1.inner[1] != 1.0 or j1.inner[3] != 1.0:
+        raise ValueError("second band must be a neighborhood of the edge y=1")
+    if j0.outer[3] >= j1.outer[2]:
+        raise ValueError("bands must be disjoint")
+    mid = RegionMask(base, "rect",
+                     (0.0, 1.0, j0.outer[3], j1.outer[2]),
+                     (0.0, 1.0, j0.inner[3], j1.inner[2]))
+    alpha = straight_path(base, (0.5, 0.0), (0.5, 1.0),
+                          samples=2 * base.ny + 1)
+    h_p = holonomy(family, alpha)
+    inner_eps = epsilon
+    attempts = []
+    for attempt in range(MAX_RETRIES + 1):
+        smoothed = smooth_in_t(family, inner_eps)
+        # weight exactly zero on the declared bands keeps them bit-identical
+        candidate = damped_blend(family, smoothed, mid.weight_grid()[None])
+        correction = holonomy_correction_oracle(family, candidate, alpha)
+        snapped = correction.identity_defect() <= 1e-10
+        if not snapped:
+            candidate = reindex_blend_oracle(candidate, correction,
+                                             j0.inner[3], j1.inner[2])
+        h_g = holonomy(candidate, alpha)
+        zs = np.linspace(0.0, 1.0, 101)
+        hol_defect = float(np.max(np.abs(h_g(zs) - h_p(zs))))
+        achieved = c0_distance(family, candidate)
+        attempts.append(achieved)
+        if report is not None:
+            report.update({
+                "operation": "smooth_with_holonomy_constraint",
+                "epsilon": epsilon,
+                "achieved_distance": achieved,
+                "holonomy_defect": hol_defect,
+                "correction_snapped": bool(snapped),
+                "bands": [j0.summary(), j1.summary()],
+                "retries": attempt,
+            })
+        if achieved <= epsilon and hol_defect <= COMPARISON_TOL:
+            return candidate
+        inner_eps *= 0.5
+    raise SmoothingError(
+        f"constrained smoothing missed epsilon={epsilon} "
+        f"(best {min(attempts):.6g})", achieved=min(attempts))
+
+
 def random_family(base: BaseDomain, m: int, rng, amp: float = 0.35) -> LeafFamily:
     """Random monotone anchored family f_t = t + amp * t(1-t) * psi(x, y)."""
     x, y = np.meshgrid(base.x_nodes, base.y_nodes, indexing="ij")
@@ -229,9 +329,8 @@ def test_smooth_horizontal_family_is_unchanged():
 
 def test_smooth_single_cell_formula_oracle():
     fam = sheared_family(RECT, 0.04, m=33)
-    rep = {}
-    out = smooth_in_t(fam, 0.3, fixed_leaves=(0.5,), report=rep)
-    assert rep["partition_points"] == [0.0, 0.5, 1.0]
+    part = Partition((0.0, 0.5, 1.0))
+    out = _formula_smooth(fam, part)
     ramp = make_damping()
     # candidate output indices from the damped reindexing of the input's
     candidates = {0.0, 0.5, 1.0}
@@ -252,16 +351,20 @@ def test_smooth_single_cell_formula_oracle():
         expected = fam.values[lo] + lam * (fam.values[hi] - fam.values[lo])
         worst = max(worst, float(np.max(np.abs(grid - expected))))
     assert worst <= 1e-12
-    assert rep["formula_residual"] <= 1e-12
+    assert formula_residual(fam, out, part) <= 1e-12
 
 
 def test_smooth_fixed_leaf_bit_identical():
+    # the leaves at partition points are the ones smoothing keeps fixed
     fam = sheared_family(RECT, 0.5, m=65)
-    out = smooth_in_t(fam, 0.2, fixed_leaves=(0.5,))
-    idx = np.flatnonzero(out.t == 0.5)
-    assert idx.size == 1
-    src = np.flatnonzero(fam.t == 0.5)[0]
-    assert np.array_equal(out.values[idx[0]], fam.values[src])
+    rep = {}
+    out = smooth_in_t(fam, 0.05, report=rep)
+    assert len(rep["partition_points"]) > 2
+    for p in rep["partition_points"]:
+        idx = np.flatnonzero(out.t == p)
+        assert idx.size == 1
+        src = np.flatnonzero(fam.t == p)[0]
+        assert np.array_equal(out.values[idx[0]], fam.values[src])
 
 
 def test_smooth_partition_leaves_unchanged():
@@ -327,8 +430,6 @@ def test_smooth_rejections():
     fam = horizontal_family(RECT, 17)
     with pytest.raises(ValueError):
         smooth_in_t(fam, 0.0)
-    with pytest.raises(ValueError):
-        smooth_in_t(fam, 0.1, fixed_leaves=(1.0 / 3.0,))
 
 
 # ------------------------------------------------------ damped replacement
@@ -392,7 +493,6 @@ def test_holonomy_constraint_benchmark():
     fam = sheared_family(RECT, 0.5, m=65, axis="y")
     rep = {}
     out = smooth_with_holonomy_constraint(fam, 0.15, report=rep)
-    assert rep["correction_snapped"] is True
     assert c0_distance(fam, out) <= 0.15
     # holonomy along the core path, measured independently on both families
     # and against the quadratic oracle
@@ -419,19 +519,59 @@ def test_holonomy_constraint_needs_rectangle():
         smooth_with_holonomy_constraint(fam, 0.2)
 
 
-def test_reindex_blend_restores_core_holonomy():
-    fam = sheared_family(RECT, 0.5, m=65, axis="y")
-    smoothed = smooth_in_t(fam, 0.1)
-    alpha = straight_path(RECT, (0.5, 0.0), (0.5, 1.0), samples=129)
-    corr = holonomy_correction(fam, smoothed, alpha)
-    assert corr.identity_defect() > 1e-4
-    out = reindex_blend(smoothed, corr, 0.125, 0.875)
-    h_in = holonomy(fam, alpha)
-    h_out = holonomy(out, alpha)
-    zs = np.linspace(0.0, 1.0, 101)
-    # exact for the continuous objects; sampled composition leaves a
-    # second-order interpolation residue
-    assert np.max(np.abs(h_out(zs) - h_in(zs))) <= 1e-3
+def test_holonomy_constraint_reports_attempt_distances():
+    fam = random_family(RECT, 65, np.random.default_rng(3))
+    rep = {}
+    smooth_with_holonomy_constraint(fam, 0.03, report=rep)
+    assert rep["retries"] > 0
+    assert len(rep["attempt_distances"]) == rep["retries"] + 1
+    assert rep["attempt_distances"][-1] == rep["achieved_distance"]
+    assert all(d > 0.03 for d in rep["attempt_distances"][:-1])
+
+
+@st.composite
+def constrained_cases(draw):
+    """A sheared or random monotone family on a rectangle of 17-33 nodes
+    with 9-65 leaves, an epsilon in [0.05, 0.4], and either the default
+    bands or the face-chart bands globally_smooth passes."""
+    n = draw(st.integers(17, 33))
+    base = BaseDomain("rectangle", n, n)
+    m = draw(st.integers(9, 65))
+    if draw(st.booleans()):
+        family = sheared_family(base, draw(st.floats(-0.6, 0.6)), m,
+                                axis=draw(st.sampled_from(["x", "y"])))
+    else:
+        family = random_family(
+            base, m, np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+            amp=draw(st.floats(0.05, 0.45)))
+    bands = draw(st.sampled_from([None, "chart"]))
+    if bands == "chart":
+        bands = band_masks(base, 0.25, 15.0 / 32.0)
+    return family, draw(st.floats(0.05, 0.4)), bands
+
+
+@settings(max_examples=30, deadline=None)
+@given(constrained_cases())
+def test_holonomy_constraint_matches_correction_oracle(case):
+    family, epsilon, bands = case
+    got_rep, want_rep = {}, {}
+    try:
+        want = smooth_with_holonomy_constraint_oracle(family, epsilon, bands,
+                                                      report=want_rep)
+    except SmoothingError as err:
+        with pytest.raises(SmoothingError) as caught:
+            smooth_with_holonomy_constraint(family, epsilon, bands,
+                                            report=got_rep)
+        assert str(caught.value) == str(err)
+        assert caught.value.achieved == err.achieved
+    else:
+        got = smooth_with_holonomy_constraint(family, epsilon, bands,
+                                              report=got_rep)
+        assert got.t.tobytes() == want.t.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+    assert want_rep.pop("correction_snapped") is True
+    got_rep.pop("attempt_distances")
+    assert got_rep == want_rep
 
 
 # ------------------------------------------------------------------ coning
