@@ -7,23 +7,19 @@ approximation of measured foliations, all verified numerically.
 
 from .kernel import (
     CollapseMap,
-    DampingProfile,
     InsertionSchedule,
     Partition,
     build_collapse,
     choose_partition,
-    make_damping,
 )
 from .foliation import (
     BaseDomain,
-    BasePath,
     HolonomyMap,
     LeafFamily,
     c0_distance,
     holonomy,
     horizontal_family,
     sheared_family,
-    straight_path,
 )
 from .smoothing import (
     SmoothingError,

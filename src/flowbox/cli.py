@@ -56,6 +56,10 @@ GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 SCENARIO_KINDS = ("validate", "smooth", "blowup", "tischler",
                   "denjoy-circle", "measure")
 SCENE_TEMPLATES = ("horizontal-t3", "sheared-t3", "split-t3", "annulus-box")
+# leaf-grid values a generated scene may hold (boxes x samples x grid^2):
+# 28 times the default 2x2 scene of grid 33 with 17 samples, and 16 MB as
+# float64, so a size flag cannot fill the machine's memory
+MAX_SCENE_VALUES = 2 ** 21
 
 # tolerances the check rows are graded against; the library pipelines
 # enforce their own internal budgets, these only grade the emitted numbers
@@ -469,10 +473,9 @@ def _run_measure(config: ScenarioConfig, out_dir: Path):
     try:
         smoothed = smooth_measured_scene(measured, config.subsamples,
                                          report=report)
-    except ValueError as exc:
-        raise PipelineFailure("invariance pre-check", str(exc)) from exc
-    except RuntimeError as exc:
-        raise PipelineFailure("maximal-face transport", str(exc)) from exc
+    except (RuntimeError, ValueError) as exc:
+        stage = getattr(exc, "stage", None) or "smooth_measured_scene"
+        raise PipelineFailure(stage, str(exc)) from exc
     checks = [
         {"name": "post-invariance",
          "pass": report["post_defect"] < MEASURE_POST_TOL,
@@ -576,6 +579,12 @@ def generate_scene(template: str, parameters: dict | None = None,
         raise MalformedInput(f"unknown parameters {sorted(params)}")
     if samples < 3:
         raise MalformedInput("need samples >= 3")
+    boxes = {"split-t3": 5, "annulus-box": 1}.get(template,
+                                                   split[0] * split[1])
+    if boxes * samples * grid * grid > MAX_SCENE_VALUES:
+        raise MalformedInput(
+            f"{template} with {boxes} boxes, {samples} samples and grid "
+            f"{grid} exceeds {MAX_SCENE_VALUES} leaf-grid values")
 
     used = {"seed": seed, "grid": grid, "samples": samples}
     try:

@@ -8,7 +8,6 @@ the same construction (blown-up rotations, rotation numbers, wandering gaps).
 
 import math
 from bisect import bisect_right
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ from .kernel import (
     CollapseMap,
     InsertionSchedule,
     build_collapse,
+    failing_stage,
 )
 from .smoothing import face_transport_defect
 
@@ -298,17 +298,6 @@ def _glued_rho(data, box, packet_fams, side: str) -> HolonomyMap:
     return HolonomyMap(x[keep], y[keep])
 
 
-@contextmanager
-def _failing_stage(name: str):
-    """Name the blowup_scene stage on an error escaping it, as exc.stage:
-    the report is only filled once a whole attempt has finished."""
-    try:
-        yield
-    except (RuntimeError, ValueError) as exc:
-        exc.stage = name
-        raise
-
-
 def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
                  epsilon: float, report: dict | None = None):
     """Denjoy blowup of a strictly horizontal scene.
@@ -341,7 +330,7 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
     for attempt in range(MAX_RETRIES + 1):
         live = locus.scaled(0.5 ** attempt) if attempt else locus
         fams, schedules, collapses = {}, {}, {}
-        with _failing_stage("edge-neighborhood boxes"):
+        with failing_stage("edge-neighborhood boxes"):
             for box in scene.boxes:
                 ident = box.identifier
                 sched = live.schedules[ident]
@@ -358,7 +347,7 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
         worst = max(box_distances.values())
 
         rho_defect = 0.0
-        with _failing_stage("maximal-face gluing"):
+        with failing_stage("maximal-face gluing"):
             for axis, pos, (id_a, side_a), (id_b, side_b) in faces:
                 pkts_a = _resolve_packets(packets, live.labels[id_a], id_a)
                 predicted = _glued_rho(data, id_a, pkts_a, side_a)
@@ -371,7 +360,7 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
                             f"face {axis}={pos} ({id_a}|{id_b}): blown "
                             f"holonomy disagrees with the glued prediction "
                             f"by {gap:.3g}")
-        with _failing_stage("interior extension"):
+        with failing_stage("interior extension"):
             face_defect = face_transport_defect(blown_scene)
 
         attempts.append(worst)

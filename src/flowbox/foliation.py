@@ -181,27 +181,13 @@ class LeafFamily:
         )
 
 
-@dataclass(frozen=True)
-class TangentPlaneField:
-    """Unit leaf normals at every sample point of a leaf family."""
-
-    base: BaseDomain
-    t: np.ndarray
-    normals: np.ndarray  # (m, nx, ny, 3)
-
-    def __post_init__(self):
-        if self.normals.shape[-1] != 3:
-            raise ValueError("normals must be 3-vectors")
-        if np.min(self.normals[..., 2]) <= 0.0:
-            raise ValueError("normals must have positive vertical component")
-
-
-def tangent_field(family: LeafFamily) -> TangentPlaneField:
-    """Unit normals from central finite differences of the sampled leaves."""
+def tangent_field(family: LeafFamily) -> np.ndarray:
+    """Unit leaf normals (m, nx, ny, 3) at every sample point, from central
+    finite differences of the sampled leaves."""
     g = _leaf_gradients(family)
     normals = np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1)
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
-    return TangentPlaneField(family.base, family.t, normals)
+    return normals
 
 
 # cosines this far above the least one have angles smaller by at least this
@@ -311,49 +297,6 @@ class HolonomyMap:
         return float(np.max(np.abs(self.outputs - self.inputs)))
 
 
-@dataclass(frozen=True)
-class BasePath:
-    """Sampled path in a base domain; consecutive samples within one cell."""
-
-    base: BaseDomain
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise ValueError("path needs at least two 2-d samples")
-        if pts[:, 0].min() < -SOLVER_TOL or pts[:, 0].max() > 1.0 + SOLVER_TOL:
-            raise ValueError("path leaves the base domain in x")
-        if not self.base.periodic_y:
-            if pts[:, 1].min() < -SOLVER_TOL or pts[:, 1].max() > 1.0 + SOLVER_TOL:
-                raise ValueError("path leaves the base domain in y")
-        steps = np.abs(np.diff(pts, axis=0))
-        if self.base.periodic_y:
-            frac = np.mod(steps[:, 1], 1.0)
-            steps[:, 1] = np.minimum(frac, 1.0 - frac)
-        dx = 1.0 / (self.base.nx - 1)
-        dy = 1.0 / self.base.ny if self.base.periodic_y else 1.0 / (self.base.ny - 1)
-        if np.any(steps[:, 0] > dx + SOLVER_TOL) or np.any(steps[:, 1] > dy + SOLVER_TOL):
-            raise ValueError("consecutive path samples must stay within one cell")
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.points[0]
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.points[-1]
-
-
-def straight_path(base: BaseDomain, p, q, samples: int = 65) -> BasePath:
-    """Straight base path from p to q with enough samples to be continuous."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    u = np.linspace(0.0, 1.0, samples)[:, None]
-    return BasePath(base, (1.0 - u) * p + u * q)
-
-
 def fiber_map(family: LeafFamily, node) -> HolonomyMap:
     """Leaf index -> height of that leaf over the grid node (ix, iy)."""
     ix, iy = node
@@ -423,19 +366,23 @@ def inverse_interp_columns(x: np.ndarray, xp: np.ndarray,
                     np.take_along_axis(slopes, k, axis=0) * (x - xk) + fp[k])
 
 
-def holonomy(family: LeafFamily, path: BasePath) -> HolonomyMap:
-    """Holonomy along a base path, as the map (height over the path's end)
-    -> (height of the same leaf over the path's start).
+def holonomy(family: LeafFamily, start, end) -> HolonomyMap:
+    """Holonomy along a base path from start to end, as the map (height over
+    end) -> (height of the same leaf over start).
 
-    Exact for product foliations: leaves are globally indexed, so no
-    step-by-step continuation is needed.  Endpoint heights of the boundary
-    leaves are snapped to exactly 0 and 1 (they are exact mathematically;
-    bilinear weights can smudge the last ulp).
+    Exact for product foliations: leaves are globally indexed, so the map
+    depends on the two endpoints only and no step-by-step continuation is
+    needed.  Endpoint heights of the boundary leaves are snapped to exactly
+    0 and 1 (they are exact mathematically; bilinear weights can smudge the
+    last ulp).
     """
-    if path.base != family.base:
-        raise ValueError("path and family bases differ")
-    ends = family.values_at(path.end.reshape(1, 2))[:, 0]
-    starts = family.values_at(path.start.reshape(1, 2))[:, 0]
+    pts = np.array([start, end], dtype=float)
+    if pts[:, 0].min() < -SOLVER_TOL or pts[:, 0].max() > 1.0 + SOLVER_TOL:
+        raise ValueError("path leaves the base domain in x")
+    if not family.base.periodic_y:
+        if pts[:, 1].min() < -SOLVER_TOL or pts[:, 1].max() > 1.0 + SOLVER_TOL:
+            raise ValueError("path leaves the base domain in y")
+    starts, ends = family.values_at(pts).T
     ends[0], ends[-1] = 0.0, 1.0
     starts[0], starts[-1] = 0.0, 1.0
     return HolonomyMap(ends, starts)

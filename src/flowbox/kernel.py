@@ -1,20 +1,20 @@
 """Scalar building blocks shared by every construction.
 
-Damping profiles (smooth monotone ramps that are flat to the checked order at
-the endpoints), partitions of [0,1], insertion schedules, and the collapse
-maps used by the blowup machinery.
+The damping ramp (smooth, monotone and flat at both endpoints), partitions
+of [0,1], insertion schedules, the collapse maps used by the blowup
+machinery, and the stage label pipelines put on the errors they raise.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 COMPARISON_TOL = 1e-9
 SOLVER_TOL = 1e-12
-FLAT_TOL = 1e-9
 # budget halvings a retry ladder makes after its first attempt
 MAX_RETRIES = 5
 
@@ -42,84 +42,18 @@ def smooth_ramp(x):
     return a / (a + b)
 
 
-@dataclass(frozen=True)
-class DampingProfile:
-    """Sampled smooth ramp with closed-form evaluation.
+@contextmanager
+def failing_stage(name: str):
+    """Name the pipeline stage on an error escaping it, as exc.stage.
 
-    flat_order records how many finite-difference derivative orders are
-    certified below FLAT_TOL at both endpoints (step = sample spacing).
+    Pipelines fill their reports only once an attempt has finished, so the
+    stage that raised travels on the error itself.
     """
-
-    flat_order: int
-    arguments: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        args = np.asarray(self.arguments, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "arguments", args)
-        object.__setattr__(self, "values", vals)
-        if self.flat_order < 1:
-            raise ValueError("flat_order must be >= 1")
-        if args.ndim != 1 or args.shape != vals.shape or args.size < 2:
-            raise ValueError("malformed profile samples")
-        if args[0] != 0.0 or args[-1] != 1.0:
-            raise ValueError("profile arguments must run from 0 to 1")
-        if vals[0] != 0.0 or vals[-1] != 1.0:
-            raise ValueError("profile values must run from 0 to 1")
-        if not np.all(np.diff(args) > 0.0):
-            raise ValueError("profile arguments must be strictly increasing")
-        # strictly increasing except where the quotient saturates to 0 or 1
-        # at float precision (unavoidable near the flat endpoints)
-        diffs = np.diff(vals)
-        interior = (vals[:-1] > 0.0) & (vals[1:] < 1.0)
-        if not (np.all(diffs >= 0.0) and np.all(diffs[interior] > 0.0)):
-            raise ValueError("profile values must be increasing")
-
-    @property
-    def resolution(self) -> int:
-        return self.arguments.size - 1
-
-    def __call__(self, x):
-        return smooth_ramp(x)
-
-    def endpoint_flatness(self) -> float:
-        """Worst finite-difference derivative magnitude at the endpoints.
-
-        Forward differences at 0 and backward differences at 1, orders
-        1..flat_order, step 1/resolution.
-        """
-        h = 1.0 / self.resolution
-        worst = 0.0
-        for k in range(1, self.flat_order + 1):
-            j = np.arange(k + 1)
-            coef = np.array([math.comb(k, int(i)) for i in j]) * (-1.0) ** (k - j)
-            at0 = float(np.sum(coef * self(j * h))) / h**k
-            at1 = float(np.sum(coef * self(1.0 - (k - j) * h))) / h**k
-            worst = max(worst, abs(at0), abs(at1))
-        return worst
-
-
-def make_damping(flat_order: int = 3, resolution: int = 256) -> DampingProfile:
-    """Damping profile from the standard flat bump, sampled uniformly.
-
-    Raises if the requested flat_order cannot be certified at the given
-    resolution.  Resolutions beyond ~700 underflow the first interior sample
-    and are rejected by the monotonicity invariant.
-    """
-    if flat_order < 1:
-        raise ValueError("flat_order must be >= 1")
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16 (insufficient sampling)")
-    args = np.linspace(0.0, 1.0, resolution + 1)
-    profile = DampingProfile(flat_order=flat_order, arguments=args,
-                             values=smooth_ramp(args))
-    flatness = profile.endpoint_flatness()
-    if flatness >= FLAT_TOL:
-        raise ValueError(
-            f"flat_order {flat_order} not certified at resolution {resolution}"
-            f" (endpoint flatness {flatness:.3g})")
-    return profile
+    try:
+        yield
+    except (RuntimeError, ValueError) as exc:
+        exc.stage = name
+        raise
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .foliation import (
     inverse_interp_columns,
     node_columns,
 )
+from .kernel import failing_stage
 
 INVARIANCE_PRE_TOL = 1e-6
 INVARIANCE_POST_TOL = 1e-9
@@ -220,11 +221,12 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
     scene = measured.scene
     if not validate(scene)["valid"]:
         raise ValueError("scene fails validation; fix the decomposition first")
-    pre = scene_invariance_defect(measured)
-    if pre > INVARIANCE_PRE_TOL:
-        raise ValueError(
-            f"measure invariance defect {pre:.3e} exceeds "
-            f"{INVARIANCE_PRE_TOL:g}; not an invariant measure")
+    with failing_stage("invariance pre-check"):
+        pre = scene_invariance_defect(measured)
+        if pre > INVARIANCE_PRE_TOL:
+            raise ValueError(
+                f"measure invariance defect {pre:.3e} exceeds "
+                f"{INVARIANCE_PRE_TOL:g}; not an invariant measure")
     stages = []
 
     # endpoint values of every cumulative are measure-theoretic constants;
@@ -235,41 +237,48 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
 
     order = sorted(b.identifier for b in scene.boxes)
     root = order[0]
-    f_root, mu_root = smooth_measure_on_transversal(
-        measured.measure(root), subsample_count)
+    with failing_stage("vertical-skeleton smoothing"):
+        f_root, mu_root = smooth_measure_on_transversal(
+            measured.measure(root), subsample_count)
     smoothed = {root: mu_root}
     stages.append({"stage": "vertical-skeleton smoothing", "root": root,
                    "reparametrization_defect": f_root.identity_defect()})
 
-    faces = shared_faces(scene)
-    adjacency = {}
-    for face in faces:
-        _, _, (id_a, _), (id_b, _) = face
-        adjacency.setdefault(id_a, []).append((id_b, face))
-        adjacency.setdefault(id_b, []).append((id_a, face))
-    tree_edges = []
-    queue = [root]
-    while queue:
-        current = queue.pop(0)
-        for neighbor, face in adjacency.get(current, ()):
-            if neighbor in smoothed:
-                continue
-            chain = _propagation_chain(face, scene, current, neighbor)
-            if chain.identity_defect() <= SOLVER_TOL:
-                smoothed[neighbor] = smoothed[current]
-            else:
-                mu_c = smoothed[current]
-                grid = _union_grid(chain.inputs,
-                                   chain.inverse()(mu_c.heights))
-                smoothed[neighbor] = TransverseMeasure(grid, mu_c(chain(grid)))
-            tree_edges.append([current, neighbor])
-            queue.append(neighbor)
-    for name in order:
-        if name not in smoothed:
-            _, smoothed[name] = smooth_measure_on_transversal(
-                measured.measure(name), subsample_count)
-    result = MeasuredScene(scene, smoothed)
-    loop_defect = scene_invariance_defect(result)
+    with failing_stage("maximal-face transport"):
+        faces = shared_faces(scene)
+        adjacency = {}
+        for face in faces:
+            _, _, (id_a, _), (id_b, _) = face
+            adjacency.setdefault(id_a, []).append((id_b, face))
+            adjacency.setdefault(id_b, []).append((id_a, face))
+        tree_edges = []
+        queue = [root]
+        while queue:
+            current = queue.pop(0)
+            for neighbor, face in adjacency.get(current, ()):
+                if neighbor in smoothed:
+                    continue
+                chain = _propagation_chain(face, scene, current, neighbor)
+                if chain.identity_defect() <= SOLVER_TOL:
+                    smoothed[neighbor] = smoothed[current]
+                else:
+                    mu_c = smoothed[current]
+                    grid = _union_grid(chain.inputs,
+                                       chain.inverse()(mu_c.heights))
+                    smoothed[neighbor] = TransverseMeasure(
+                        grid, mu_c(chain(grid)))
+                tree_edges.append([current, neighbor])
+                queue.append(neighbor)
+        for name in order:
+            if name not in smoothed:
+                _, smoothed[name] = smooth_measure_on_transversal(
+                    measured.measure(name), subsample_count)
+        result = MeasuredScene(scene, smoothed)
+        loop_defect = scene_invariance_defect(result)
+        if loop_defect > INVARIANCE_POST_TOL:
+            raise RuntimeError(
+                f"smoothed measure defect {loop_defect:.3e} exceeds "
+                f"{INVARIANCE_POST_TOL:g}")
     stages.append({"stage": "maximal-face transport",
                    "tree_edges": tree_edges, "loop_defect": loop_defect})
 
@@ -290,10 +299,6 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
             residual = max(residual, float(np.abs(direct - via_edge).max()))
     stages.append({"stage": "interior cone extension", "residual": residual})
 
-    if loop_defect > INVARIANCE_POST_TOL:
-        raise RuntimeError(
-            f"smoothed measure defect {loop_defect:.3e} exceeds "
-            f"{INVARIANCE_POST_TOL:g}")
     if report is not None:
         report.update({"operation": "smooth_measured_scene",
                        "subsample_count": int(subsample_count),

@@ -31,7 +31,6 @@ from .foliation import (
     holonomy,
     interp_columns,
     node_columns,
-    straight_path,
     tangent_field,
 )
 from .kernel import (
@@ -40,19 +39,13 @@ from .kernel import (
     Partition,
     SOLVER_TOL,
     choose_partition,
-    make_damping,
+    failing_stage,
+    smooth_ramp,
 )
-
-_RAMP = make_damping(3, 256)
 
 
 class SmoothingError(RuntimeError):
-    """A smoothing run exhausted its retry budget.
-
-    stage names the globally_smooth stage that raised, when one did.
-    """
-
-    stage = None
+    """A smoothing run exhausted its retry budget."""
 
     def __init__(self, message: str, achieved: float | None = None):
         super().__init__(message)
@@ -78,11 +71,12 @@ def _axis_weight(u: np.ndarray, lo_in, hi_in, lo_out, hi_out) -> np.ndarray:
     w = np.ones_like(u)
     if lo_out < lo_in:
         left = u < lo_in
-        w = np.where(left, _RAMP((u - lo_out) / (lo_in - lo_out)), w)
+        w = np.where(left, smooth_ramp((u - lo_out) / (lo_in - lo_out)), w)
     if hi_out > hi_in:
         right = u > hi_in
-        w = np.minimum(w, np.where(right, _RAMP((hi_out - u) / (hi_out - hi_in)),
-                                   np.ones_like(u)))
+        w = np.minimum(w, np.where(
+            right, smooth_ramp((hi_out - u) / (hi_out - hi_in)),
+            np.ones_like(u)))
     return w
 
 
@@ -189,9 +183,9 @@ def _formula_smooth(family: LeafFamily, partition: Partition) -> LeafFamily:
 
     Output leaves are reindexed by their anchor height, so each output leaf
     at index s inside a cell [a, b] lies on the straight segment between the
-    cell's end leaves with coefficient (s-a)/(b-a); the damping profile shows
+    cell's end leaves with coefficient (s-a)/(b-a); the damping ramp shows
     up as the reindexing speed.  Samples that collapse at float resolution
-    (the profile is flat to many orders near cell ends) are dropped.
+    (the ramp is flat to many orders near cell ends) are dropped.
     """
     t = family.t
     v = family.values
@@ -206,7 +200,7 @@ def _formula_smooth(family: LeafFamily, partition: Partition) -> LeafFamily:
     for a_i, b_i in zip(cut_idx, cut_idx[1:]):
         a, b = t[a_i], t[b_i]
         fa, fb = v[a_i], v[b_i]
-        lam = _RAMP((t[a_i + 1:b_i] - a) / (b - a))
+        lam = smooth_ramp((t[a_i + 1:b_i] - a) / (b - a))
         s = a + lam * (b - a)
         g = fa + lam[:, None, None] * (fb - fa)
         # the upper bounds do not depend on earlier samples; the lower ones
@@ -258,7 +252,7 @@ def smooth_in_t(family: LeafFamily, epsilon: float,
     attempts = []
     for attempt in range(MAX_RETRIES + 1):
         try:
-            normals = tangent_field(family).normals.reshape(family.m, -1, 3)
+            normals = tangent_field(family).reshape(family.m, -1, 3)
             part = choose_partition(family.t, normals, budget)
         except ValueError:
             # budget finer than the sampling can certify: the finest
@@ -315,16 +309,16 @@ def smooth_with_holonomy_constraint(family: LeafFamily, epsilon: float,
     mid = RegionMask(base, "rect",
                      (0.0, 1.0, j0.outer[3], j1.outer[2]),
                      (0.0, 1.0, j0.inner[3], j1.inner[2]))
-    alpha = straight_path(base, (0.5, 0.0), (0.5, 1.0),
-                          samples=2 * base.ny + 1)
-    h_p = holonomy(family, alpha)
+    # the core path alpha = {1/2} x [0,1]
+    alpha = (0.5, 0.0), (0.5, 1.0)
+    h_p = holonomy(family, *alpha)
     inner_eps = epsilon
     attempts = []
     for attempt in range(MAX_RETRIES + 1):
         smoothed = smooth_in_t(family, inner_eps)
         # weight exactly zero on the declared bands keeps them bit-identical
         candidate = damped_blend(family, smoothed, mid.weight_grid()[None])
-        h_g = holonomy(candidate, alpha)
+        h_g = holonomy(candidate, *alpha)
         zs = np.linspace(0.0, 1.0, 101)
         hol_defect = float(np.max(np.abs(h_g(zs) - h_p(zs))))
         achieved = c0_distance(family, candidate)
@@ -494,10 +488,10 @@ def _corner_fiber_damp(family: LeafFamily, amplitude: float) -> LeafFamily:
             dy = np.abs(ys - ys[cy])
             wx = np.where(dx <= inner, 1.0,
                           np.where(dx >= outer, 0.0,
-                                   _RAMP((outer - dx) / (outer - inner))))
+                                   smooth_ramp((outer - dx) / (outer - inner))))
             wy = np.where(dy <= inner, 1.0,
                           np.where(dy >= outer, 0.0,
-                                   _RAMP((outer - dy) / (outer - inner))))
+                                   smooth_ramp((outer - dy) / (outer - inner))))
             w = amplitude * (wx[:, None] * wy[None, :])
             fiber = vals[:, cx, cy]
             vals = vals + w[None, :, :] * (fiber[:, None, None] - vals)
@@ -637,8 +631,9 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
         eps_cone = 0.25 * epsilon * scale
         fams = dict(originals)
         stages = []
-        for ident in order:
-            fams[ident] = _corner_fiber_damp(fams[ident], amplitude)
+        with failing_stage("vertical-edge neighborhoods"):
+            for ident in order:
+                fams[ident] = _corner_fiber_damp(fams[ident], amplitude)
         stages.append({
             "stage": "vertical-edge neighborhoods",
             "region": "corner squares of side 1/4 in every box",
@@ -650,37 +645,37 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
         })
         after_corners = dict(fams)
         face_rows = []
-        for axis, pos, (id_a, side_a), (id_b, side_b) in faces:
-            label = f"face {axis}={pos} ({id_a}.{side_a}|{id_b}.{side_b})"
-            chart, e_a, seam_gap = _face_chart(
-                fams[id_a], fams[id_b], axis, width, label)
-            rep = {}
-            bands = band_masks(chart.base, 0.25, 15.0 / 32.0)
-            try:
-                smoothed = smooth_with_holonomy_constraint(
-                    chart, eps_face, bands=bands, report=rep)
-            except SmoothingError as err:
-                failure = SmoothingError(f"{label}: {err}",
-                                         achieved=err.achieved)
-                failure.stage = "maximal-face neighborhoods"
-                raise failure from err
-            blended = _chart_blend(chart, smoothed, width, amplitude)
-            if id_a == id_b:
-                fams[id_a] = _paste_self(fams[id_a], blended, e_a, axis, width)
-            else:
-                ta = e_a.inverse()(blended.t)
-                ta[0], ta[-1] = 0.0, 1.0
-                fams[id_a] = _paste_strip(fams[id_a], blended, axis, True,
-                                          width, ta)
-                fams[id_b] = _paste_strip(fams[id_b], blended, axis, False,
-                                          width, blended.t.copy())
-            face_rows.append({
-                "face": label,
-                "seam_gap": seam_gap,
-                "achieved_distance": rep.get("achieved_distance"),
-                "holonomy_defect": rep.get("holonomy_defect"),
-                "retries": rep.get("retries", 0),
-            })
+        with failing_stage("maximal-face neighborhoods"):
+            for axis, pos, (id_a, side_a), (id_b, side_b) in faces:
+                label = f"face {axis}={pos} ({id_a}.{side_a}|{id_b}.{side_b})"
+                chart, e_a, seam_gap = _face_chart(
+                    fams[id_a], fams[id_b], axis, width, label)
+                rep = {}
+                bands = band_masks(chart.base, 0.25, 15.0 / 32.0)
+                try:
+                    smoothed = smooth_with_holonomy_constraint(
+                        chart, eps_face, bands=bands, report=rep)
+                except SmoothingError as err:
+                    raise SmoothingError(f"{label}: {err}",
+                                         achieved=err.achieved) from err
+                blended = _chart_blend(chart, smoothed, width, amplitude)
+                if id_a == id_b:
+                    fams[id_a] = _paste_self(fams[id_a], blended, e_a, axis,
+                                             width)
+                else:
+                    ta = e_a.inverse()(blended.t)
+                    ta[0], ta[-1] = 0.0, 1.0
+                    fams[id_a] = _paste_strip(fams[id_a], blended, axis, True,
+                                              width, ta)
+                    fams[id_b] = _paste_strip(fams[id_b], blended, axis, False,
+                                              width, blended.t.copy())
+                face_rows.append({
+                    "face": label,
+                    "seam_gap": seam_gap,
+                    "achieved_distance": rep.get("achieved_distance"),
+                    "holonomy_defect": rep.get("holonomy_defect"),
+                    "retries": rep.get("retries", 0),
+                })
         stages.append({
             "stage": "maximal-face neighborhoods",
             "region": f"straddle strips over {len(faces)} shared faces",
@@ -691,16 +686,16 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
             "faces": face_rows,
         })
         after_faces = dict(fams)
-        for ident in order:
-            try:
-                coned = damped_cone(fams[ident], fams[ident],
-                                    collar_width=1.0 / 16.0,
-                                    epsilon=eps_cone)
-            except (SmoothingError, StraighteningError) as err:
-                failure = SmoothingError(f"box {ident} interior coning: {err}")
-                failure.stage = "interior coning"
-                raise failure from err
-            fams[ident] = damped_blend(fams[ident], coned, amplitude)
+        with failing_stage("interior coning"):
+            for ident in order:
+                try:
+                    coned = damped_cone(fams[ident], fams[ident],
+                                        collar_width=1.0 / 16.0,
+                                        epsilon=eps_cone)
+                except (SmoothingError, StraighteningError) as err:
+                    raise SmoothingError(
+                        f"box {ident} interior coning: {err}") from err
+                fams[ident] = damped_blend(fams[ident], coned, amplitude)
         result = with_families(scene, fams)
         post_defect = face_transport_defect(result)
         stages.append({

@@ -3,12 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowbox import denjoy, smoothing
+import flowbox
+from flowbox import cli, denjoy, smoothing
 from flowbox.cli import (
     GOLDEN_MEAN,
     MalformedInput,
@@ -119,6 +123,26 @@ def test_main_generate_out_of_range_exits_three(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("flowbox: error: cannot build sheared-t3: ")
     assert not (tmp_path / "sheared-t3.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--grid", "100000000"],
+                                   ["--samples", "1000000000"],
+                                   ["--split", "100000,100000"]])
+def test_main_generate_over_size_cap_exits_three(tmp_path, capsys,
+                                                 monkeypatch, flags):
+    # the cap is checked before the scene is built: building it would try
+    # to allocate the rejected size, so the builder must never be called
+    def never(*args, **kwargs):
+        raise AssertionError("scene built over the size cap")
+
+    monkeypatch.setattr(cli, "build_torus_scene", never)
+    code = main(["generate", "--template", "horizontal-t3",
+                 "--out", str(tmp_path)] + flags)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("flowbox: error: horizontal-t3 with ")
+    assert "leaf-grid values" in err
+    assert not (tmp_path / "horizontal-t3.json").exists()
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -319,6 +343,23 @@ def test_measure_rejects_noninvariant_with_stage(scenes, tmp_path):
     assert manifest["results"]["failed_stage"] == "invariance pre-check"
 
 
+def test_measure_names_the_skeleton_stage(tmp_path):
+    # Lebesgue-invariant on the horizontal scene, so the pre-check passes;
+    # the near-flat step then breaks the skeleton spline's monotonicity
+    scene = generate_scene("horizontal-t3", {"grid": 9, "samples": 9},
+                           tmp_path / "scene.json")
+    measure_file = tmp_path / "measure.json"
+    measure_file.write_text(json.dumps(
+        {"heights": [0.0, 0.1, 0.9, 1.0],
+         "totals": [0.0, 0.5, 0.5 + 4e-16, 1.0]}))
+    config = ScenarioConfig(kind="measure", out=str(tmp_path / "run"),
+                            scene=str(scene), measure_file=str(measure_file))
+    assert run(config) == 1
+    results = read_manifest(tmp_path / "run")["results"]
+    assert results["failed_stage"] == "vertical-skeleton smoothing"
+    assert "monotonicity" in results["error"]
+
+
 # ---------------------------------------------------------------------------
 # manifest invariants and exit codes
 
@@ -485,6 +526,21 @@ def test_main_generate_then_validate(tmp_path, capsys):
     assert main(["validate", "--scene", scene_path,
                  "--out", str(out)]) == 0
     assert read_manifest(out)["ok"]
+
+
+def test_python_dash_m_flowbox_runs_the_cli(tmp_path):
+    src = str(Path(flowbox.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "flowbox", "generate", "--template",
+         "horizontal-t3", "--grid", "9", "--samples", "9",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert (tmp_path / "horizontal-t3.json").exists()
 
 
 def test_main_tischler_with_fraction_tokens(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from flowbox.foliation import (
     BaseDomain,
-    BasePath,
     HolonomyMap,
     LeafFamily,
     c0_distance,
@@ -18,7 +17,6 @@ from flowbox.foliation import (
     interp_columns,
     inverse_interp_columns,
     sheared_family,
-    straight_path,
     tangent_field,
     _leaf_gradients,
 )
@@ -220,16 +218,15 @@ def test_leaf_through_inverse_property():
 # ---------------------------------------------------------------- tangents
 
 def test_tangent_field_horizontal_vertical_normals():
-    tf = tangent_field(horizontal_family(RECT, 9))
-    np.testing.assert_array_equal(tf.normals[..., 0], 0.0)
-    np.testing.assert_array_equal(tf.normals[..., 1], 0.0)
-    np.testing.assert_array_equal(tf.normals[..., 2], 1.0)
+    normals = tangent_field(horizontal_family(RECT, 9))
+    np.testing.assert_array_equal(normals[..., 0], 0.0)
+    np.testing.assert_array_equal(normals[..., 1], 0.0)
+    np.testing.assert_array_equal(normals[..., 2], 1.0)
 
 
 def test_tangent_field_tilted_middle_leaf_constant():
     fam = tilted_family(RECT, 0.1, 17)
-    tf = tangent_field(fam)
-    mid = tf.normals[8]  # t = 0.5, the genuinely tilted plane
+    mid = tangent_field(fam)[8]  # t = 0.5, the genuinely tilted plane
     expected = np.array([-0.1, 0.0, 1.0]) / math.hypot(0.1, 1.0)
     np.testing.assert_allclose(mid, np.broadcast_to(expected, mid.shape),
                                atol=1e-12)
@@ -237,9 +234,8 @@ def test_tangent_field_tilted_middle_leaf_constant():
 
 def test_tangent_field_sheared_matches_analytic_gradient():
     fam = sheared_family(RECT, 0.5, 17)
-    tf = tangent_field(fam)
     # at t = 0.5 the slope in x is 0.5 * 0.25 = 0.125, independent of x
-    n = tf.normals[8]
+    n = tangent_field(fam)[8]
     slope = -n[..., 0] / n[..., 2]
     np.testing.assert_allclose(slope, 0.125, atol=1e-12)
 
@@ -254,11 +250,9 @@ def test_tangent_refinement_stability():
     vals = fam.values_at(pts).reshape(fam.m, n, n)
     vals[0], vals[-1] = 0.0, 1.0
     fine = LeafFamily(base, fam.t, vals)
-    tf = tangent_field(fam)
-    tf2 = tangent_field(fine)
     # coarse nodes appear at even indices of the fine grid
-    coarse_at_fine = tf2.normals[:, ::2, ::2]
-    diff = np.abs(coarse_at_fine - tf.normals).max()
+    coarse_at_fine = tangent_field(fine)[:, ::2, ::2]
+    diff = np.abs(coarse_at_fine - tangent_field(fam)).max()
     # leaf gradients vary by at most the sampled modulus of continuity
     assert diff < np.abs(np.diff(fam.values, axis=1)).max()
 
@@ -500,24 +494,21 @@ def test_holonomy_compose_inverse_round_trips(h):
 
 def test_holonomy_horizontal_identity():
     fam = horizontal_family(RECT, 17)
-    path = straight_path(RECT, (0.0, 0.5), (1.0, 0.5))
-    h = holonomy(fam, path)
+    h = holonomy(fam, (0.0, 0.5), (1.0, 0.5))
     assert h.identity_defect() == 0.0
 
 
 def test_holonomy_reversed_is_inverse():
     fam = sheared_family(RECT, 0.5, 33)
-    path = straight_path(RECT, (0.0, 0.25), (1.0, 0.75))
-    h = holonomy(fam, path)
-    hr = holonomy(fam, BasePath(RECT, path.points[::-1]))
+    h = holonomy(fam, (0.0, 0.25), (1.0, 0.75))
+    hr = holonomy(fam, (1.0, 0.75), (0.0, 0.25))
     assert h.compose(hr).identity_defect() < 1e-9
     assert hr.max_difference(h.inverse()) < 1e-9
 
 
 def test_holonomy_sheared_golden_value():
     fam = sheared_family(RECT, 0.5, 65)
-    path = straight_path(RECT, (0.0, 0.5), (1.0, 0.5))
-    h = holonomy(fam, path)
+    h = holonomy(fam, (0.0, 0.5), (1.0, 0.5))
     # leaf through z = 1/2 over the far edge has index (3 - sqrt 5)/2,
     # which is exactly its height over the near edge
     assert float(h(0.5)) == pytest.approx(GOLDEN_INDEX, abs=5e-5)
@@ -525,21 +516,10 @@ def test_holonomy_sheared_golden_value():
 
 def test_holonomy_functorial():
     fam = sheared_family(RECT, 0.5, 33)
-    p1 = straight_path(RECT, (0.0, 0.2), (0.6, 0.5))
-    p2 = straight_path(RECT, (0.6, 0.5), (1.0, 0.9))
-    whole = holonomy(fam, BasePath(RECT, np.vstack([p1.points,
-                                                    p2.points[1:]])))
-    split = holonomy(fam, p1).compose(holonomy(fam, p2))
+    whole = holonomy(fam, (0.0, 0.2), (1.0, 0.9))
+    split = holonomy(fam, (0.0, 0.2), (0.6, 0.5)).compose(
+        holonomy(fam, (0.6, 0.5), (1.0, 0.9)))
     assert whole.max_difference(split) < 1e-9
-
-
-def test_holonomy_endpoint_only_dependence():
-    fam = sheared_family(RECT, 0.5, 33)
-    direct = straight_path(RECT, (0.0, 0.1), (1.0, 0.8))
-    dogleg = BasePath(RECT, np.vstack([
-        straight_path(RECT, (0.0, 0.1), (0.5, 0.95)).points,
-        straight_path(RECT, (0.5, 0.95), (1.0, 0.8)).points[1:]]))
-    assert holonomy(fam, direct).max_difference(holonomy(fam, dogleg)) < 1e-9
 
 
 # ---------------------------------------------------------------- partitions
@@ -547,7 +527,7 @@ def test_holonomy_endpoint_only_dependence():
 def test_choose_partition_family_level():
     # the call smooth_in_t makes: one unit normal per leaf and base node
     def partition(fam, eps):
-        normals = tangent_field(fam).normals.reshape(fam.m, -1, 3)
+        normals = tangent_field(fam).reshape(fam.m, -1, 3)
         return choose_partition(fam.t, normals, eps)
 
     assert partition(horizontal_family(RECT, 17), 0.01).points == (0.0, 1.0)
@@ -559,17 +539,16 @@ def test_choose_partition_family_level():
 
 # ---------------------------------------------------------------- paths
 
-def test_base_path_validation():
-    with pytest.raises(ValueError):
-        BasePath(RECT, np.array([[0.0, 0.0], [0.5, 0.5]]))  # jumps cells
-    p = straight_path(RECT, (0, 0), (1, 1))
-    assert p.points.shape[0] == 65
-    with pytest.raises(ValueError):
-        straight_path(RECT, (0, 0), (2.0, 0.5))
+@pytest.mark.parametrize("start, end", [((0.0, 0.0), (2.0, 0.5)),
+                                        ((-0.1, 0.5), (1.0, 0.5)),
+                                        ((0.5, 0.0), (0.5, 1.5))])
+def test_holonomy_rejects_endpoints_outside_domain(start, end):
+    with pytest.raises(ValueError, match="leaves the base domain"):
+        holonomy(horizontal_family(RECT, 9), start, end)
 
 
 def test_annulus_path_wraps_seam():
-    p = BasePath(ANN, np.array([[0.5, 0.98], [0.5, 0.005]]))
-    assert p.points.shape[0] == 2
+    # y is periodic on the annulus, so an endpoint past the seam is in range
     fam = horizontal_family(ANN, 9)
-    assert holonomy(fam, p).identity_defect() == 0.0
+    assert holonomy(fam, (0.5, 0.98), (0.5, 0.005)).identity_defect() == 0.0
+    assert holonomy(fam, (0.5, 0.98), (0.5, 1.25)).identity_defect() == 0.0

@@ -18,7 +18,6 @@ from flowbox.kernel import (
     _min_dots,
     build_collapse,
     choose_partition,
-    make_damping,
     smooth_ramp,
 )
 
@@ -28,8 +27,7 @@ from test_foliation import long_leaf_families
 # ---------------------------------------------------------------- oracles
 
 def finite_difference_at_zero(f, order, h):
-    """Forward-difference derivative estimate, written independently of the
-    library's own flatness diagnostic."""
+    """Forward-difference derivative estimate of order `order`, step h."""
     acc = 0.0
     for j in range(order + 1):
         acc += (-1.0) ** (order - j) * math.comb(order, j) * float(f(j * h))
@@ -124,40 +122,30 @@ def shear_normals(t_grid, coeff=0.5, samples=9):
 # ---------------------------------------------------------------- damping
 
 def test_damping_endpoints_and_midpoint():
-    prof = make_damping(3, 256)
-    assert float(prof(0.0)) == 0.0
-    assert float(prof(1.0)) == 1.0
-    assert float(prof(0.5)) == 0.5
+    assert float(smooth_ramp(0.0)) == 0.0
+    assert float(smooth_ramp(1.0)) == 1.0
+    assert float(smooth_ramp(0.5)) == 0.5
 
 
 def test_damping_flat_to_third_order():
-    prof = make_damping(3, 256)
+    # every finite-difference derivative up to order 3 at both endpoints,
+    # at the 1/256 step the smoothing resolves
     for order in (1, 2, 3):
-        d = finite_difference_at_zero(prof, order, 1.0 / 256)
+        d = finite_difference_at_zero(smooth_ramp, order, 1.0 / 256)
         assert abs(d) < 1e-9
-        d1 = finite_difference_at_zero(lambda u: prof(1.0 - u), order, 1.0 / 256)
+        d1 = finite_difference_at_zero(lambda u: smooth_ramp(1.0 - u), order,
+                                       1.0 / 256)
         assert abs(d1) < 1e-9
-    assert prof.endpoint_flatness() < 1e-9
 
 
 def test_damping_monotone_and_in_range():
-    prof = make_damping(2, 64)
-    v = prof.values
+    v = smooth_ramp(np.linspace(0.0, 1.0, 257))
+    assert v[0] == 0.0 and v[-1] == 1.0
     assert np.all(np.diff(v) >= 0)
     # strict increase wherever the quotient has not saturated in float
     interior = (v[:-1] > 0.0) & (v[1:] < 1.0)
     assert np.all(np.diff(v)[interior] > 0)
     assert v.min() >= 0.0 and v.max() <= 1.0
-
-
-def test_damping_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        make_damping(3, 8)
-    with pytest.raises(ValueError):
-        make_damping(0, 256)
-    # order too high to certify at this resolution
-    with pytest.raises(ValueError):
-        make_damping(12, 16)
 
 
 def test_ramp_outside_unit_interval():
@@ -353,7 +341,7 @@ def _partition_or_error(fn, t, normals, epsilon):
 
 
 def _family_normals(family):
-    return family.t, tangent_field(family).normals.reshape(family.m, -1, 3)
+    return family.t, tangent_field(family).reshape(family.m, -1, 3)
 
 
 @st.composite

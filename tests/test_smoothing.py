@@ -31,7 +31,6 @@ from flowbox.foliation import (
     holonomy,
     horizontal_family,
     sheared_family,
-    straight_path,
     tangent_field,
 )
 from flowbox.kernel import (
@@ -40,14 +39,13 @@ from flowbox.kernel import (
     SOLVER_TOL,
     Partition,
     choose_partition,
-    make_damping,
+    smooth_ramp,
 )
 from flowbox.smoothing import (
     FACE_COMPAT_TOL,
     RegionMask,
     SmoothingError,
     StraighteningError,
-    _RAMP,
     _chart_blend,
     _corner_fiber_damp,
     _face_chart,
@@ -119,7 +117,7 @@ def formula_smooth_oracle(family: LeafFamily, partition: Partition) -> LeafFamil
         span = fb - fa
         last_s, last_g = a, fa
         for k in range(a_i + 1, b_i):
-            lam = float(_RAMP((t[k] - a) / (b - a)))
+            lam = float(smooth_ramp((t[k] - a) / (b - a)))
             s = a + lam * (b - a)
             g = fa + lam * span
             if (s > last_s + gap and s < b - gap
@@ -156,7 +154,7 @@ def formula_residual_oracle(original: LeafFamily, smoothed: LeafFamily,
 
 
 def holonomy_correction_oracle(p_family: LeafFamily, s_family: LeafFamily,
-                               path) -> HolonomyMap:
+                               start, end) -> HolonomyMap:
     """Leaf-index correction making the smoothed family's holonomy along the
     path match the input's after end-fiber reindexing.
 
@@ -169,10 +167,10 @@ def holonomy_correction_oracle(p_family: LeafFamily, s_family: LeafFamily,
         heights[0], heights[-1] = 0.0, 1.0
         return HolonomyMap(fam.t, heights)
 
-    e0_p = fiber_map(p_family, path.start)
-    e1_p = fiber_map(p_family, path.end)
-    e0_s = fiber_map(s_family, path.start)
-    e1_s = fiber_map(s_family, path.end)
+    e0_p = fiber_map(p_family, start)
+    e1_p = fiber_map(p_family, end)
+    e0_s = fiber_map(s_family, start)
+    e1_s = fiber_map(s_family, end)
     return e1_s.inverse().compose(e1_p).compose(e0_p.inverse()).compose(e0_s)
 
 
@@ -186,7 +184,7 @@ def reindex_blend_oracle(s_family: LeafFamily, correction: HolonomyMap,
     path is restored.  With h = id this is the identity operation.
     """
     base = s_family.base
-    ell = 1.0 - _RAMP((base.y_nodes - y_lo) / (y_hi - y_lo))
+    ell = 1.0 - smooth_ramp((base.y_nodes - y_lo) / (y_hi - y_lo))
     shifted = s_family.leaves_at(correction(s_family.t))
     vals = s_family.values + (1.0 - ell)[None, None, :] \
         * (shifted - s_family.values)
@@ -216,21 +214,20 @@ def smooth_with_holonomy_constraint_oracle(
     mid = RegionMask(base, "rect",
                      (0.0, 1.0, j0.outer[3], j1.outer[2]),
                      (0.0, 1.0, j0.inner[3], j1.inner[2]))
-    alpha = straight_path(base, (0.5, 0.0), (0.5, 1.0),
-                          samples=2 * base.ny + 1)
-    h_p = holonomy(family, alpha)
+    alpha = (0.5, 0.0), (0.5, 1.0)
+    h_p = holonomy(family, *alpha)
     inner_eps = epsilon
     attempts = []
     for attempt in range(MAX_RETRIES + 1):
         smoothed = smooth_in_t(family, inner_eps)
         # weight exactly zero on the declared bands keeps them bit-identical
         candidate = damped_blend(family, smoothed, mid.weight_grid()[None])
-        correction = holonomy_correction_oracle(family, candidate, alpha)
+        correction = holonomy_correction_oracle(family, candidate, *alpha)
         snapped = correction.identity_defect() <= 1e-10
         if not snapped:
             candidate = reindex_blend_oracle(candidate, correction,
                                              j0.inner[3], j1.inner[2])
-        h_g = holonomy(candidate, alpha)
+        h_g = holonomy(candidate, *alpha)
         zs = np.linspace(0.0, 1.0, 101)
         hol_defect = float(np.max(np.abs(h_g(zs) - h_p(zs))))
         achieved = c0_distance(family, candidate)
@@ -331,13 +328,12 @@ def test_smooth_single_cell_formula_oracle():
     fam = sheared_family(RECT, 0.04, m=33)
     part = Partition((0.0, 0.5, 1.0))
     out = _formula_smooth(fam, part)
-    ramp = make_damping()
     # candidate output indices from the damped reindexing of the input's
     candidates = {0.0, 0.5, 1.0}
     t = fam.t
     for a, b in ((0.0, 0.5), (0.5, 1.0)):
         for tk in t[(t > a) & (t < b)]:
-            lam = float(ramp((tk - a) / (b - a)))
+            lam = float(smooth_ramp((tk - a) / (b - a)))
             candidates.add(a + lam * (b - a))
     assert all(s in candidates for s in out.t)
     # every output leaf sits on the segment between its cell's end leaves,
@@ -393,7 +389,7 @@ def partitioned_families(draw):
     a random subset of its leaf indices as cut points."""
     family = draw(long_leaf_families())
     if draw(st.booleans()):
-        normals = tangent_field(family).normals.reshape(family.m, -1, 3)
+        normals = tangent_field(family).reshape(family.m, -1, 3)
         try:
             part = choose_partition(family.t, normals,
                                     draw(st.floats(0.002, 0.5)))
@@ -496,9 +492,9 @@ def test_holonomy_constraint_benchmark():
     assert c0_distance(fam, out) <= 0.15
     # holonomy along the core path, measured independently on both families
     # and against the quadratic oracle
-    alpha = straight_path(RECT, (0.5, 0.0), (0.5, 1.0), samples=129)
-    h_in = holonomy(fam, alpha)
-    h_out = holonomy(out, alpha)
+    alpha = (0.5, 0.0), (0.5, 1.0)
+    h_in = holonomy(fam, *alpha)
+    h_out = holonomy(out, *alpha)
     zs = np.linspace(0.0, 1.0, 101)
     assert np.max(np.abs(h_out(zs) - h_in(zs))) <= 1e-9
     oracle = np.array([shear_holonomy_oracle(0.5, z) for z in zs])
