@@ -4,8 +4,11 @@ Interpolation smoothing in the leaf index, damped blending,
 holonomy-constrained smoothing and damped coning, plus the scene-level
 pipeline that glues the per-box operators across a flow box decomposition.
 Every operator's output is defined by a closed convex-combination formula
-evaluated at grid nodes; compliance is checked, not assumed, and C0 budgets
-are measured with retry rather than derived from a priori constants.
+evaluated at grid nodes.  Smoothing in the leaf index returns the input's
+leaves at the partition points; its formula is the piecewise-linear
+interpolation between those cut leaves.  Compliance is checked, not
+assumed, and C0 budgets are measured with retry rather than derived from a
+priori constants.
 """
 
 from __future__ import annotations
@@ -50,19 +53,6 @@ class SmoothingError(RuntimeError):
     def __init__(self, message: str, achieved: float | None = None):
         super().__init__(message)
         self.achieved = achieved
-
-
-class StraighteningError(ValueError):
-    """Collar data sit farther from the box family than closeness_tol.
-
-    defect is the sup height gap between the two families over the
-    boundary frame (a C0 gap, not a holonomy defect).
-    """
-
-    def __init__(self, defect: float, tol: float):
-        super().__init__(
-            f"collar height gap {defect:.6g} exceeds closeness_tol {tol:.6g}")
-        self.defect = defect
 
 
 # ----------------------------------------------------------------- regions
@@ -179,72 +169,52 @@ def damped_blend(f: LeafFamily, g: LeafFamily, weight) -> LeafFamily:
 # ------------------------------------------------------------- smooth_in_t
 
 def _formula_smooth(family: LeafFamily, partition: Partition) -> LeafFamily:
-    """Damped convex-combination smoothing over the partition cells.
+    """Convex-combination smoothing over the partition cells: the input's
+    leaves at the partition points and nothing else.
 
-    Output leaves are reindexed by their anchor height, so each output leaf
-    at index s inside a cell [a, b] lies on the straight segment between the
-    cell's end leaves with coefficient (s-a)/(b-a); the damping ramp shows
-    up as the reindexing speed.  Samples that collapse at float resolution
-    (the ramp is flat to many orders near cell ends) are dropped.
+    LeafFamily is linear in t between samples, so at index s inside a cell
+    [a, b] the output leaf is f_a + (s-a)/(b-a) * (f_b - f_a), the
+    piecewise-linear interpolation between the cut leaves.  Anchoring fixes
+    which leaf carries index s, so samples inside a cell would only repeat
+    this family.
     """
-    t = family.t
-    v = family.values
-    cut_idx = np.searchsorted(t, np.asarray(partition.points))
-    if np.max(np.abs(t[cut_idx] - np.asarray(partition.points))) > 0:
+    pts = np.asarray(partition.points)
+    cut_idx = np.searchsorted(family.t, pts)
+    if np.max(np.abs(family.t[cut_idx] - pts)) > 0:
         raise ValueError("partition points must be sampled leaf indices")
-    out_t = [np.zeros(1)]
-    out_v = [v[:1]]
-    # minimum sample gap: keeps increments far enough above one ulp that
-    # later convex blends cannot collapse them into ties
-    gap = SOLVER_TOL
-    for a_i, b_i in zip(cut_idx, cut_idx[1:]):
-        a, b = t[a_i], t[b_i]
-        fa, fb = v[a_i], v[b_i]
-        lam = smooth_ramp((t[a_i + 1:b_i] - a) / (b - a))
-        s = a + lam * (b - a)
-        g = fa + lam[:, None, None] * (fb - fa)
-        # the upper bounds do not depend on earlier samples; the lower ones
-        # compare with the last accepted sample, so they are checked in order
-        fits = (s < b - gap) & np.all(g < fb - gap, axis=(1, 2))
-        kept = []
-        last_s, last_g = a, fa
-        for k in np.flatnonzero(fits):
-            if s[k] > last_s + gap and np.all(g[k] > last_g + gap):
-                kept.append(k)
-                last_s, last_g = s[k], g[k]
-        out_t += [s[kept], b[None]]
-        out_v += [g[kept], fb[None]]
-    return LeafFamily(family.base, np.concatenate(out_t),
-                      np.concatenate(out_v), family.anchor)
+    return LeafFamily(family.base, family.t[cut_idx], family.values[cut_idx],
+                      family.anchor)
 
 
 def formula_residual(original: LeafFamily, smoothed: LeafFamily,
                      partition: Partition) -> float:
     """Max node residual of the defining convex-combination formula.
 
-    For each output leaf index s in a cell [a, b] of the partition, the leaf
-    grid must equal f_a + (s-a)/(b-a) * (f_b - f_a).
+    The smoothed family is evaluated at every input leaf index s; in a cell
+    [a, b] of the partition its leaf grid must equal
+    f_a + (s-a)/(b-a) * (f_b - f_a), the piecewise-linear interpolation
+    between the input's cut leaves.
     """
     t = original.t
     pts = np.asarray(partition.points)
     cut_idx = np.searchsorted(t, pts)
-    s = smoothed.t
-    c = np.clip(np.searchsorted(pts, s, side="right") - 1, 0, pts.size - 2)
+    c = np.clip(np.searchsorted(pts, t, side="right") - 1, 0, pts.size - 2)
     a_i, b_i = cut_idx[c], cut_idx[c + 1]
-    lam = (s - t[a_i]) / (t[b_i] - t[a_i])
+    lam = (t - t[a_i]) / (t[b_i] - t[a_i])
     fa = original.values[a_i]
     expected = fa + lam[:, None, None] * (original.values[b_i] - fa)
-    return float(np.max(np.abs(smoothed.values - expected)))
+    return float(np.max(np.abs(smoothed.leaves_at(t) - expected)))
 
 
 def smooth_in_t(family: LeafFamily, epsilon: float,
                 report: dict | None = None) -> LeafFamily:
-    """Partitioned damped smoothing in the leaf index.
+    """Partitioned smoothing in the leaf index.
 
-    Chooses a tangent-angle partition, applies the convex-combination
-    formula on each cell, measures the C0 distance to the input, and retries
-    with a halved angle budget until the requested epsilon is met.  Leaves
-    at partition points are bit-identical to the input's.
+    Chooses a tangent-angle partition and returns the input's leaves at the
+    partition points, whose piecewise-linear interpolation in t is the
+    convex-combination formula on each cell; measures the C0 distance to the
+    input, and retries with a halved angle budget until the requested
+    epsilon is met.  The output's leaves are bit-identical to the input's.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -343,57 +313,24 @@ def smooth_with_holonomy_constraint(family: LeafFamily, epsilon: float,
 
 # ------------------------------------------------------------------ coning
 
-def damped_cone(annular: LeafFamily, disk_box: LeafFamily,
-                collar_width: float = 0.125, epsilon: float = 0.2,
-                closeness_tol: float = 0.35,
-                report: dict | None = None) -> LeafFamily:
-    """Extension of collar data over the whole box by damped coning.
+def damped_cone(family: LeafFamily, collar_width: float,
+                epsilon: float) -> LeafFamily:
+    """Damped coning of a box family toward its own smoothing in t.
 
-    The annular family is trusted on the boundary frame of width
-    collar_width (both families live on the same disk chart; a genuinely
-    annular chart would carry monodromy, which a single product chart cannot
-    represent).  The box family is smoothed in t, then replaced by the
-    annular data on the frame with a damped ring transition.  Output grid
-    values on the frame are bit-identical to the annular family's.
+    The family is smoothed in t and the smoothing is written in over the box
+    interior with a damped ring transition.  Output grid values on the
+    boundary frame of width collar_width are bit-identical to the family's.
     """
-    if annular.base != disk_box.base:
-        raise ValueError("collar and box families must share the disk chart")
-    if disk_box.base.shape not in ("disk", "rectangle"):
+    if family.base.shape not in ("disk", "rectangle"):
         raise ValueError("coning needs a disk (or square-chart) base")
-    if annular.anchor != disk_box.anchor:
-        raise ValueError("families must share an anchor node")
     if not 0.0 < collar_width < 1.0 / 6.0:
         raise ValueError("collar width must be in (0, 1/6)")
-    # corrupted-input guard: the collar data must be C0-close to the box
-    # family near the boundary frame
-    t = _merged_indices(annular.t, disk_box.t)
-    a = annular.leaves_at(t).reshape(t.size, -1)
-    d = disk_box.leaves_at(t).reshape(t.size, -1)
-    frame = _frame_nodes(disk_box.base, collar_width)
-    gap = float(np.max(np.abs(a[:, frame] - d[:, frame])))
-    if gap > closeness_tol:
-        raise StraighteningError(gap, closeness_tol)
-    smoothed = smooth_in_t(disk_box, epsilon)
+    smoothed = smooth_in_t(family, epsilon)
     c = collar_width
-    ring = RegionMask(disk_box.base, "ring",
+    ring = RegionMask(family.base, "ring",
                       (3 * c, 1.0 - 3 * c, 3 * c, 1.0 - 3 * c),
                       (c, 1.0 - c, c, 1.0 - c))
-    out = damped_blend(annular, smoothed, 1.0 - ring.weight_grid()[None])
-    if report is not None:
-        report.update({
-            "operation": "damped_cone",
-            "collar_width": collar_width,
-            "collar_gap": gap,
-            "achieved_distance": c0_distance(disk_box, out),
-        })
-    return out
-
-
-def _frame_nodes(base: BaseDomain, width: float) -> np.ndarray:
-    """Flat indices of grid nodes within the boundary frame of given width."""
-    x, y = np.meshgrid(base.x_nodes, base.y_nodes, indexing="ij")
-    d = np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
-    return np.flatnonzero((d <= width + SOLVER_TOL).ravel())
+    return damped_blend(family, smoothed, 1.0 - ring.weight_grid()[None])
 
 
 # --------------------------------------------------- scene-level pipeline
@@ -689,10 +626,8 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
         with failing_stage("interior coning"):
             for ident in order:
                 try:
-                    coned = damped_cone(fams[ident], fams[ident],
-                                        collar_width=1.0 / 16.0,
-                                        epsilon=eps_cone)
-                except (SmoothingError, StraighteningError) as err:
+                    coned = damped_cone(fams[ident], 1.0 / 16.0, eps_cone)
+                except SmoothingError as err:
                     raise SmoothingError(
                         f"box {ident} interior coning: {err}") from err
                 fams[ident] = damped_blend(fams[ident], coned, amplitude)
