@@ -8,6 +8,7 @@ anchor point, so holonomy maps are genuine self-maps of [0,1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,21 +191,88 @@ def tangent_field(family: LeafFamily) -> np.ndarray:
     return normals
 
 
-# cosines this far above the least one have angles smaller by at least this
-# much (|arccos'| >= 1), far beyond arccos's rounding error
-_C0_COS_SLACK = 1e-9
+def _normal_angles(p, q) -> np.ndarray:
+    """Angles between the leaf normals (-p, 1) and (-q, 1) of gradients
+    p = (p_x, p_y) and q: atan2 of the cross and dot products, precise at
+    small angles and symmetric in p and q to the last bit."""
+    cross = np.sqrt((q[1] - p[1]) ** 2 + (p[0] - q[0]) ** 2
+                    + (p[0] * q[1] - p[1] * q[0]) ** 2)
+    return np.arctan2(cross, p[0] * q[0] + p[1] * q[1] + 1.0)
+
+
+# a quartic's monomial coefficients, lowest power first, to its Bernstein
+# coefficients on [0, 1], between whose least and largest it stays there
+_BERNSTEIN = np.array([[math.comb(i, j) / math.comb(4, j) if j <= i else 0.0
+                        for j in range(5)] for i in range(5)])
+
+
+def _interior_peak(g, dg, worst: float) -> float:
+    """Largest angle between the normals of the gradients p + u dp and
+    q + u dq for u in [0, 1], or worst if none beats it; g and dg stack
+    (p_x, p_y, q_x, q_y) and the steps of k segments, (4, k).
+
+    The angle is atan2(|c|, d) for d = a.b quadratic in u and |c|^2 =
+    |a x b|^2 = |q - p|^2 + (p x q)^2 quartic.  As the ends are at or below
+    worst < pi/2, nonnegative Bernstein coefficients of sin^2(worst) d^2 -
+    cos^2(worst) |c|^2 keep a segment there.  On the others the angle is
+    taken at the real parts in [0, 1] of the roots of its critical quartic
+    d (|c|^2)'/2 - |c|^2 d'.  Swapping p and q gives the same bits.
+    """
+    p, q, dp, dq = g[:2], g[2:], dg[:2], dg[2:]
+
+    def dot(x, y):
+        return np.einsum("ij,ij->j", x, y)
+
+    def wedge(x, y):
+        return x[0] * y[1] - x[1] * y[0]
+
+    e, de = q - p, dq - dp
+    k0, k1, k2 = wedge(p, q), wedge(p, dq) + wedge(dp, q), wedge(dp, dq)
+    d0, d1, d2 = dot(p, q) + 1.0, dot(p, dq) + dot(dp, q), dot(dp, dq)
+    dd = np.stack([d0 * d0, 2.0 * d0 * d1, d1 * d1 + 2.0 * d0 * d2,
+                   2.0 * d1 * d2, d2 * d2])
+    ss = np.stack([dot(e, e) + k0 * k0, 2.0 * (dot(e, de) + k0 * k1),
+                   dot(de, de) + k1 * k1 + 2.0 * k0 * k2, 2.0 * k1 * k2,
+                   k2 * k2])
+    sin2, cos2 = math.sin(worst) ** 2, math.cos(worst) ** 2
+    slack = 16.0 * np.finfo(float).eps * np.sum(
+        sin2 * np.abs(dd) + cos2 * np.abs(ss), axis=0)
+    live = ((np.min(_BERNSTEIN @ (sin2 * dd - cos2 * ss), axis=0) < -slack)
+            | (worst >= 0.5 * math.pi))
+    s0, s1, s2, s3, s4 = ss
+    r = np.stack([d1 * s4 - 0.5 * d2 * s3,
+                  2.0 * d0 * s4 + 0.5 * d1 * s3 - d2 * s2,
+                  1.5 * (d0 * s3 - d2 * s1),
+                  d0 * s2 - 0.5 * d1 * s1 - 2.0 * d2 * s0,
+                  0.5 * d0 * s1 - d1 * s0], axis=-1)
+    scale = np.max(np.abs(r), axis=-1)
+    live &= scale > 0.0  # a constant angle has no critical points to add
+    if not live.any():
+        return worst
+    r = r[live] / scale[live, None]
+    # a vanishing u^4 coefficient only moves a root far outside [0, 1]
+    r[:, 0] = np.where(np.abs(r[:, 0]) < 1e-17, 1e-17, r[:, 0])
+    companion = np.zeros((r.shape[0], 4, 4))
+    companion[:, 0, :] = -r[:, 1:] / r[:, :1]
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    u = np.clip(np.linalg.eigvals(companion).real, 0.0, 1.0).T
+    at = g[:, None, live] + u * dg[:, None, live]
+    return max(worst, float(_normal_angles(at[:2], at[2:]).max()))
 
 
 def c0_distance(a: LeafFamily, b: LeafFamily) -> float:
-    """Sup over shared sample points (x, z) of the angle between leaf normals.
+    """Sup over grid nodes x and heights z of the angle between the leaf
+    normals at (x, z).
 
-    At every grid node, the z-samples are the union of both families' leaf
-    heights there; each family's normal at (x, z) interpolates its per-leaf
-    gradients linearly between the bracketing sampled leaves.
+    At a node, each family's normal interpolates its per-leaf gradients
+    linearly in z between the bracketing leaves.  Between consecutive
+    heights of both families' leaves both are affine in z, so the sup is
+    taken at those heights and at the angle's critical points between them:
+    it depends on the normal fields, not on where they are sampled.
     """
     if a.base != b.base:
         raise ValueError("families must share a base domain")
-    n = a.base.nx * a.base.ny
+    n, k = a.base.nx * a.base.ny, a.m + b.m
 
     def node_rows(grid, m):
         # (m, nx, ny) -> contiguous (n, m): one row of leaf samples per node
@@ -213,37 +281,53 @@ def c0_distance(a: LeafFamily, b: LeafFamily) -> float:
     va, vb = node_rows(a.values, a.m), node_rows(b.values, b.m)
     ga = [node_rows(g, a.m) for g in np.moveaxis(_leaf_gradients(a), -1, 0)]
     gb = [node_rows(g, b.m) for g in np.moveaxis(_leaf_gradients(b), -1, 0)]
+    rows = k * np.arange(n)[:, None]
 
-    def grad_at(v, g, zq):
-        # per-row searchsorted: heights sit in [0,1], so offsetting row r by
-        # 2r makes the flattened array globally sorted
-        m = v.shape[1]
-        off = 2.0 * np.arange(v.shape[0], dtype=float)[:, None]
-        flat = np.searchsorted((v + off).ravel(), (zq + off).ravel(),
-                               side="right")
-        idx = flat.reshape(zq.shape) - m * np.arange(v.shape[0])[:, None] - 1
-        seg = np.clip(idx, 0, m - 2)
-        pos = m * np.arange(v.shape[0])[:, None] + seg
-        vf = v.ravel()
-        v_lo, v_hi = vf[pos], vf[pos + 1]
+    def places(v, zq, side):
+        # places of the heights zq in each node's merged order; heights sit
+        # in [0,1], so offsetting row r by 2r sorts the flattened array
+        off = 2.0 * np.arange(n)[:, None]
+        flat = np.searchsorted((v + off).ravel(), (zq + off).ravel(), side)
+        return (flat.reshape(zq.shape) - v.shape[1] * np.arange(n)[:, None]
+                + rows + np.arange(zq.shape[1]))
+
+    # merged order: a's leaf i follows the b leaves at or below it, b's leaf
+    # j the a leaves strictly below it.  The family with fewer leaves is
+    # placed by search, the other takes the places left, in order
+    swap = a.m > b.m
+    placed = places(*((va, vb, "left") if swap else (vb, va, "right")))
+    free = np.ones(n * k, dtype=bool)
+    free[placed.ravel()] = False
+    rest = np.flatnonzero(free).reshape(n, -1)
+    pa, pb = (rest, placed) if swap else (placed, rest)
+
+    def interp(v, grads, zq, place):
+        # gradients at the heights zq, linear between the bracketing leaves
+        # (exact at a leaf's own height) and constant beyond the end leaves
+        m, below = v.shape[1], place - rows - np.arange(zq.shape[1])
+        pos = m * np.arange(n)[:, None] + np.clip(below - 1, 0, m - 2)
+        v_lo, v_hi = v.ravel()[pos], v.ravel()[pos + 1]
         u = np.clip((zq - v_lo) / (v_hi - v_lo), 0.0, 1.0)
-        return [(1.0 - u) * c.ravel()[pos] + u * c.ravel()[pos + 1] for c in g]
+        return [(1.0 - u) * c.ravel()[pos] + u * c.ravel()[pos + 1]
+                for c in grads]
 
-    def cosines(p, q):
-        # two-term sums in the order np.sum takes them over a size-2 axis
-        dot = p[0] * q[0] + p[1] * q[1] + 1.0
-        norm = np.sqrt((p[0] * p[0] + p[1] * p[1] + 1.0)
-                       * (q[0] * q[0] + q[1] * q[1] + 1.0))
-        return np.clip(dot / norm, -1.0, 1.0)
-
-    # at a family's own sampled heights the interpolation is exact, so only
-    # the other family's heights need the bracketing walk
-    cos = [cosines(ga, grad_at(vb, gb, va)), cosines(grad_at(va, ga, vb), gb)]
-    # the sup angle sits at the least cosine; arccos only the near-minimal
-    # ones so the max never leans on arccos being monotone to the last ulp
-    least = min(c.min() for c in cos)
-    return float(max(np.arccos(c[c <= least + _C0_COS_SLACK]).max(initial=0.0)
-                     for c in cos))
+    # (p_x, p_y, q_x, q_y), a's gradient p and b's q, at the merged heights
+    g = np.empty((4, n * k))
+    for c, (at_a, at_b) in enumerate(zip(ga + interp(vb, gb, va, pa),
+                                         interp(va, ga, vb, pb) + gb)):
+        g[c, pa.ravel()], g[c, pb.ravel()] = at_a.ravel(), at_b.ravel()
+    g = g.reshape(4, n, k)
+    worst = float(_normal_angles(g[:2], g[2:]).max())
+    # between merged heights the angle is at most the gnomonic distance
+    # |q - p| (the projection only stretches), convex along the segment, so
+    # only segments with an end farther than worst can beat it
+    e = g[2:] - g[:2]
+    far = np.einsum("i...,i...->...", e, e) > worst * worst
+    node, seg = np.nonzero(far[:, :-1] | far[:, 1:])
+    if node.size:
+        worst = _interior_peak(g[:, node, seg],
+                               g[:, node, seg + 1] - g[:, node, seg], worst)
+    return worst
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,17 @@ def sheared_leaf_index_oracle(x, z, shear=0.5):
 GOLDEN_INDEX = sheared_leaf_index_oracle(1.0, 0.5)  # (3 - sqrt 5)/2
 
 
-def c0_distance_oracle(a: LeafFamily, b: LeafFamily) -> float:
-    """Reference kernel for c0_distance: (n, m, 2) gradient stacks, np.sum
-    over the component axis and arccos at every sample."""
+def c0_distance_oracle(a: LeafFamily, b: LeafFamily, samples: int = 32) -> float:
+    """Reference for c0_distance by search instead of algebra.
+
+    Per node: the union of both families' leaf heights (np.union1d), each
+    gradient there by np.interp, then every segment between consecutive
+    heights sampled at `samples` + 1 points.  The angle moves no faster than
+    |dp| + |dq| along a segment, so every sample interval that could hold a
+    larger angle than the largest sampled one is searched by golden section.
+    Angles from np.cross and np.linalg.norm.  samples=1 gives the largest
+    angle at the sampled heights only.
+    """
     if a.base != b.base:
         raise ValueError("families must share a base domain")
     n = a.base.nx * a.base.ny
@@ -53,31 +61,43 @@ def c0_distance_oracle(a: LeafFamily, b: LeafFamily) -> float:
     vb = b.values.reshape(b.m, n).T
     ga = _leaf_gradients(a).reshape(a.m, n, 2).transpose(1, 0, 2)  # (n, ma, 2)
     gb = _leaf_gradients(b).reshape(b.m, n, 2).transpose(1, 0, 2)
+    ends = []
+    for r in range(n):
+        z = np.union1d(va[r], vb[r])
+        at = [np.stack([np.interp(z, v[r], g[r, :, c]) for c in range(2)], -1)
+              for v, g in ((va, ga), (vb, gb))]
+        ends.append(np.stack([at[0][:-1], at[0][1:], at[1][:-1], at[1][1:]]))
+    p0, p1, q0, q1 = np.concatenate(ends, axis=1)[..., None, :]  # (s, 1, 2)
 
-    def grad_at(v, g, zq):
-        # per-row searchsorted: heights sit in [0,1], so offsetting row r by
-        # 2r makes the flattened array globally sorted
-        m = v.shape[1]
-        off = 2.0 * np.arange(v.shape[0], dtype=float)[:, None]
-        flat = np.searchsorted((v + off).ravel(), (zq + off).ravel(),
-                               side="right")
-        idx = flat.reshape(zq.shape) - m * np.arange(v.shape[0])[:, None] - 1
-        seg = np.clip(idx, 0, m - 2)
-        pos = m * np.arange(v.shape[0])[:, None] + seg
-        vf, gf = v.ravel(), g.reshape(-1, 2)
-        v_lo, v_hi = vf[pos], vf[pos + 1]
-        u = np.clip((zq - v_lo) / (v_hi - v_lo), 0.0, 1.0)[..., None]
-        return (1.0 - u) * gf[pos] + u * gf[pos + 1]
+    def angle(u):
+        up, uq = p0 + u[..., None] * (p1 - p0), q0 + u[..., None] * (q1 - q0)
+        na = np.concatenate([-up, np.ones(up.shape[:-1] + (1,))], axis=-1)
+        nb = np.concatenate([-uq, np.ones(uq.shape[:-1] + (1,))], axis=-1)
+        return np.arctan2(np.linalg.norm(np.cross(na, nb), axis=-1),
+                          np.sum(na * nb, axis=-1))
 
-    # at a family's own sampled heights the interpolation is exact, so only
-    # the other family's heights need the bracketing walk
-    qa = np.concatenate([ga, grad_at(va, ga, vb)], axis=1)
-    qb = np.concatenate([grad_at(vb, gb, va), gb], axis=1)
-    dot = np.sum(qa * qb, axis=-1) + 1.0
-    norm = np.sqrt((np.sum(qa * qa, axis=-1) + 1.0)
-                   * (np.sum(qb * qb, axis=-1) + 1.0))
-    ang = np.arccos(np.clip(dot / norm, -1.0, 1.0))
-    return float(ang.max())
+    vals = angle(np.broadcast_to(np.linspace(0.0, 1.0, samples + 1),
+                                 (p0.shape[0], samples + 1)))
+    best = float(vals.max())
+    if samples == 1:
+        return best
+    speed = (np.linalg.norm(p1 - p0, axis=-1)
+             + np.linalg.norm(q1 - q0, axis=-1))
+    seg, j = np.nonzero(np.maximum(vals[:, :-1], vals[:, 1:])
+                        + speed / (2 * samples) >= best)
+    p0, p1, q0, q1 = (x[seg] for x in (p0, p1, q0, q1))
+    lo, hi = j[:, None] / samples, (j[:, None] + 1) / samples
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    f1, f2 = angle(x1), angle(x2)
+    for _ in range(30):
+        left = f1 >= f2
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        x1, x2 = np.where(left, hi - ratio * (hi - lo), x2), \
+            np.where(left, x1, lo + ratio * (hi - lo))
+        f_new = angle(np.where(left, x1, x2))
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    return max(best, float(angle(0.5 * (lo + hi)).max()))
 
 
 def fiber_transports_oracle(family: LeafFamily, nodes) -> list:
@@ -340,10 +360,51 @@ def family_pairs(draw):
 def test_c0_distance_matches_oracle(pair):
     a, b = pair
     d = c0_distance(a, b)
-    assert d == c0_distance_oracle(a, b)
+    assert abs(d - c0_distance_oracle(a, b)) <= 1e-12
     assert d == c0_distance(b, a)
     assert c0_distance(a, a) == 0.0
     assert c0_distance(b, b) == 0.0
+
+
+def midpoint_refinement(family: LeafFamily) -> LeafFamily:
+    """The same family with an extra leaf halfway between each pair of
+    sampled leaves: every leaf and every gradient the interpolation gives
+    there already, so only the sampling changes."""
+    t = np.empty(2 * family.m - 1)
+    vals = np.empty((t.size,) + family.values.shape[1:])
+    t[::2], vals[::2] = family.t, family.values
+    t[1::2] = 0.5 * (family.t[:-1] + family.t[1:])
+    vals[1::2] = 0.5 * (family.values[:-1] + family.values[1:])
+    return LeafFamily(family.base, t, vals, family.anchor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family_pairs())
+def test_c0_distance_ignores_how_a_family_is_sampled(pair):
+    a, b = pair
+    d = c0_distance(a, b)
+    assert abs(c0_distance(a, midpoint_refinement(b)) - d) <= 1e-12
+    assert abs(c0_distance(midpoint_refinement(a), b) - d) <= 1e-12
+
+
+def test_c0_distance_finds_a_peak_between_sampled_heights():
+    # between the leaves 1/3 and 2/3 both gradients run in parallel, from
+    # (0.2, -/+0.02) to (-0.2, -/+0.02): the normals are nearest the
+    # vertical halfway, where the angle between them is largest
+    base = BaseDomain("rectangle", 9, 9)
+    x, y = np.meshgrid(base.x_nodes, base.y_nodes, indexing="ij")
+    t = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
+
+    def family(h):
+        tilt = 0.2 * (x - 0.5)
+        vals = np.stack([np.zeros_like(x), t[1] + tilt + h * (y - 0.5),
+                         t[2] - tilt + h * (y - 0.5), np.ones_like(x)])
+        return LeafFamily(base, t, vals, (4, 4))
+
+    a, b = family(-0.02), family(0.02)
+    d = c0_distance(a, b)
+    assert abs(d - c0_distance_oracle(a, b)) <= 1e-12
+    assert d > c0_distance_oracle(a, b, samples=1) + 1e-3
 
 
 @st.composite
