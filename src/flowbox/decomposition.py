@@ -583,7 +583,7 @@ def enforce_condition5(complex_: DecompositionComplex) -> DecompositionComplex:
                 f"condition ({cond}) fails")
     current = complex_
     for _ in range(32):
-        if validate(current)["conditions"]["5"]["pass"]:
+        if rep["conditions"]["5"]["pass"]:
             return current
         v_ids = current.v_boxes
         listing = list(current.boxes)
@@ -620,8 +620,8 @@ def enforce_condition5(complex_: DecompositionComplex) -> DecompositionComplex:
             break
         else:
             break
-    final = validate(current)
-    if not final["conditions"]["5"]["pass"]:
+        rep = validate(current)
+    if not rep["conditions"]["5"]["pass"]:
         raise RuntimeError("condition (5) enforcement did not converge")
     return current
 

@@ -15,16 +15,15 @@ import numpy as np
 
 from .kernel import SOLVER_TOL
 
-_SHAPES = ("rectangle", "annulus", "disk")
+_SHAPES = ("rectangle", "annulus")
 
 
 @dataclass(frozen=True)
 class BaseDomain:
-    """Base of a flow box: unit square, annulus [0,1] x S^1, or disk chart.
+    """Base of a flow box: unit square or annulus [0,1] x S^1.
 
-    nx, ny are node counts per axis.  The disk shares the rectangle's square
-    chart; the annulus is periodic in y with nodes at j/ny (no seam
-    duplicate).
+    nx, ny are node counts per axis.  The annulus is periodic in y with
+    nodes at j/ny (no seam duplicate).
     """
 
     shape: str

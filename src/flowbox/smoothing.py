@@ -3,6 +3,9 @@
 Interpolation smoothing in the leaf index, damped blending,
 holonomy-constrained smoothing and damped coning, plus the scene-level
 pipeline that glues the per-box operators across a flow box decomposition.
+Every neighbourhood the stages damp toward (horizontal-edge bands, corner
+squares, face strips, box interiors) is weighted by a product of one-axis
+damped indicators, _axis_weight.
 Every operator's output is defined by a closed convex-combination formula
 evaluated at grid nodes.  Smoothing in the leaf index returns the input's
 leaves at the partition points; its formula is the piecewise-linear
@@ -13,7 +16,6 @@ priori constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +60,11 @@ class SmoothingError(RuntimeError):
 # ----------------------------------------------------------------- regions
 
 def _axis_weight(u: np.ndarray, lo_in, hi_in, lo_out, hi_out) -> np.ndarray:
+    """Damped indicator of [lo_in, hi_in] along one axis: exactly 1 on it,
+    exactly 0 outside [lo_out, hi_out], smooth_ramp of the fraction of the
+    margin crossed in between.  An end without margin (lo_out == lo_in or
+    hi_out == hi_in) does not decay.  Every neighbourhood weight of the
+    smoothing stages is this function of x times this function of y."""
     w = np.ones_like(u)
     if lo_out < lo_in:
         left = u < lo_in
@@ -68,75 +75,6 @@ def _axis_weight(u: np.ndarray, lo_in, hi_in, lo_out, hi_out) -> np.ndarray:
             right, smooth_ramp((hi_out - u) / (hi_out - hi_in)),
             np.ones_like(u)))
     return w
-
-
-@dataclass(frozen=True)
-class RegionMask:
-    """Damped indicator of a rectangular region of the base.
-
-    kind 'rect': weight exactly 1 on the inner rectangle S, ramping to exactly
-    0 outside the outer rectangle N(S).  kind 'ring': the complement ramp,
-    1 outside the outer rectangle (a frame along the domain boundary) and 0
-    on the inner one.  Rectangles are (x0, x1, y0, y1); a side of S may touch
-    the domain boundary, in which case the mask does not decay there and the
-    matching outer bound must coincide.
-    """
-
-    base: BaseDomain
-    kind: str
-    inner: tuple
-    outer: tuple
-
-    def __post_init__(self):
-        if self.kind not in ("rect", "ring"):
-            raise ValueError(f"unknown region kind {self.kind!r}")
-        inner = tuple(float(v) for v in self.inner)
-        outer = tuple(float(v) for v in self.outer)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "outer", outer)
-        x0, x1, y0, y1 = inner
-        X0, X1, Y0, Y1 = outer
-        if not (0.0 <= X0 <= x0 < x1 <= X1 <= 1.0
-                and 0.0 <= Y0 <= y0 < y1 <= Y1 <= 1.0):
-            raise ValueError("inner rectangle must sit inside the outer one")
-        for side_in, side_out, edge in ((x0, X0, 0.0), (x1, X1, 1.0),
-                                        (y0, Y0, 0.0), (y1, Y1, 1.0)):
-            if side_in == side_out and side_in != edge:
-                raise ValueError(
-                    "zero margin is only allowed where the region touches "
-                    "the domain boundary")
-
-    def weight_at(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        x0, x1, y0, y1 = self.inner
-        X0, X1, Y0, Y1 = self.outer
-        wx = _axis_weight(pts[..., 0], x0, x1, X0, X1)
-        wy = _axis_weight(pts[..., 1], y0, y1, Y0, Y1)
-        w = wx * wy
-        if self.kind == "ring":
-            return 1.0 - w
-        return w
-
-    def weight_grid(self) -> np.ndarray:
-        x, y = np.meshgrid(self.base.x_nodes, self.base.y_nodes, indexing="ij")
-        pts = np.stack([x.ravel(), y.ravel()], axis=-1)
-        return self.weight_at(pts).reshape(self.base.nx, self.base.ny)
-
-    def summary(self) -> dict:
-        return {"kind": self.kind, "inner": list(self.inner),
-                "outer": list(self.outer)}
-
-
-def band_masks(base: BaseDomain, inner_frac: float = 0.125,
-               outer_frac: float = 0.375) -> tuple:
-    """Neighborhood bands of the horizontal edges y = 0 and y = 1."""
-    if not 0.0 < inner_frac < outer_frac < 0.5:
-        raise ValueError("need 0 < inner_frac < outer_frac < 1/2")
-    j0 = RegionMask(base, "rect", (0.0, 1.0, 0.0, inner_frac),
-                    (0.0, 1.0, 0.0, outer_frac))
-    j1 = RegionMask(base, "rect", (0.0, 1.0, 1.0 - inner_frac, 1.0),
-                    (0.0, 1.0, 1.0 - outer_frac, 1.0))
-    return j0, j1
 
 
 def _merged_indices(ta: np.ndarray, tb: np.ndarray,
@@ -220,9 +158,9 @@ def smooth_in_t(family: LeafFamily, epsilon: float,
         raise ValueError("epsilon must be positive")
     budget = epsilon
     attempts = []
+    normals = tangent_field(family).reshape(family.m, -1, 3)
     for attempt in range(MAX_RETRIES + 1):
         try:
-            normals = tangent_field(family).reshape(family.m, -1, 3)
             part = choose_partition(family.t, normals, budget)
         except ValueError:
             # budget finer than the sampling can certify: the finest
@@ -252,33 +190,29 @@ def smooth_in_t(family: LeafFamily, epsilon: float,
 # ------------------------------------------- holonomy-constrained smoothing
 
 def smooth_with_holonomy_constraint(family: LeafFamily, epsilon: float,
-                                    bands: tuple | None = None,
+                                    bands: tuple = (0.125, 0.375),
                                     report: dict | None = None) -> LeafFamily:
     """Smoothing of a rectangle-based family that preserves the holonomy
     along the core path alpha = {1/2} x [0,1] and is bit-identical to the
     input on neighborhoods of the horizontal edges.
 
-    The smoothed interior is blended in away from the bands, so the bands
-    pin both end fibers of alpha to the input's leaf heights, and with them
-    the holonomy along alpha.  The holonomy is still checked: the returned
+    bands = (inner, outer): the input is kept where y <= inner or
+    y >= 1 - inner, the smoothing is written in fully where
+    outer <= y <= 1 - outer, and a damped ramp joins the two.  The bands pin
+    both end fibers of alpha to the input's leaf heights, and with them the
+    holonomy along alpha.  The holonomy is still checked: the returned
     family satisfies rho_G(alpha) = rho_P(alpha) within 1e-9, measured at
     the sampled fibers, with C0 distance at most epsilon.
     """
     base = family.base
     if base.shape != "rectangle":
         raise ValueError("holonomy-constrained smoothing needs a rectangle base")
-    if bands is None:
-        bands = band_masks(base)
-    j0, j1 = bands
-    if j0.inner[0] != 0.0 or j0.inner[1] != 1.0 or j0.inner[2] != 0.0:
-        raise ValueError("first band must be a neighborhood of the edge y=0")
-    if j1.inner[0] != 0.0 or j1.inner[1] != 1.0 or j1.inner[3] != 1.0:
-        raise ValueError("second band must be a neighborhood of the edge y=1")
-    if j0.outer[3] >= j1.outer[2]:
-        raise ValueError("bands must be disjoint")
-    mid = RegionMask(base, "rect",
-                     (0.0, 1.0, j0.outer[3], j1.outer[2]),
-                     (0.0, 1.0, j0.inner[3], j1.inner[2]))
+    inner, outer = bands
+    if not 0.0 < inner < outer < 0.5:
+        raise ValueError("bands need 0 < inner < outer < 1/2")
+    # weight exactly zero on the bands keeps them bit-identical
+    weight = _axis_weight(base.y_nodes, outer, 1.0 - outer, inner,
+                          1.0 - inner)[None, None, :]
     # the core path alpha = {1/2} x [0,1]
     alpha = (0.5, 0.0), (0.5, 1.0)
     h_p = holonomy(family, *alpha)
@@ -286,8 +220,7 @@ def smooth_with_holonomy_constraint(family: LeafFamily, epsilon: float,
     attempts = []
     for attempt in range(MAX_RETRIES + 1):
         smoothed = smooth_in_t(family, inner_eps)
-        # weight exactly zero on the declared bands keeps them bit-identical
-        candidate = damped_blend(family, smoothed, mid.weight_grid()[None])
+        candidate = damped_blend(family, smoothed, weight)
         h_g = holonomy(candidate, *alpha)
         zs = np.linspace(0.0, 1.0, 101)
         hol_defect = float(np.max(np.abs(h_g(zs) - h_p(zs))))
@@ -299,7 +232,6 @@ def smooth_with_holonomy_constraint(family: LeafFamily, epsilon: float,
                 "epsilon": epsilon,
                 "achieved_distance": achieved,
                 "holonomy_defect": hol_defect,
-                "bands": [j0.summary(), j1.summary()],
                 "retries": attempt,
                 "attempt_distances": attempts,
             })
@@ -318,19 +250,21 @@ def damped_cone(family: LeafFamily, collar_width: float,
     """Damped coning of a box family toward its own smoothing in t.
 
     The family is smoothed in t and the smoothing is written in over the box
-    interior with a damped ring transition.  Output grid values on the
-    boundary frame of width collar_width are bit-identical to the family's.
+    interior: fully from 3 * collar_width away from the boundary on, with a
+    damped transition across the collar.  Output grid values on the boundary
+    frame of width collar_width are bit-identical to the family's.
     """
-    if family.base.shape not in ("disk", "rectangle"):
-        raise ValueError("coning needs a disk (or square-chart) base")
+    if family.base.shape != "rectangle":
+        raise ValueError("coning needs a rectangle base")
     if not 0.0 < collar_width < 1.0 / 6.0:
         raise ValueError("collar width must be in (0, 1/6)")
     smoothed = smooth_in_t(family, epsilon)
     c = collar_width
-    ring = RegionMask(family.base, "ring",
-                      (3 * c, 1.0 - 3 * c, 3 * c, 1.0 - 3 * c),
-                      (c, 1.0 - c, c, 1.0 - c))
-    return damped_blend(family, smoothed, 1.0 - ring.weight_grid()[None])
+    base = family.base
+    wx = _axis_weight(base.x_nodes, 3 * c, 1.0 - 3 * c, c, 1.0 - c)
+    wy = _axis_weight(base.y_nodes, 3 * c, 1.0 - 3 * c, c, 1.0 - c)
+    return damped_blend(family, smoothed,
+                        wx[None, :, None] * wy[None, None, :])
 
 
 # --------------------------------------------------- scene-level pipeline
@@ -415,20 +349,14 @@ def _corner_fiber_damp(family: LeafFamily, amplitude: float) -> LeafFamily:
     face traces agree keep agreeing: face transports are preserved.  The
     anchor corner's fiber is the index itself, which keeps anchoring exact.
     """
-    inner, outer = 1.0 / 16.0, 0.25
     base = family.base
-    xs, ys = base.x_nodes, base.y_nodes
     vals = family.values
-    for cx in (0, base.nx - 1):
-        for cy in (0, base.ny - 1):
-            dx = np.abs(xs - xs[cx])
-            dy = np.abs(ys - ys[cy])
-            wx = np.where(dx <= inner, 1.0,
-                          np.where(dx >= outer, 0.0,
-                                   smooth_ramp((outer - dx) / (outer - inner))))
-            wy = np.where(dy <= inner, 1.0,
-                          np.where(dy >= outer, 0.0,
-                                   smooth_ramp((outer - dy) / (outer - inner))))
+    # along each axis: 1 within 1/16 of the corner, 0 from 1/4 away on
+    low, high = (0.0, 1.0 / 16.0, 0.0, 0.25), (15.0 / 16.0, 1.0, 0.75, 1.0)
+    for cx, x_lims in ((0, low), (base.nx - 1, high)):
+        wx = _axis_weight(base.x_nodes, *x_lims)
+        for cy, y_lims in ((0, low), (base.ny - 1, high)):
+            wy = _axis_weight(base.y_nodes, *y_lims)
             w = amplitude * (wx[:, None] * wy[None, :])
             fiber = vals[:, cx, cy]
             vals = vals + w[None, :, :] * (fiber[:, None, None] - vals)
@@ -588,10 +516,10 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
                 chart, e_a, seam_gap = _face_chart(
                     fams[id_a], fams[id_b], axis, width, label)
                 rep = {}
-                bands = band_masks(chart.base, 0.25, 15.0 / 32.0)
                 try:
                     smoothed = smooth_with_holonomy_constraint(
-                        chart, eps_face, bands=bands, report=rep)
+                        chart, eps_face, bands=(0.25, 15.0 / 32.0),
+                        report=rep)
                 except SmoothingError as err:
                     raise SmoothingError(f"{label}: {err}",
                                          achieved=err.achieved) from err

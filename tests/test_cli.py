@@ -437,12 +437,17 @@ def _far_anchor(scene):
     scene["boxes"][0]["family"]["anchor"] = [99, 0]
 
 
+def _disk_base(scene):
+    scene["boxes"][0]["family"]["base"]["shape"] = "disk"
+
+
 @pytest.mark.parametrize("kind", ["validate", "smooth"])
 @pytest.mark.parametrize("corrupt, reason", [
     (_leaf_nan, "leaves must be strictly increasing"),
     (_t_inf, "leaf indices must be strictly increasing"),
     (_height_nan, "NaN"),
     (_far_anchor, "anchor must be a grid node"),
+    (_disk_base, "unknown base shape 'disk'"),
 ])
 def test_corrupted_scene_exit_three(kind, corrupt, reason, grid9_scene,
                                     tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowbox import decomposition
 from flowbox.decomposition import (
     DecompositionComplex,
     Face,
@@ -250,6 +251,23 @@ def test_enforce_five_box_scene():
         assert box.heights in ((F(0), F(1, 2)), (F(1, 2), F(1)))
     # idempotent once valid
     assert enforce_condition5(fixed) is fixed
+
+
+def test_enforce_validates_each_complex_once(monkeypatch):
+    seen = []
+
+    def counting_validate(complex_):
+        seen.append(complex_)
+        return validate(complex_)
+
+    monkeypatch.setattr(decomposition, "validate", counting_validate)
+    # the input and the complexes its three box splits make, each
+    # validated once
+    enforce_condition5(five_box_scene())
+    assert len(seen) == 4 and len({id(c) for c in seen}) == 4
+    seen.clear()
+    enforce_condition5(build_torus_scene((2, 2)))
+    assert len(seen) == 1
 
 
 def test_enforce_requires_conditions_1_to_4():

@@ -346,11 +346,43 @@ def long_leaf_families(draw):
 
 
 @st.composite
+def parallel_gradient_pairs(draw):
+    """Two families on a rectangle whose gradients run in parallel past the
+    vertical between the leaves t1 and t2, as in
+    test_c0_distance_finds_a_peak_between_sampled_heights: from
+    (tilt, +/-offset) to (-tilt, +/-offset), so the angle between them peaks
+    between the sampled heights.  Tilt, offset, t1, t2 and the extra leaves
+    each family is resampled at are random."""
+    base = BaseDomain("rectangle", draw(st.integers(8, 17)),
+                      draw(st.integers(8, 17)))
+    x, y = np.meshgrid(base.x_nodes, base.y_nodes, indexing="ij")
+    t1, t2 = draw(st.floats(0.15, 0.4)), draw(st.floats(0.6, 0.85))
+    t = np.array([0.0, t1, t2, 1.0])
+    tilt = draw(st.floats(0.02, 0.09)) * draw(st.sampled_from([-1.0, 1.0]))
+    offset = draw(st.floats(0.005, 0.05))
+    pair = []
+    for h in (-offset, offset):
+        vals = np.stack([np.zeros_like(x), t1 + tilt * x + h * y,
+                         t2 - tilt * x + h * y, np.ones_like(x)])
+        family = LeafFamily(base, t, vals, (0, 0))
+        extra = [k / 100.0 for k in draw(st.lists(st.integers(1, 99),
+                                                  max_size=6, unique=True))
+                 if min(abs(k / 100.0 - t1), abs(k / 100.0 - t2)) > 1e-3]
+        resampled = np.union1d(t, extra)
+        pair.append(LeafFamily(base, resampled, family.leaves_at(resampled),
+                               (0, 0)))
+    return tuple(pair)
+
+
+@st.composite
 def family_pairs(draw):
+    kind = draw(st.sampled_from(["smoothed", "independent", "parallel"]))
+    if kind == "parallel":
+        return draw(parallel_gradient_pairs())
     shape = draw(st.sampled_from(["rectangle", "annulus"]))
     base = BaseDomain(shape, draw(st.integers(8, 17)), draw(st.integers(8, 17)))
     a = draw(leaf_families(base))
-    if draw(st.booleans()):
+    if kind == "smoothed":
         return a, smooth_in_t(a, draw(st.sampled_from([0.3, 0.1, 0.03])))
     return a, draw(leaf_families(base))
 

@@ -43,14 +43,13 @@ from flowbox.kernel import (
 )
 from flowbox.smoothing import (
     FACE_COMPAT_TOL,
-    RegionMask,
     SmoothingError,
+    _axis_weight,
     _chart_blend,
     _corner_fiber_damp,
     _face_chart,
     _formula_smooth,
     _paste_strip,
-    band_masks,
     damped_blend,
     damped_cone,
     face_transport_defect,
@@ -82,6 +81,62 @@ def ramp_oracle(u: float) -> float:
     a = math.exp(-1.0 / u)
     b = math.exp(-1.0 / (1.0 - u))
     return a / (a + b)
+
+
+def axis_weight_oracle(u: float, lo_in: float, hi_in: float, lo_out: float,
+                       hi_out: float) -> float:
+    """Damped indicator of [lo_in, hi_in] at one coordinate u: 1 on it,
+    smooth_ramp of the fraction of the margin crossed toward it, 0 outside
+    [lo_out, hi_out]; an end without margin does not decay."""
+    if u < lo_in and lo_out < lo_in:
+        return float(smooth_ramp((u - lo_out) / (lo_in - lo_out)))
+    if u > hi_in and hi_out > hi_in:
+        return float(smooth_ramp((hi_out - u) / (hi_out - hi_in)))
+    return 1.0
+
+
+def band_weight_oracle(base: BaseDomain, inner: float, outer: float):
+    """Per-node weight of the constrained smoother's bands: 0 within inner
+    of a horizontal edge, 1 at least outer away from both, over every x."""
+    wy = [axis_weight_oracle(y, outer, 1.0 - outer, inner, 1.0 - inner)
+          for y in base.y_nodes]
+    return np.array([wy] * base.nx)
+
+
+def cone_weight_oracle(base: BaseDomain, c: float):
+    """Per-node weight of damped_cone: 0 within c of the boundary, 1 at
+    least 3c away from it."""
+    return np.array([[axis_weight_oracle(x, 3 * c, 1.0 - 3 * c, c, 1.0 - c)
+                      * axis_weight_oracle(y, 3 * c, 1.0 - 3 * c, c, 1.0 - c)
+                      for y in base.y_nodes] for x in base.x_nodes])
+
+
+def corner_weight_oracle(d: float) -> float:
+    """One axis of a corner's weight at distance d from the corner: 1 up to
+    1/16, 0 from 1/4 on, smooth_ramp between."""
+    if d <= 1.0 / 16.0:
+        return 1.0
+    if d >= 0.25:
+        return 0.0
+    return float(smooth_ramp((0.25 - d) / (0.25 - 1.0 / 16.0)))
+
+
+def corner_fiber_damp_oracle(family: LeafFamily, amplitude: float):
+    """_corner_fiber_damp one node at a time: corner by corner, each node's
+    fiber moves toward the corner's fiber by amplitude times the product of
+    its two axis weights."""
+    base = family.base
+    xs, ys = base.x_nodes, base.y_nodes
+    vals = family.values.copy()
+    for cx in (0, base.nx - 1):
+        for cy in (0, base.ny - 1):
+            fiber = vals[:, cx, cy].copy()
+            for i in range(base.nx):
+                for j in range(base.ny):
+                    w = amplitude * (corner_weight_oracle(abs(xs[i] - xs[cx]))
+                                     * corner_weight_oracle(abs(ys[j] - ys[cy])))
+                    vals[:, i, j] = vals[:, i, j] + w * (fiber - vals[:, i, j])
+    return vals
 
 
 def shear_holonomy_oracle(shear: float, z: float) -> float:
@@ -198,7 +253,7 @@ def reindex_blend_oracle(s_family: LeafFamily, correction: HolonomyMap,
 
 
 def smooth_with_holonomy_constraint_oracle(
-        family: LeafFamily, epsilon: float, bands: tuple | None = None,
+        family: LeafFamily, epsilon: float, bands: tuple = (0.125, 0.375),
         report: dict | None = None) -> LeafFamily:
     """The constrained smoother with its leaf-index correction: measured,
     snapped to the identity below 1e-10 and applied through the reindexing
@@ -208,18 +263,8 @@ def smooth_with_holonomy_constraint_oracle(
     base = family.base
     if base.shape != "rectangle":
         raise ValueError("holonomy-constrained smoothing needs a rectangle base")
-    if bands is None:
-        bands = band_masks(base)
-    j0, j1 = bands
-    if j0.inner[0] != 0.0 or j0.inner[1] != 1.0 or j0.inner[2] != 0.0:
-        raise ValueError("first band must be a neighborhood of the edge y=0")
-    if j1.inner[0] != 0.0 or j1.inner[1] != 1.0 or j1.inner[3] != 1.0:
-        raise ValueError("second band must be a neighborhood of the edge y=1")
-    if j0.outer[3] >= j1.outer[2]:
-        raise ValueError("bands must be disjoint")
-    mid = RegionMask(base, "rect",
-                     (0.0, 1.0, j0.outer[3], j1.outer[2]),
-                     (0.0, 1.0, j0.inner[3], j1.inner[2]))
+    inner, outer = bands
+    weight = band_weight_oracle(base, inner, outer)[None]
     alpha = (0.5, 0.0), (0.5, 1.0)
     h_p = holonomy(family, *alpha)
     inner_eps = epsilon
@@ -227,12 +272,12 @@ def smooth_with_holonomy_constraint_oracle(
     for attempt in range(MAX_RETRIES + 1):
         smoothed = smooth_in_t(family, inner_eps)
         # weight exactly zero on the declared bands keeps them bit-identical
-        candidate = damped_blend(family, smoothed, mid.weight_grid()[None])
+        candidate = damped_blend(family, smoothed, weight)
         correction = holonomy_correction_oracle(family, candidate, *alpha)
         snapped = correction.identity_defect() <= 1e-10
         if not snapped:
             candidate = reindex_blend_oracle(candidate, correction,
-                                             j0.inner[3], j1.inner[2])
+                                             inner, 1.0 - inner)
         h_g = holonomy(candidate, *alpha)
         zs = np.linspace(0.0, 1.0, 101)
         hol_defect = float(np.max(np.abs(h_g(zs) - h_p(zs))))
@@ -245,7 +290,6 @@ def smooth_with_holonomy_constraint_oracle(
                 "achieved_distance": achieved,
                 "holonomy_defect": hol_defect,
                 "correction_snapped": bool(snapped),
-                "bands": [j0.summary(), j1.summary()],
                 "retries": attempt,
             })
         if achieved <= epsilon and hol_defect <= COMPARISON_TOL:
@@ -281,50 +325,70 @@ def rough_family(base: BaseDomain, m: int, seed: int, amp: float) -> LeafFamily:
 
 # ----------------------------------------------------------------- regions
 
-def test_region_rect_weight_is_exact_on_core_and_complement():
-    mask = RegionMask(RECT, "rect", (0.375, 0.625, 0.375, 0.625),
-                      (0.25, 0.75, 0.25, 0.75))
-    w = mask.weight_grid()
-    assert np.all(w[12:21, 12:21] == 1.0)
-    outside = np.ones_like(w, dtype=bool)
-    outside[8:25, 8:25] = False
-    assert np.all(w[outside] == 0.0)
-    probe = float(mask.weight_at(np.array([[0.3125, 0.5]]))[0])
-    assert probe == pytest.approx(ramp_oracle((0.3125 - 0.25) / 0.125), abs=1e-15)
+def test_band_weight_matches_oracle():
+    # both band pairs in use: the constrained smoother's default and the
+    # face charts' (globally_smooth)
+    for base in (RECT, BaseDomain("rectangle", 17, 17),
+                 BaseDomain("rectangle", 20, 23)):
+        y = base.y_nodes
+        for inner, outer in ((0.125, 0.375), (0.25, 15.0 / 32.0)):
+            got = _axis_weight(y, outer, 1.0 - outer, inner, 1.0 - inner)
+            want = band_weight_oracle(base, inner, outer)
+            assert np.array_equal(np.broadcast_to(got, want.shape), want)
+            band = (y <= inner) | (y >= 1.0 - inner)
+            core = (y >= outer) & (y <= 1.0 - outer)
+            assert np.all(got[band] == 0.0) and np.all(got[core] == 1.0)
+            assert np.all((got > 0.0) & (got < 1.0) | band | core)
+    # the ramp itself, against its direct formula: y = 3/16 is a quarter of
+    # the way across the default bands' margin
+    probe = _axis_weight(RECT.y_nodes, 0.375, 0.625, 0.125, 0.875)[6]
+    assert probe == pytest.approx(ramp_oracle(0.25), abs=1e-15)
     assert 0.0 < probe < 1.0
 
 
-def test_region_validation():
-    with pytest.raises(ValueError):
-        RegionMask(RECT, "rect", (0.2, 0.8, 0.2, 0.8), (0.3, 0.9, 0.1, 0.9))
-    with pytest.raises(ValueError):
-        # zero margin away from the domain boundary
-        RegionMask(RECT, "rect", (0.2, 0.8, 0.2, 0.8), (0.2, 0.9, 0.1, 0.9))
-    with pytest.raises(ValueError):
-        RegionMask(RECT, "blob", (0.2, 0.8, 0.2, 0.8), (0.1, 0.9, 0.1, 0.9))
-    # touching the domain boundary with zero margin is fine
-    RegionMask(RECT, "rect", (0.0, 1.0, 0.0, 0.125), (0.0, 1.0, 0.0, 0.25))
+def test_holonomy_constraint_rejects_bad_bands():
+    fam = sheared_family(RECT, 0.2, m=9)
+    for bands in ((0.0, 0.25), (0.25, 0.125), (0.2, 0.2), (0.125, 0.5),
+                  (-0.1, 0.3)):
+        with pytest.raises(ValueError, match="0 < inner < outer < 1/2"):
+            smooth_with_holonomy_constraint(fam, 0.2, bands=bands)
 
 
-def test_ring_mask_complements_rect():
-    inner = (0.375, 0.625, 0.375, 0.625)
-    outer = (0.125, 0.875, 0.125, 0.875)
-    ring = RegionMask(RECT, "ring", inner, outer)
-    rect = RegionMask(RECT, "rect", inner, outer)
-    pts = np.stack([np.linspace(0.0, 1.0, 41), np.linspace(1.0, 0.0, 41)], -1)
-    np.testing.assert_allclose(ring.weight_at(pts),
-                               1.0 - rect.weight_at(pts), atol=0.0)
-    w = ring.weight_grid()
-    assert np.all(w[0:4, :] == 1.0) and np.all(w[:, 0:4] == 1.0)
-    assert np.all(w[13:20, 13:20] == 0.0)
+def test_cone_weight_matches_oracle():
+    fam = random_family(RECT, 33, np.random.default_rng(5), amp=0.3)
+    x, y = np.meshgrid(RECT.x_nodes, RECT.y_nodes, indexing="ij")
+    d = np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
+    for c in (1.0 / 16.0, 0.125, 0.1):
+        w = cone_weight_oracle(RECT, c)
+        assert np.all(w[d <= c] == 0.0) and np.all(w[d >= 3 * c] == 1.0)
+        # the complement of a ring weight, as coning once took it, rounds
+        # 1 - (1 - w) back to within half an ulp of 1
+        ring = 1.0 - w
+        assert np.max(np.abs((1.0 - ring) - w)) <= 2.0 ** -53
+        out = damped_cone(fam, c, 0.2)
+        want = damped_blend(fam, smooth_in_t(fam, 0.2), w[None])
+        assert np.array_equal(out.t, want.t)
+        assert np.array_equal(out.values, want.values)
 
 
-def test_band_masks_geometry():
-    j0, j1 = band_masks(RECT)
-    assert j0.weight_at(np.array([[0.5, 0.0625]]))[0] == 1.0
-    assert j0.weight_at(np.array([[0.5, 0.5]]))[0] == 0.0
-    assert j1.weight_at(np.array([[0.5, 0.9375]]))[0] == 1.0
-    assert j1.weight_at(np.array([[0.5, 0.5]]))[0] == 0.0
+def test_corner_weights_match_oracle():
+    # the pipeline's chart grids, 4k+1 nodes; 1/16 and 1/4 land on nodes
+    for n in (17, 33, 65):
+        base = BaseDomain("rectangle", n, n)
+        fam = random_family(base, 9, np.random.default_rng(n), amp=0.4)
+        for amplitude in (1.0, 0.3):
+            got = _corner_fiber_damp(fam, amplitude)
+            assert np.array_equal(got.values,
+                                  corner_fiber_damp_oracle(fam, amplitude))
+        # each corner's weight: 1 on its square of side 1/16, 0 from 1/4 on
+        xs = base.x_nodes
+        low = _axis_weight(xs, 0.0, 1.0 / 16.0, 0.0, 0.25)
+        high = _axis_weight(xs, 15.0 / 16.0, 1.0, 0.75, 1.0)
+        assert low.tolist() == [corner_weight_oracle(u) for u in xs]
+        assert high.tolist() == [corner_weight_oracle(1.0 - u) for u in xs]
+        assert np.all(low[xs <= 1.0 / 16.0] == 1.0)
+        assert np.all(low[xs >= 0.25] == 0.0)
+        assert np.array_equal(high, low[::-1])
 
 
 # ------------------------------------------------------------- smooth_in_t
@@ -389,9 +453,19 @@ def test_smooth_achieves_epsilon_ladder():
 def partitioned_families(draw):
     """A family with either its greedy tangent-angle partition at an epsilon
     in [0.002, 0.5] (every sample where that raises, as smooth_in_t does) or
-    a random subset of its leaf indices as cut points."""
+    a random subset of its leaf indices as cut points; or a rough family
+    (independent slopes per node, so the angle to the input often peaks
+    between the cut leaves' sampled heights) cut at one random leaf."""
+    kind = draw(st.sampled_from(["greedy", "subset", "rough"]))
+    if kind == "rough":
+        n, m = draw(st.integers(12, 17)), draw(st.integers(9, 25))
+        family = rough_family(BaseDomain("rectangle", n, n), m,
+                              draw(st.integers(0, 2**32 - 1)),
+                              draw(st.floats(0.5, 0.9)))
+        cut = family.t[draw(st.integers(1, m - 2))]
+        return family, Partition((0.0, float(cut), 1.0))
     family = draw(long_leaf_families())
-    if draw(st.booleans()):
+    if kind == "greedy":
         normals = tangent_field(family).reshape(family.m, -1, 3)
         try:
             part = choose_partition(family.t, normals,
@@ -440,16 +514,12 @@ def test_smooth_rejections():
 
 # ------------------------------------------------------ damped replacement
 
-def _central_region():
-    return RegionMask(RECT, "rect", (0.375, 0.625, 0.375, 0.625),
-                      (0.25, 0.75, 0.25, 0.75))
-
-
 def test_local_replace_slices():
     fam = horizontal_family(RECT, 17, anchor=(16, 0))
     target = tilted_family(RECT, 0.05, 17)
-    region = _central_region()
-    w = region.weight_grid()
+    w = np.array([[axis_weight_oracle(x, 0.375, 0.625, 0.25, 0.75)
+                   * axis_weight_oracle(y, 0.375, 0.625, 0.25, 0.75)
+                   for y in RECT.y_nodes] for x in RECT.x_nodes])
     slices = [damped_blend(fam, target, s * w[None])
               for s in np.linspace(0.0, 1.0, 5)]
     t = slices[-1].t
@@ -550,9 +620,7 @@ def constrained_cases(draw):
         family = random_family(
             base, m, np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
             amp=draw(st.floats(0.05, 0.45)))
-    bands = draw(st.sampled_from([None, "chart"]))
-    if bands == "chart":
-        bands = band_masks(base, 0.25, 15.0 / 32.0)
+    bands = draw(st.sampled_from([(0.125, 0.375), (0.25, 15.0 / 32.0)]))
     return family, draw(st.floats(0.05, 0.4)), bands
 
 
@@ -591,9 +659,7 @@ def test_cone_of_own_restriction_is_interior_smoothing():
     frame = d <= 0.125
     assert np.array_equal(out.values[:, frame], ref[:, frame])
     smoothed = smooth_in_t(fam, 0.2)
-    ring = RegionMask(RECT, "ring", (0.375, 0.625, 0.375, 0.625),
-                      (0.125, 0.875, 0.125, 0.875))
-    interior = ring.weight_grid() == 0.0
+    interior = d >= 0.375
     assert np.allclose(out.values[:, interior],
                        smoothed.leaves_at(out.t)[:, interior], atol=1e-12)
 
