@@ -31,7 +31,6 @@ from .decomposition import (
     validate,
 )
 from .denjoy import (
-    BlowupError,
     BlowupLocus,
     birkhoff_estimate,
     blowup_circle_map,
@@ -319,7 +318,7 @@ def _run_blowup(config: ScenarioConfig, out_dir: Path):
         try:
             blown, data = blowup_scene(scene, locus, {0: packet},
                                        epsilon, report=report)
-        except (BlowupError, RuntimeError, ValueError) as exc:
+        except (RuntimeError, ValueError) as exc:
             # the report is only filled once an attempt finishes, so the
             # failed stage travels on the error itself
             stage = getattr(exc, "stage", None) or "blowup_scene"

@@ -29,11 +29,11 @@ from .foliation import (
 )
 from .kernel import (
     COMPARISON_TOL,
-    MAX_RETRIES,
     CollapseMap,
     InsertionSchedule,
     build_collapse,
-    failing_stage,
+    halving_ladder,
+    stage,
 )
 from .smoothing import face_transport_defect
 
@@ -326,11 +326,12 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
             f"shared faces (defect {pkt_defect:.3g})")
 
     originals = {b.identifier: b.family for b in scene.boxes}
-    attempts = []
-    for attempt in range(MAX_RETRIES + 1):
-        live = locus.scaled(0.5 ** attempt) if attempt else locus
+
+    def attempt(scale):
+        live = locus.scaled(scale) if scale < 1.0 else locus
         fams, schedules, collapses = {}, {}, {}
-        with failing_stage("edge-neighborhood boxes"):
+        stages = []
+        with stage(stages, "edge-neighborhood boxes") as row:
             for box in scene.boxes:
                 ident = box.identifier
                 sched = live.schedules[ident]
@@ -339,15 +340,16 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
                 fams[ident] = blown
                 schedules[ident] = sched
                 collapses[ident] = d.collapse()
+            box_distances = {i: c0_distance(originals[i], fams[i])
+                             for i in fams}
+            worst = max(box_distances.values())
+            row.update({"region": "every flow box, fiberwise insertion",
+                        "achieved_distance": worst})
         data = CollapseData(schedules, collapses)
         blown_scene = with_families(scene, fams)
 
-        box_distances = {i: c0_distance(originals[i], fams[i])
-                         for i in fams}
-        worst = max(box_distances.values())
-
         rho_defect = 0.0
-        with failing_stage("maximal-face gluing"):
+        with stage(stages, "maximal-face gluing") as row:
             for axis, pos, (id_a, side_a), (id_b, side_b) in faces:
                 pkts_a = _resolve_packets(packets, live.labels[id_a], id_a)
                 predicted = _glued_rho(data, id_a, pkts_a, side_a)
@@ -360,43 +362,27 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
                             f"face {axis}={pos} ({id_a}|{id_b}): blown "
                             f"holonomy disagrees with the glued prediction "
                             f"by {gap:.3g}")
-        with failing_stage("interior extension"):
+            row.update({"region": f"{len(faces)} shared faces",
+                        "holonomy_defect": rho_defect})
+        with stage(stages, "interior extension") as row:
             face_defect = face_transport_defect(blown_scene)
+            row.update({"region": "box interiors (unique leaf-to-leaf, "
+                                  "fiber-preserving extension)",
+                        "holonomy_defect": face_defect})
+        return (blown_scene, data), worst <= epsilon, {
+            "operation": "blowup_scene",
+            "epsilon": epsilon,
+            "locus": live.to_json(),
+            "achieved_distance": worst,
+            "box_distances": box_distances,
+            "face_defect": face_defect,
+            "stages": stages,
+        }
 
-        attempts.append(worst)
-        if report is not None:
-            report.update({
-                "operation": "blowup_scene",
-                "epsilon": epsilon,
-                "locus": live.to_json(),
-                "achieved_distance": worst,
-                "box_distances": box_distances,
-                "face_defect": face_defect,
-                "retries": attempt,
-                "stages": [
-                    {"stage": "edge-neighborhood boxes",
-                     "region": "every flow box, fiberwise insertion",
-                     "achieved_distance": worst,
-                     "holonomy_defect": 0.0,
-                     "retries": attempt},
-                    {"stage": "maximal-face gluing",
-                     "region": f"{len(faces)} shared faces",
-                     "achieved_distance": 0.0,
-                     "holonomy_defect": rho_defect,
-                     "retries": 0},
-                    {"stage": "interior extension",
-                     "region": "box interiors (unique leaf-to-leaf, "
-                               "fiber-preserving extension)",
-                     "achieved_distance": worst,
-                     "holonomy_defect": face_defect,
-                     "retries": 0},
-                ],
-            })
-        if worst <= epsilon:
-            return blown_scene, data
-    raise BlowupError(
-        f"scene blowup missed epsilon={epsilon} after {MAX_RETRIES} weight "
-        f"halvings (best {min(attempts):.6g})", achieved=min(attempts))
+    return halving_ladder(
+        attempt, report, BlowupError,
+        f"scene blowup missed epsilon={epsilon} after {{retries}} weight "
+        "halvings")
 
 
 # ------------------------------------------------------------ verification

@@ -282,23 +282,15 @@ def c0_distance(a: LeafFamily, b: LeafFamily) -> float:
     gb = [node_rows(g, b.m) for g in np.moveaxis(_leaf_gradients(b), -1, 0)]
     rows = k * np.arange(n)[:, None]
 
-    def places(v, zq, side):
-        # places of the heights zq in each node's merged order; heights sit
-        # in [0,1], so offsetting row r by 2r sorts the flattened array
-        off = 2.0 * np.arange(n)[:, None]
-        flat = np.searchsorted((v + off).ravel(), (zq + off).ravel(), side)
-        return (flat.reshape(zq.shape) - v.shape[1] * np.arange(n)[:, None]
-                + rows + np.arange(zq.shape[1]))
-
-    # merged order: a's leaf i follows the b leaves at or below it, b's leaf
-    # j the a leaves strictly below it.  The family with fewer leaves is
-    # placed by search, the other takes the places left, in order
-    swap = a.m > b.m
-    placed = places(*((va, vb, "left") if swap else (vb, va, "right")))
-    free = np.ones(n * k, dtype=bool)
-    free[placed.ravel()] = False
-    rest = np.flatnonzero(free).reshape(n, -1)
-    pa, pb = (rest, placed) if swap else (placed, rest)
+    # merged order: each node's heights of both families sorted exactly (a
+    # float offset per node would round near-equal heights together and let
+    # the argument order decide); b's leaves come first in the rows sorted,
+    # so the stable sort puts a's leaf i after the b leaves at or below it
+    # and b's leaf j after the a leaves strictly below it
+    from_a = np.argsort(np.concatenate([vb, va], axis=1), axis=1,
+                        kind="stable") >= b.m
+    pa = np.flatnonzero(from_a).reshape(n, a.m)
+    pb = np.flatnonzero(~from_a).reshape(n, b.m)
 
     def interp(v, grads, zq, place):
         # gradients at the heights zq, linear between the bracketing leaves

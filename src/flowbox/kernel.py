@@ -1,8 +1,11 @@
 """Scalar building blocks shared by every construction.
 
 The damping ramp (smooth, monotone and flat at both endpoints), partitions
-of [0,1], insertion schedules, the collapse maps used by the blowup
-machinery, and the stage label pipelines put on the errors they raise.
+of [0,1], insertion schedules and the collapse maps used by the blowup
+machinery.  Two pieces of bookkeeping serve every pipeline: halving_ladder,
+the one retry ladder that shrinks a budget until a measured distance meets
+its bound, and stage, the one recorder that appends a pipeline stage's
+report row and names the stage on an error escaping it.
 """
 
 from __future__ import annotations
@@ -43,17 +46,45 @@ def smooth_ramp(x):
 
 
 @contextmanager
-def failing_stage(name: str):
-    """Name the pipeline stage on an error escaping it, as exc.stage.
+def stage(rows: list, name: str):
+    """Append the row {"stage": name} to rows and yield it for the stage to
+    fill.  An error escaping the stage names it, as exc.stage.
 
     Pipelines fill their reports only once an attempt has finished, so the
     stage that raised travels on the error itself.
     """
+    row = {"stage": name}
+    rows.append(row)
     try:
-        yield
+        yield row
     except (RuntimeError, ValueError) as exc:
         exc.stage = name
         raise
+
+
+def halving_ladder(attempt, report: dict | None, error: type, message: str):
+    """Run attempt(scale) at scale 1, 1/2, ..., 2**-MAX_RETRIES and return the
+    first result that passes.
+
+    attempt returns (result, passed, fields), where fields holds the
+    attempt's achieved_distance and whatever else the caller reports.  After
+    each attempt the report, if given, is updated with fields, retries and
+    attempt_distances (every distance so far).  When no attempt passes,
+    error is raised with message, whose {retries} is filled with
+    MAX_RETRIES, plus the best distance, which it also carries as achieved.
+    """
+    distances = []
+    for retries in range(MAX_RETRIES + 1):
+        result, passed, fields = attempt(0.5 ** retries)
+        distances.append(fields["achieved_distance"])
+        if report is not None:
+            report.update(fields, retries=retries,
+                          attempt_distances=distances)
+        if passed:
+            return result
+    best = min(distances)
+    raise error(f"{message.format(retries=MAX_RETRIES)} (best {best:.6g})",
+                achieved=best)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .foliation import (
     inverse_interp_columns,
     node_columns,
 )
-from .kernel import failing_stage
+from .kernel import stage
 
 INVARIANCE_PRE_TOL = 1e-6
 INVARIANCE_POST_TOL = 1e-9
@@ -221,30 +221,31 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
     scene = measured.scene
     if not validate(scene)["valid"]:
         raise ValueError("scene fails validation; fix the decomposition first")
-    with failing_stage("invariance pre-check"):
+    stages = []
+    with stage(stages, "invariance pre-check") as row:
         pre = scene_invariance_defect(measured)
+        row["defect"] = pre
         if pre > INVARIANCE_PRE_TOL:
             raise ValueError(
                 f"measure invariance defect {pre:.3e} exceeds "
                 f"{INVARIANCE_PRE_TOL:g}; not an invariant measure")
-    stages = []
 
     # endpoint values of every cumulative are measure-theoretic constants;
     # the spline stages below interpolate them, so the bands are exact
-    stages.append({"stage": "horizontal-boundary bands",
-                   "region": "boundary leaves t = 0 and t = 1",
-                   "defect": 0.0})
+    with stage(stages, "horizontal-boundary bands") as row:
+        row.update({"region": "boundary leaves t = 0 and t = 1",
+                    "defect": 0.0})
 
     order = sorted(b.identifier for b in scene.boxes)
     root = order[0]
-    with failing_stage("vertical-skeleton smoothing"):
+    with stage(stages, "vertical-skeleton smoothing") as row:
         f_root, mu_root = smooth_measure_on_transversal(
             measured.measure(root), subsample_count)
+        row.update({"root": root,
+                    "reparametrization_defect": f_root.identity_defect()})
     smoothed = {root: mu_root}
-    stages.append({"stage": "vertical-skeleton smoothing", "root": root,
-                   "reparametrization_defect": f_root.identity_defect()})
 
-    with failing_stage("maximal-face transport"):
+    with stage(stages, "maximal-face transport") as row:
         faces = shared_faces(scene)
         adjacency = {}
         for face in faces:
@@ -279,25 +280,26 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
             raise RuntimeError(
                 f"smoothed measure defect {loop_defect:.3e} exceeds "
                 f"{INVARIANCE_POST_TOL:g}")
-    stages.append({"stage": "maximal-face transport",
-                   "tree_edges": tree_edges, "loop_defect": loop_defect})
+        row.update({"tree_edges": tree_edges, "loop_defect": loop_defect})
 
-    residual = 0.0
-    for box in scene.boxes:
-        fam = box.family
-        mu_new = smoothed[box.identifier]
-        iy = fam.base.ny // 2
-        nodes = [(0, iy)] + [(ix, iy) for ix in
-                             sorted({1, fam.base.nx // 2, fam.base.nx - 2})
-                             if 0 < ix < fam.base.nx - 1]
-        e_0j = fiber_map(fam, nodes[0])
-        for node, trans in zip(nodes[1:], fiber_transports(fam, nodes)):
-            e_ij = fiber_map(fam, node)
-            grid = _union_grid(e_ij.outputs, trans.outputs)
-            direct = mu_new(e_ij.inverse()(grid))
-            via_edge = mu_new(e_0j.inverse()(trans.inverse()(grid)))
-            residual = max(residual, float(np.abs(direct - via_edge).max()))
-    stages.append({"stage": "interior cone extension", "residual": residual})
+    with stage(stages, "interior cone extension") as row:
+        residual = 0.0
+        for box in scene.boxes:
+            fam = box.family
+            mu_new = smoothed[box.identifier]
+            iy = fam.base.ny // 2
+            nodes = [(0, iy)] + [(ix, iy) for ix in
+                                 sorted({1, fam.base.nx // 2, fam.base.nx - 2})
+                                 if 0 < ix < fam.base.nx - 1]
+            e_0j = fiber_map(fam, nodes[0])
+            for node, trans in zip(nodes[1:], fiber_transports(fam, nodes)):
+                e_ij = fiber_map(fam, node)
+                grid = _union_grid(e_ij.outputs, trans.outputs)
+                direct = mu_new(e_ij.inverse()(grid))
+                via_edge = mu_new(e_0j.inverse()(trans.inverse()(grid)))
+                residual = max(residual,
+                               float(np.abs(direct - via_edge).max()))
+        row["residual"] = residual
 
     if report is not None:
         report.update({"operation": "smooth_measured_scene",

@@ -40,12 +40,12 @@ from .foliation import (
 )
 from .kernel import (
     COMPARISON_TOL,
-    MAX_RETRIES,
     Partition,
     SOLVER_TOL,
     choose_partition,
-    failing_stage,
+    halving_ladder,
     smooth_ramp,
+    stage,
 )
 
 
@@ -156,35 +156,27 @@ def smooth_in_t(family: LeafFamily, epsilon: float,
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    budget = epsilon
-    attempts = []
     normals = tangent_field(family).reshape(family.m, -1, 3)
-    for attempt in range(MAX_RETRIES + 1):
+
+    def attempt(scale):
         try:
-            part = choose_partition(family.t, normals, budget)
+            part = choose_partition(family.t, normals, epsilon * scale)
         except ValueError:
             # budget finer than the sampling can certify: the finest
             # partition keeps every sample, reproducing the input exactly
             part = Partition(tuple(family.t.tolist()))
         out = _formula_smooth(family, part)
         achieved = c0_distance(family, out)
-        attempts.append(achieved)
+        fields = {"operation": "smooth_in_t", "epsilon": epsilon,
+                  "achieved_distance": achieved}
         if report is not None:
-            report.update({
-                "operation": "smooth_in_t",
-                "epsilon": epsilon,
-                "achieved_distance": achieved,
-                "formula_residual": formula_residual(family, out, part),
-                "partition_points": list(part.points),
-                "retries": attempt,
-                "attempt_distances": attempts,
-            })
-        if achieved <= epsilon:
-            return out
-        budget *= 0.5
-    raise SmoothingError(
-        f"could not meet epsilon={epsilon} after {MAX_RETRIES} retries "
-        f"(best {min(attempts):.6g})", achieved=min(attempts))
+            fields["formula_residual"] = formula_residual(family, out, part)
+            fields["partition_points"] = list(part.points)
+        return out, achieved <= epsilon, fields
+
+    return halving_ladder(
+        attempt, report, SmoothingError,
+        f"could not meet epsilon={epsilon} after {{retries}} retries")
 
 
 # ------------------------------------------- holonomy-constrained smoothing
@@ -216,31 +208,25 @@ def smooth_with_holonomy_constraint(family: LeafFamily, epsilon: float,
     # the core path alpha = {1/2} x [0,1]
     alpha = (0.5, 0.0), (0.5, 1.0)
     h_p = holonomy(family, *alpha)
-    inner_eps = epsilon
-    attempts = []
-    for attempt in range(MAX_RETRIES + 1):
-        smoothed = smooth_in_t(family, inner_eps)
+
+    def attempt(scale):
+        smoothed = smooth_in_t(family, epsilon * scale)
         candidate = damped_blend(family, smoothed, weight)
         h_g = holonomy(candidate, *alpha)
         zs = np.linspace(0.0, 1.0, 101)
         hol_defect = float(np.max(np.abs(h_g(zs) - h_p(zs))))
         achieved = c0_distance(family, candidate)
-        attempts.append(achieved)
-        if report is not None:
-            report.update({
-                "operation": "smooth_with_holonomy_constraint",
-                "epsilon": epsilon,
-                "achieved_distance": achieved,
-                "holonomy_defect": hol_defect,
-                "retries": attempt,
-                "attempt_distances": attempts,
-            })
-        if achieved <= epsilon and hol_defect <= COMPARISON_TOL:
-            return candidate
-        inner_eps *= 0.5
-    raise SmoothingError(
-        f"constrained smoothing missed epsilon={epsilon} "
-        f"(best {min(attempts):.6g})", achieved=min(attempts))
+        passed = achieved <= epsilon and hol_defect <= COMPARISON_TOL
+        return candidate, passed, {
+            "operation": "smooth_with_holonomy_constraint",
+            "epsilon": epsilon,
+            "achieved_distance": achieved,
+            "holonomy_defect": hol_defect,
+        }
+
+    return halving_ladder(
+        attempt, report, SmoothingError,
+        f"constrained smoothing missed epsilon={epsilon}")
 
 
 # ------------------------------------------------------------------ coning
@@ -488,29 +474,27 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
     faces = shared_faces(scene)
     originals = {box.identifier: box.family for box in scene.boxes}
     order = [box.identifier for box in scene.boxes]
-    attempts = []
-    for attempt in range(MAX_RETRIES + 1):
-        scale = 0.5 ** attempt
+
+    def attempt(scale):
         amplitude = min(1.0, epsilon) * scale
         eps_face = 0.5 * epsilon * scale
         eps_cone = 0.25 * epsilon * scale
         fams = dict(originals)
         stages = []
-        with failing_stage("vertical-edge neighborhoods"):
+        with stage(stages, "vertical-edge neighborhoods") as row:
             for ident in order:
                 fams[ident] = _corner_fiber_damp(fams[ident], amplitude)
-        stages.append({
-            "stage": "vertical-edge neighborhoods",
-            "region": "corner squares of side 1/4 in every box",
-            "achieved_distance": max(
-                c0_distance(originals[i], fams[i]) for i in order),
-            "holonomy_defect": face_transport_defect(
-                with_families(scene, fams)),
-            "retries": 0,
-        })
+            row.update({
+                "region": "corner squares of side 1/4 in every box",
+                "achieved_distance": max(
+                    c0_distance(originals[i], fams[i]) for i in order),
+                "holonomy_defect": face_transport_defect(
+                    with_families(scene, fams)),
+                "retries": 0,
+            })
         after_corners = dict(fams)
         face_rows = []
-        with failing_stage("maximal-face neighborhoods"):
+        with stage(stages, "maximal-face neighborhoods") as row:
             for axis, pos, (id_a, side_a), (id_b, side_b) in faces:
                 label = f"face {axis}={pos} ({id_a}.{side_a}|{id_b}.{side_b})"
                 chart, e_a, seam_gap = _face_chart(
@@ -541,17 +525,17 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
                     "holonomy_defect": rep.get("holonomy_defect"),
                     "retries": rep.get("retries", 0),
                 })
-        stages.append({
-            "stage": "maximal-face neighborhoods",
-            "region": f"straddle strips over {len(faces)} shared faces",
-            "achieved_distance": max(
-                c0_distance(after_corners[i], fams[i]) for i in order),
-            "holonomy_defect": max(r["holonomy_defect"] for r in face_rows),
-            "retries": sum(r["retries"] for r in face_rows),
-            "faces": face_rows,
-        })
+            row.update({
+                "region": f"straddle strips over {len(faces)} shared faces",
+                "achieved_distance": max(
+                    c0_distance(after_corners[i], fams[i]) for i in order),
+                "holonomy_defect": max(r["holonomy_defect"]
+                                       for r in face_rows),
+                "retries": sum(r["retries"] for r in face_rows),
+                "faces": face_rows,
+            })
         after_faces = dict(fams)
-        with failing_stage("interior coning"):
+        with stage(stages, "interior coning") as row:
             for ident in order:
                 try:
                     coned = damped_cone(fams[ident], 1.0 / 16.0, eps_cone)
@@ -559,33 +543,27 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
                     raise SmoothingError(
                         f"box {ident} interior coning: {err}") from err
                 fams[ident] = damped_blend(fams[ident], coned, amplitude)
-        result = with_families(scene, fams)
-        post_defect = face_transport_defect(result)
-        stages.append({
-            "stage": "interior coning",
-            "region": "box interiors outside the collar of width 1/16",
-            "achieved_distance": max(
-                c0_distance(after_faces[i], fams[i]) for i in order),
-            "holonomy_defect": post_defect,
-            "retries": 0,
-        })
+            result = with_families(scene, fams)
+            post_defect = face_transport_defect(result)
+            row.update({
+                "region": "box interiors outside the collar of width 1/16",
+                "achieved_distance": max(
+                    c0_distance(after_faces[i], fams[i]) for i in order),
+                "holonomy_defect": post_defect,
+                "retries": 0,
+            })
         box_distances = {i: c0_distance(originals[i], fams[i]) for i in order}
         worst = max(box_distances.values())
-        attempts.append(worst)
-        if report is not None:
-            report.update({
-                "operation": "globally_smooth",
-                "epsilon": epsilon,
-                "achieved_distance": worst,
-                "box_distances": box_distances,
-                "face_defect_before": pre_defect,
-                "face_defect_after": post_defect,
-                "retries": attempt,
-                "attempt_distances": attempts,
-                "stages": stages,
-            })
-        if worst <= epsilon:
-            return result
-    raise SmoothingError(
-        f"global pipeline missed epsilon={epsilon} after {MAX_RETRIES} "
-        f"retries (best {min(attempts):.6g})", achieved=min(attempts))
+        return result, worst <= epsilon, {
+            "operation": "globally_smooth",
+            "epsilon": epsilon,
+            "achieved_distance": worst,
+            "box_distances": box_distances,
+            "face_defect_before": pre_defect,
+            "face_defect_after": post_defect,
+            "stages": stages,
+        }
+
+    return halving_ladder(
+        attempt, report, SmoothingError,
+        f"global pipeline missed epsilon={epsilon} after {{retries}} retries")

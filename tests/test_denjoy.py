@@ -401,6 +401,10 @@ def test_blowup_scene_epsilon_forces_weight_halving():
                              report=report)
     assert report["retries"] == 2
     assert report["achieved_distance"] <= 0.002
+    distances = report["attempt_distances"]
+    assert len(distances) == 3
+    assert distances[-1] == report["achieved_distance"]
+    assert all(d > 0.002 for d in distances[:-1])
     assert report["achieved_distance"] == pytest.approx(
         sheared_packet_distance(0.025 / 1.025, 0.3), abs=1e-12)
     # the returned data reflects the final halved weights

@@ -298,6 +298,34 @@ def test_c0_distance_symmetry():
         a = sheared_family(RECT, s1, 13)
         b = sheared_family(RECT, s2, 17)
         assert c0_distance(a, b) == c0_distance(b, a)
+    # near ties: sorted with a float offset per node, these heights round
+    # together and the argument order decides their order, which moved the
+    # sup by a fifth
+    for seed in (12, 53):
+        a, b = one_ulp_pair(seed)
+        assert c0_distance(a, b) == c0_distance(b, a)
+        assert abs(c0_distance(a, b) - c0_distance_oracle(a, b)) <= 1e-12
+
+
+def rough_family(base: BaseDomain, m: int, seed: int, amp: float) -> LeafFamily:
+    """f_t = t + amp * t(1-t) * psi(x, y) with psi uniform per node."""
+    psi = np.random.default_rng(seed).uniform(-1.0, 1.0, (base.nx, base.ny))
+    psi = psi - psi[0, 0]
+    psi /= max(1.0, float(np.max(np.abs(psi))))
+    t = np.linspace(0.0, 1.0, m)
+    vals = t[:, None, None] + amp * (t * (1.0 - t))[:, None, None] * psi[None]
+    return LeafFamily(base, t, vals, (0, 0))
+
+
+def one_ulp_pair(seed: int) -> tuple:
+    """A rough 7-leaf family on the 8x8 rectangle and its copy with every
+    interior height off the anchor column one ulp higher: each height of one
+    family nearly ties a height of the other."""
+    a = rough_family(BaseDomain("rectangle", 8, 8), 7, seed, 0.7)
+    up = np.nextafter(a.values, 2.0)
+    up[[0, -1]] = a.values[[0, -1]]
+    up[:, 0, 0] = a.t
+    return a, LeafFamily(a.base, a.t, up, (0, 0))
 
 
 @st.composite

@@ -13,12 +13,15 @@ from flowbox.foliation import (
     tangent_field,
 )
 from flowbox.kernel import (
+    MAX_RETRIES,
     InsertionSchedule,
     Partition,
     _min_dots,
     build_collapse,
     choose_partition,
+    halving_ladder,
     smooth_ramp,
+    stage,
 )
 
 from test_foliation import long_leaf_families
@@ -372,3 +375,97 @@ def test_choose_partition_matches_fixed_block_oracle(samples, epsilon):
     assert (_partition_or_error(choose_partition, t, normals, epsilon)
             == _partition_or_error(choose_partition_fixed_blocks, t, normals,
                                    epsilon))
+
+
+# ------------------------------------------------------ ladder and recorder
+
+class LadderError(RuntimeError):
+    def __init__(self, message, achieved=None):
+        super().__init__(message)
+        self.achieved = achieved
+
+
+def scripted_attempt(distances, bound):
+    """An attempt that reads its distances off a list and passes at or
+    below bound; the scales it was called with are kept on it."""
+    scales = []
+
+    def attempt(scale):
+        d = distances[len(scales)]
+        scales.append(scale)
+        return f"result {d}", d <= bound, {"achieved_distance": d,
+                                           "extra": scale}
+
+    attempt.scales = scales
+    return attempt
+
+
+def test_ladder_halves_the_scale_from_one():
+    attempt = scripted_attempt([9.0] * (MAX_RETRIES + 1), 1.0)
+    with pytest.raises(LadderError):
+        halving_ladder(attempt, None, LadderError, "missed")
+    assert attempt.scales == [0.5 ** k for k in range(MAX_RETRIES + 1)]
+    assert attempt.scales[:3] == [1.0, 0.5, 0.25]
+
+
+def test_ladder_returns_the_first_passing_attempt():
+    attempt = scripted_attempt([0.4, 0.3, 0.05, 0.01], 0.1)
+    report = {}
+    assert halving_ladder(attempt, report, LadderError, "missed") \
+        == "result 0.05"
+    assert attempt.scales == [1.0, 0.5, 0.25]
+    assert report == {"achieved_distance": 0.05, "extra": 0.25,
+                      "retries": 2, "attempt_distances": [0.4, 0.3, 0.05]}
+
+
+def test_ladder_raises_with_the_best_distance():
+    distances = [0.5, 0.2, 0.3, 0.25, 0.4, 0.35]
+    assert len(distances) == MAX_RETRIES + 1
+    report = {}
+    with pytest.raises(LadderError) as err:
+        halving_ladder(scripted_attempt(distances, 0.1), report, LadderError,
+                       "missed eps=0.1 after {retries} retries")
+    assert err.value.achieved == 0.2
+    assert str(err.value) == (
+        f"missed eps=0.1 after {MAX_RETRIES} retries (best 0.2)")
+    assert report["retries"] == MAX_RETRIES
+    assert report["attempt_distances"] == distances
+
+
+def test_ladder_without_report_writes_nothing():
+    fields = []
+
+    def attempt(scale):
+        row = {"achieved_distance": scale}
+        fields.append(row)
+        return None, scale < 0.3, row
+
+    halving_ladder(attempt, None, LadderError, "missed")
+    assert fields == [{"achieved_distance": 1.0}, {"achieved_distance": 0.5},
+                      {"achieved_distance": 0.25}]
+
+
+def test_stage_appends_its_row_on_entry():
+    rows = [{"stage": "earlier"}]
+    with stage(rows, "next") as row:
+        assert rows[-1] is row
+        assert row == {"stage": "next"}
+        row["defect"] = 0.5
+    assert rows == [{"stage": "earlier"}, {"stage": "next", "defect": 0.5}]
+
+
+@pytest.mark.parametrize("kind", [RuntimeError, ValueError, LadderError])
+def test_stage_names_itself_on_pipeline_errors(kind):
+    rows = []
+    with pytest.raises(kind) as err:
+        with stage(rows, "gluing"):
+            raise kind("boom")
+    assert err.value.stage == "gluing"
+    assert rows == [{"stage": "gluing"}]
+
+
+def test_stage_leaves_other_errors_untagged():
+    with pytest.raises(KeyError) as err:
+        with stage([], "gluing"):
+            raise KeyError("boom")
+    assert not hasattr(err.value, "stage")

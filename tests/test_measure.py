@@ -306,7 +306,8 @@ def test_scene_nonsmooth_invariant_measure_replaced_by_splines():
     report = {}
     out = smooth_measured_scene(measured, 9, report)
     names = [s["stage"] for s in report["stages"]]
-    assert names == ["horizontal-boundary bands",
+    assert names == ["invariance pre-check",
+                     "horizontal-boundary bands",
                      "vertical-skeleton smoothing",
                      "maximal-face transport",
                      "interior cone extension"]

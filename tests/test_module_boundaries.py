@@ -60,6 +60,60 @@ def test_rule_catches_private_imports(tmp_path):
     ]
 
 
+def ladder_bookkeeping(path: Path) -> list:
+    """(line, name) of every read of MAX_RETRIES and every write of an
+    attempt_distances key in the file: the bookkeeping of a retry ladder,
+    which kernel.halving_ladder alone does."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def is_key(node):
+        return (isinstance(node, ast.Constant)
+                and node.value == "attempt_distances")
+
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name == "MAX_RETRIES":
+            found.append((node.lineno, "MAX_RETRIES"))
+        elif isinstance(node, ast.Dict):
+            found += [(k.lineno, "attempt_distances")
+                      for k in node.keys if k is not None and is_key(k)]
+        elif (isinstance(node, ast.Subscript)
+              and isinstance(node.ctx, ast.Store) and is_key(node.slice)):
+            found.append((node.lineno, "attempt_distances"))
+        elif (isinstance(node, ast.keyword)
+              and node.arg == "attempt_distances"):
+            found.append((node.lineno, "attempt_distances"))
+    return sorted(found)
+
+
+def test_only_kernel_keeps_retry_ladders():
+    offenders = {path.name: ladder_bookkeeping(path)
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "kernel.py"}
+    assert {name: rows for name, rows in offenders.items() if rows} == {}
+
+
+def test_rule_catches_retry_ladders(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .kernel import MAX_RETRIES\n"
+                     "from . import kernel\n"
+                     "for attempt in range(kernel.MAX_RETRIES + 1):\n"
+                     "    report.update({'attempt_distances': []})\n"
+                     "report['attempt_distances'] = []\n"
+                     "report.update(attempt_distances=[])\n"
+                     "seen = report['attempt_distances']\n")
+    assert ladder_bookkeeping(probe) == [
+        (1, "MAX_RETRIES"),
+        (3, "MAX_RETRIES"),
+        (4, "attempt_distances"),
+        (5, "attempt_distances"),
+        (6, "attempt_distances"),
+    ]
+
+
 # argparse calls this override itself; nothing in flowbox names it
 USED_BY_FRAMEWORK = {("_Parser", "error")}
 
