@@ -8,6 +8,7 @@ approximation of measured foliations, all verified numerically.
 from .kernel import (
     CollapseMap,
     InsertionSchedule,
+    LadderError,
     Partition,
     build_collapse,
     choose_partition,
@@ -22,7 +23,6 @@ from .foliation import (
     sheared_family,
 )
 from .smoothing import (
-    SmoothingError,
     face_transport_defect,
     globally_smooth,
     smooth_in_t,
@@ -36,7 +36,6 @@ from .decomposition import (
     validate,
 )
 from .denjoy import (
-    BlowupError,
     BlowupLocus,
     CircleMapLift,
     birkhoff_estimate,

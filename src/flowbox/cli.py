@@ -123,8 +123,9 @@ class ScenarioConfig:
         if self.iterations < 1000:
             # rotation_number's documented Birkhoff minimum
             raise MalformedInput("need at least 1000 iterations")
-        if self.orbit_points < 10:
-            raise MalformedInput("need at least 10 orbit points")
+        if self.orbit_points < 100:
+            # blowup_circle_map's documented minimum
+            raise MalformedInput("need at least 100 orbit points")
         if self.audit_steps < 1:
             raise MalformedInput("audit steps must be positive")
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
@@ -376,7 +377,11 @@ def _run_tischler(config: ScenarioConfig, out_dir: Path):
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
     report = {}
-    rational, certificate = tischler_fibration(form, epsilon, report=report)
+    try:
+        rational, certificate = tischler_fibration(form, epsilon,
+                                                   report=report)
+    except RuntimeError as exc:
+        raise PipelineFailure("tischler_fibration", str(exc)) from exc
     checks = [
         {"name": "angle-bound",
          "pass": report["angle_defect"] < 2.0 * epsilon,

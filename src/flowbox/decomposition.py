@@ -252,8 +252,6 @@ def box_wellformedness(box: FlowBoxSpec) -> list:
                     f"side {side} face heights differ from the box heights")
     if not isinstance(box.family, LeafFamily):
         problems.append("missing attached leaf family")
-    elif box.family.base.shape != "rectangle":
-        problems.append("attached family must live on a rectangle chart")
     return problems
 
 

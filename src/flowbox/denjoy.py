@@ -40,14 +40,6 @@ from .smoothing import face_transport_defect
 FACE_RHO_TOL = 1e-6
 
 
-class BlowupError(RuntimeError):
-    """Raised when the scene blowup misses its distance budget."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 # ------------------------------------------------------------ locus types
 
 
@@ -380,7 +372,7 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
         }
 
     return halving_ladder(
-        attempt, report, BlowupError,
+        attempt, report,
         f"scene blowup missed epsilon={epsilon} after {{retries}} weight "
         "halvings")
 

@@ -15,15 +15,13 @@ import numpy as np
 
 from .kernel import SOLVER_TOL
 
-_SHAPES = ("rectangle", "annulus")
-
 
 @dataclass(frozen=True)
 class BaseDomain:
-    """Base of a flow box: unit square or annulus [0,1] x S^1.
+    """Base of a flow box: the unit square [0,1]^2 with nx x ny nodes.
 
-    nx, ny are node counts per axis.  The annulus is periodic in y with
-    nodes at j/ny (no seam duplicate).
+    An annular box is a rectangle chart whose two opposite faces the
+    decomposition glues to each other; no base is periodic.
     """
 
     shape: str
@@ -31,14 +29,10 @@ class BaseDomain:
     ny: int
 
     def __post_init__(self):
-        if self.shape not in _SHAPES:
+        if self.shape != "rectangle":
             raise ValueError(f"unknown base shape {self.shape!r}")
         if self.nx < 8 or self.ny < 8:
             raise ValueError("resolution must be at least 8 nodes per axis")
-
-    @property
-    def periodic_y(self) -> bool:
-        return self.shape == "annulus"
 
     @property
     def x_nodes(self) -> np.ndarray:
@@ -46,8 +40,6 @@ class BaseDomain:
 
     @property
     def y_nodes(self) -> np.ndarray:
-        if self.periodic_y:
-            return np.arange(self.ny) / self.ny
         return np.linspace(0.0, 1.0, self.ny)
 
     def to_json(self) -> dict:
@@ -61,23 +53,13 @@ class BaseDomain:
 def _bilinear_parts(base: BaseDomain, pts: np.ndarray):
     """Cell indices and weights for bilinear evaluation at pts (n, 2)."""
     pts = np.asarray(pts, dtype=float)
-    x = np.clip(pts[..., 0], 0.0, 1.0)
-    y = pts[..., 1]
-    sx = x * (base.nx - 1)
-    ix = np.clip(np.floor(sx).astype(int), 0, base.nx - 2)
-    u = sx - ix
-    if base.periodic_y:
-        sy = np.mod(y, 1.0) * base.ny
-        iy = np.floor(sy).astype(int) % base.ny
-        jy = (iy + 1) % base.ny
-        v = sy - np.floor(sy)
-    else:
-        y = np.clip(y, 0.0, 1.0)
-        sy = y * (base.ny - 1)
-        iy = np.clip(np.floor(sy).astype(int), 0, base.ny - 2)
-        jy = iy + 1
-        v = sy - iy
-    return ix, ix + 1, iy, jy, u, v
+    parts = []
+    for coord, n in ((pts[..., 0], base.nx), (pts[..., 1], base.ny)):
+        s = np.clip(coord, 0.0, 1.0) * (n - 1)
+        i = np.clip(np.floor(s).astype(int), 0, n - 2)
+        parts.append((i, s - i))
+    (ix, u), (iy, v) = parts
+    return ix, ix + 1, iy, iy + 1, u, v
 
 
 def _eval_grids(values: np.ndarray, base: BaseDomain, pts: np.ndarray):
@@ -89,22 +71,11 @@ def _eval_grids(values: np.ndarray, base: BaseDomain, pts: np.ndarray):
 
 
 def _leaf_gradients(family: "LeafFamily") -> np.ndarray:
-    """Per-leaf gradients (m, nx, ny, 2) by central differences.
-
-    One-sided second-order differences at non-periodic edges, wraparound on
-    the annulus seam.
-    """
+    """Per-leaf gradients (m, nx, ny, 2) by central differences, one-sided
+    second-order differences at the edges."""
     base = family.base
-    vals = family.values
-    dx = 1.0 / (base.nx - 1)
-    gx = np.gradient(vals, dx, axis=1)
-    if base.periodic_y:
-        dy = 1.0 / base.ny
-        gy = (np.roll(vals, -1, axis=2) - np.roll(vals, 1, axis=2)) / (2 * dy)
-    else:
-        dy = 1.0 / (base.ny - 1)
-        gy = np.gradient(vals, dy, axis=2)
-    return np.stack([gx, gy], axis=-1)
+    dx, dy = 1.0 / (base.nx - 1), 1.0 / (base.ny - 1)
+    return np.stack(np.gradient(family.values, dx, dy, axis=(1, 2)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -452,11 +423,9 @@ def holonomy(family: LeafFamily, start, end) -> HolonomyMap:
     last ulp).
     """
     pts = np.array([start, end], dtype=float)
-    if pts[:, 0].min() < -SOLVER_TOL or pts[:, 0].max() > 1.0 + SOLVER_TOL:
-        raise ValueError("path leaves the base domain in x")
-    if not family.base.periodic_y:
-        if pts[:, 1].min() < -SOLVER_TOL or pts[:, 1].max() > 1.0 + SOLVER_TOL:
-            raise ValueError("path leaves the base domain in y")
+    for c, name in ((0, "x"), (1, "y")):
+        if pts[:, c].min() < -SOLVER_TOL or pts[:, c].max() > 1.0 + SOLVER_TOL:
+            raise ValueError(f"path leaves the base domain in {name}")
     starts, ends = family.values_at(pts).T
     ends[0], ends[-1] = 0.0, 1.0
     starts[0], starts[-1] = 0.0, 1.0
@@ -486,8 +455,6 @@ def sheared_family(base: BaseDomain, shear: float = 0.5, m: int = 17,
         raise ValueError("|shear| must be below 1 for monotonicity")
     if axis not in ("x", "y"):
         raise ValueError("shear axis must be 'x' or 'y'")
-    if axis == "y" and base.periodic_y:
-        raise ValueError("y-shear needs a non-periodic y coordinate")
     t = np.linspace(0.0, 1.0, m)
     x, y = _grid(base)
     coord = x if axis == "x" else y

@@ -62,7 +62,15 @@ def stage(rows: list, name: str):
         raise
 
 
-def halving_ladder(attempt, report: dict | None, error: type, message: str):
+class LadderError(RuntimeError):
+    """A retry ladder exhausted its budget; achieved is its best distance."""
+
+    def __init__(self, message: str, achieved: float | None = None):
+        super().__init__(message)
+        self.achieved = achieved
+
+
+def halving_ladder(attempt, report: dict | None, message: str):
     """Run attempt(scale) at scale 1, 1/2, ..., 2**-MAX_RETRIES and return the
     first result that passes.
 
@@ -70,7 +78,7 @@ def halving_ladder(attempt, report: dict | None, error: type, message: str):
     attempt's achieved_distance and whatever else the caller reports.  After
     each attempt the report, if given, is updated with fields, retries and
     attempt_distances (every distance so far).  When no attempt passes,
-    error is raised with message, whose {retries} is filled with
+    LadderError is raised with message, whose {retries} is filled with
     MAX_RETRIES, plus the best distance, which it also carries as achieved.
     """
     distances = []
@@ -83,8 +91,9 @@ def halving_ladder(attempt, report: dict | None, error: type, message: str):
         if passed:
             return result
     best = min(distances)
-    raise error(f"{message.format(retries=MAX_RETRIES)} (best {best:.6g})",
-                achieved=best)
+    raise LadderError(
+        f"{message.format(retries=MAX_RETRIES)} (best {best:.6g})",
+        achieved=best)
 
 
 @dataclass(frozen=True)

@@ -210,8 +210,9 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
                           report: dict | None = None) -> MeasuredScene:
     """Replace the scene's measure by one with smooth cumulatives.
 
-    Pipeline: pin the horizontal-boundary values, smooth the root box's
-    cumulative along its anchor transversal, transport the smoothed
+    Pipeline: smooth the root box's cumulative along its anchor
+    transversal (the spline interpolates its end values, so the
+    horizontal-boundary values stay pinned), transport the smoothed
     cumulative across maximal faces (holonomy preserves the measure, so
     transport is composition with the face's change of reference fiber),
     and extend into box interiors by fiber pushforward, recording the
@@ -229,12 +230,6 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
             raise ValueError(
                 f"measure invariance defect {pre:.3e} exceeds "
                 f"{INVARIANCE_PRE_TOL:g}; not an invariant measure")
-
-    # endpoint values of every cumulative are measure-theoretic constants;
-    # the spline stages below interpolate them, so the bands are exact
-    with stage(stages, "horizontal-boundary bands") as row:
-        row.update({"region": "boundary leaves t = 0 and t = 1",
-                    "defect": 0.0})
 
     order = sorted(b.identifier for b in scene.boxes)
     root = order[0]
@@ -341,14 +336,20 @@ class ClosedOneForm:
     def is_rational(self) -> bool:
         return all(_as_exact(c) is not None for c in self.coefficients)
 
-    def direction(self) -> np.ndarray:
-        v = np.asarray([float(c) for c in self.coefficients])
-        return v / np.linalg.norm(v)
-
     def angle_to(self, other: "ClosedOneForm") -> float:
-        """Unoriented angle between the two kernel fields, in radians."""
-        dot = abs(float(np.dot(self.direction(), other.direction())))
-        return float(math.acos(min(dot, 1.0)))
+        """Unoriented angle between the two kernel fields, in radians.
+
+        atan2 of the cross and dot products of the coefficient vectors, each
+        scaled by its largest magnitude: precise at small angles, where an
+        arccos of the dot bottoms out near 1.5e-8, and free of the overflow
+        a Euclidean norm meets above about 1e154.
+        """
+        u, v = np.zeros(3), np.zeros(3)
+        for w, form in ((u, self), (v, other)):
+            w[:len(form.coefficients)] = [float(c) for c in form.coefficients]
+            w /= np.abs(w).max()
+        cross = float(np.linalg.norm(np.cross(u, v)))
+        return math.atan2(cross, abs(float(np.dot(u, v))))
 
 
 def _convergents(value: float) -> list:

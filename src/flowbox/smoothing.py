@@ -29,7 +29,6 @@ from .decomposition import (
 )
 from .foliation import (
     BaseDomain,
-    HolonomyMap,
     LeafFamily,
     c0_distance,
     fiber_map,
@@ -40,6 +39,7 @@ from .foliation import (
 )
 from .kernel import (
     COMPARISON_TOL,
+    LadderError,
     Partition,
     SOLVER_TOL,
     choose_partition,
@@ -47,14 +47,6 @@ from .kernel import (
     smooth_ramp,
     stage,
 )
-
-
-class SmoothingError(RuntimeError):
-    """A smoothing run exhausted its retry budget."""
-
-    def __init__(self, message: str, achieved: float | None = None):
-        super().__init__(message)
-        self.achieved = achieved
 
 
 # ----------------------------------------------------------------- regions
@@ -175,7 +167,7 @@ def smooth_in_t(family: LeafFamily, epsilon: float,
         return out, achieved <= epsilon, fields
 
     return halving_ladder(
-        attempt, report, SmoothingError,
+        attempt, report,
         f"could not meet epsilon={epsilon} after {{retries}} retries")
 
 
@@ -197,8 +189,6 @@ def smooth_with_holonomy_constraint(family: LeafFamily, epsilon: float,
     the sampled fibers, with C0 distance at most epsilon.
     """
     base = family.base
-    if base.shape != "rectangle":
-        raise ValueError("holonomy-constrained smoothing needs a rectangle base")
     inner, outer = bands
     if not 0.0 < inner < outer < 0.5:
         raise ValueError("bands need 0 < inner < outer < 1/2")
@@ -225,7 +215,7 @@ def smooth_with_holonomy_constraint(family: LeafFamily, epsilon: float,
         }
 
     return halving_ladder(
-        attempt, report, SmoothingError,
+        attempt, report,
         f"constrained smoothing missed epsilon={epsilon}")
 
 
@@ -240,8 +230,6 @@ def damped_cone(family: LeafFamily, collar_width: float,
     damped transition across the collar.  Output grid values on the boundary
     frame of width collar_width are bit-identical to the family's.
     """
-    if family.base.shape != "rectangle":
-        raise ValueError("coning needs a rectangle base")
     if not 0.0 < collar_width < 1.0 / 6.0:
         raise ValueError("collar width must be in (0, 1/6)")
     smoothed = smooth_in_t(family, epsilon)
@@ -274,8 +262,8 @@ def grid_nodes(scene: DecompositionComplex) -> int:
             raise ValueError(
                 f"box {ident}: global smoothing needs full-height boxes")
         fam = box.family
-        if fam.base.shape != "rectangle" or fam.base.nx != fam.base.ny:
-            raise ValueError(f"box {ident}: needs a square rectangle chart")
+        if fam.base.nx != fam.base.ny:
+            raise ValueError(f"box {ident}: needs a square chart")
         if tuple(fam.anchor) != (0, 0):
             raise ValueError(
                 f"box {ident}: family must be anchored at the origin corner")
@@ -365,7 +353,7 @@ def _face_chart(fam_a: LeafFamily, fam_b: LeafFamily, axis: str, width: int,
     ta = e_a.inverse()(zs)
     ta[0], ta[-1] = 0.0, 1.0
     if not np.all(np.diff(ta) > 0.0):
-        raise SmoothingError(f"{label}: seam reindexing collapsed leaf samples")
+        raise RuntimeError(f"{label}: seam reindexing collapsed leaf samples")
     ga = fam_a.leaves_at(ta)
     gb = fam_b.leaves_at(zs)
     if axis == "x":
@@ -395,52 +383,26 @@ def _chart_blend(chart: LeafFamily, smoothed: LeafFamily, width: int,
     return damped_blend(chart, smoothed, (amplitude * w)[None, :, None])
 
 
-def _paste_strip(fam: LeafFamily, blended: LeafFamily, axis: str,
-                 first: bool, width: int, t_new: np.ndarray) -> LeafFamily:
-    """One side's strip of the blended chart written back into its box."""
+def _paste(fam: LeafFamily, blended: LeafFamily, axis: str, width: int,
+           t_new: np.ndarray, first=None, second=None) -> LeafFamily:
+    """The blended chart's strips written back into a box resampled at t_new.
+
+    first and second give, per entry of t_new, the chart indices at which
+    the chart's first half (columns up to the seam) and its second half are
+    read.  The first half lands on the box's E or N edge, the second on its
+    W or S edge; a half given as None is not written.
+    """
     if not np.all(np.diff(t_new) > 0.0):
-        raise SmoothingError("face reindexing collapsed leaf samples")
+        raise RuntimeError("face reindexing collapsed leaf samples")
     vals = fam.leaves_at(t_new)
-    strip = (blended.values[:, :width + 1] if first
-             else blended.values[:, width:])
-    if axis == "x":
-        if first:
-            vals[:, -(width + 1):, :] = strip
-        else:
-            vals[:, :width + 1, :] = strip
-    else:
-        turned = np.swapaxes(strip, 1, 2)
-        if first:
-            vals[:, :, -(width + 1):] = turned
-        else:
-            vals[:, :, :width + 1] = turned
+    # a view whose first grid axis runs across the face: writes go to vals
+    across = vals if axis == "x" else np.swapaxes(vals, 1, 2)
+    if first is not None:
+        across[:, -(width + 1):] = blended.leaves_at(first)[:, :width + 1]
+    if second is not None:
+        across[:, :width + 1] = blended.leaves_at(second)[:, width:]
     vals[:, fam.anchor[0], fam.anchor[1]] = t_new
     return LeafFamily(fam.base, t_new, vals, fam.anchor)
-
-
-def _paste_self(fam: LeafFamily, blended: LeafFamily, e_a: HolonomyMap,
-                axis: str, width: int) -> LeafFamily:
-    """Both strips written back into one self-glued box.
-
-    The two sides pull the chart back along different reindexings, so the box
-    gets the union grid and each strip is evaluated at its own image heights.
-    """
-    ta = e_a.inverse()(blended.t)
-    ta[0], ta[-1] = 0.0, 1.0
-    t_u = _merged_indices(ta, blended.t)
-    za = e_a(t_u)
-    za[0], za[-1] = 0.0, 1.0
-    vals = fam.leaves_at(t_u)
-    strip_a = blended.leaves_at(za)[:, :width + 1]
-    strip_b = blended.leaves_at(t_u)[:, width:]
-    if axis == "x":
-        vals[:, -(width + 1):, :] = strip_a
-        vals[:, :width + 1, :] = strip_b
-    else:
-        vals[:, :, -(width + 1):] = np.swapaxes(strip_a, 1, 2)
-        vals[:, :, :width + 1] = np.swapaxes(strip_b, 1, 2)
-    vals[:, fam.anchor[0], fam.anchor[1]] = t_u
-    return LeafFamily(fam.base, t_u, vals, fam.anchor)
 
 
 def globally_smooth(scene: DecompositionComplex, epsilon: float,
@@ -490,7 +452,6 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
                     c0_distance(originals[i], fams[i]) for i in order),
                 "holonomy_defect": face_transport_defect(
                     with_families(scene, fams)),
-                "retries": 0,
             })
         after_corners = dict(fams)
         face_rows = []
@@ -504,20 +465,28 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
                     smoothed = smooth_with_holonomy_constraint(
                         chart, eps_face, bands=(0.25, 15.0 / 32.0),
                         report=rep)
-                except SmoothingError as err:
-                    raise SmoothingError(f"{label}: {err}",
-                                         achieved=err.achieved) from err
+                except LadderError as err:
+                    raise LadderError(f"{label}: {err}",
+                                      achieved=err.achieved) from err
                 blended = _chart_blend(chart, smoothed, width, amplitude)
+                # the chart carries box b's leaf indices; e_a sends box a's
+                # to them
+                ta = e_a.inverse()(blended.t)
+                ta[0], ta[-1] = 0.0, 1.0
                 if id_a == id_b:
-                    fams[id_a] = _paste_self(fams[id_a], blended, e_a, axis,
-                                             width)
+                    # a box glued to itself reads its two halves along two
+                    # reindexings, so it gets the union grid, each half at
+                    # its own image indices
+                    t_u = _merged_indices(ta, blended.t)
+                    za = e_a(t_u)
+                    za[0], za[-1] = 0.0, 1.0
+                    fams[id_a] = _paste(fams[id_a], blended, axis, width,
+                                        t_u, first=za, second=t_u)
                 else:
-                    ta = e_a.inverse()(blended.t)
-                    ta[0], ta[-1] = 0.0, 1.0
-                    fams[id_a] = _paste_strip(fams[id_a], blended, axis, True,
-                                              width, ta)
-                    fams[id_b] = _paste_strip(fams[id_b], blended, axis, False,
-                                              width, blended.t.copy())
+                    fams[id_a] = _paste(fams[id_a], blended, axis, width, ta,
+                                        first=blended.t)
+                    fams[id_b] = _paste(fams[id_b], blended, axis, width,
+                                        blended.t, second=blended.t)
                 face_rows.append({
                     "face": label,
                     "seam_gap": seam_gap,
@@ -539,9 +508,9 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
             for ident in order:
                 try:
                     coned = damped_cone(fams[ident], 1.0 / 16.0, eps_cone)
-                except SmoothingError as err:
-                    raise SmoothingError(
-                        f"box {ident} interior coning: {err}") from err
+                except LadderError as err:
+                    raise LadderError(f"box {ident} interior coning: {err}",
+                                      achieved=err.achieved) from err
                 fams[ident] = damped_blend(fams[ident], coned, amplitude)
             result = with_families(scene, fams)
             post_defect = face_transport_defect(result)
@@ -550,7 +519,6 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
                 "achieved_distance": max(
                     c0_distance(after_faces[i], fams[i]) for i in order),
                 "holonomy_defect": post_defect,
-                "retries": 0,
             })
         box_distances = {i: c0_distance(originals[i], fams[i]) for i in order}
         worst = max(box_distances.values())
@@ -565,5 +533,5 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
         }
 
     return halving_ladder(
-        attempt, report, SmoothingError,
+        attempt, report,
         f"global pipeline missed epsilon={epsilon} after {{retries}} retries")

@@ -24,7 +24,7 @@ from flowbox.cli import (
 from flowbox.decomposition import DecompositionComplex, validate
 from flowbox.denjoy import blowup_circle_map
 from flowbox.foliation import c0_distance, horizontal_family
-from flowbox.smoothing import SmoothingError
+from flowbox.kernel import LadderError
 
 
 def read_csv(path):
@@ -291,7 +291,7 @@ def test_smooth_failure_names_the_failed_stage(target, stage, scenes,
     # a failure inside the first attempt, before any report row exists,
     # must still be named by its stage, not by the pipeline
     def fail(*args, **kwargs):
-        raise SmoothingError("injected failure")
+        raise LadderError("injected failure")
 
     monkeypatch.setattr(smoothing, target, fail)
     config = ScenarioConfig(kind="smooth", out=str(tmp_path),
@@ -441,6 +441,11 @@ def _disk_base(scene):
     scene["boxes"][0]["family"]["base"]["shape"] = "disk"
 
 
+def _annulus_base(scene):
+    # an annular box is a rectangle chart glued to itself by its faces
+    scene["boxes"][0]["family"]["base"]["shape"] = "annulus"
+
+
 @pytest.mark.parametrize("kind", ["validate", "smooth"])
 @pytest.mark.parametrize("corrupt, reason", [
     (_leaf_nan, "leaves must be strictly increasing"),
@@ -448,6 +453,7 @@ def _disk_base(scene):
     (_height_nan, "NaN"),
     (_far_anchor, "anchor must be a grid node"),
     (_disk_base, "unknown base shape 'disk'"),
+    (_annulus_base, "unknown base shape 'annulus'"),
 ])
 def test_corrupted_scene_exit_three(kind, corrupt, reason, grid9_scene,
                                     tmp_path):
@@ -504,6 +510,8 @@ def test_config_rejects_out_of_range_parameters(tmp_path):
         ScenarioConfig(kind="blowup", out=out, weights=(1.5,))
     with pytest.raises(MalformedInput, match="1000 iterations"):
         ScenarioConfig(kind="denjoy-circle", out=out, iterations=500)
+    with pytest.raises(MalformedInput, match="100 orbit points"):
+        ScenarioConfig(kind="denjoy-circle", out=out, orbit_points=50)
     with pytest.raises(MalformedInput, match="subsample"):
         ScenarioConfig(kind="measure", out=out, subsamples=3)
     with pytest.raises(MalformedInput, match="alpha"):
@@ -556,6 +564,35 @@ def test_main_tischler_with_fraction_tokens(tmp_path):
     assert manifest["results"]["report"]["angle_defect"] == 0.0
 
 
+@pytest.mark.parametrize("coefficients, epsilon", [
+    # parallel kernels: the last convergent is the float ratio itself
+    ("3.3,1.7", "1e-12"),
+    # coefficients whose Euclidean norm overflows
+    ("1,1e300", "0.1"),
+])
+def test_main_tischler_meets_the_bound_at_the_last_convergent(
+        coefficients, epsilon, tmp_path):
+    assert main(["tischler", "--coefficients", coefficients,
+                 "--epsilon", epsilon, "--out", str(tmp_path)]) == 0
+    manifest = read_manifest(tmp_path)
+    assert manifest["ok"]
+    assert manifest["results"]["report"]["angle_defect"] \
+        < 2.0 * float(epsilon)
+
+
+def test_tischler_failure_names_the_stage(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("convergent ladder exhausted before the bound")
+
+    monkeypatch.setattr(cli, "tischler_fibration", fail)
+    assert main(["tischler", "--coefficients", "1,1.4142135623730951",
+                 "--epsilon", "1e-3", "--out", str(tmp_path)]) == 1
+    manifest = read_manifest(tmp_path)
+    assert manifest["results"]["failed_stage"] == "tischler_fibration"
+    assert manifest["checks"][0]["name"] == "pipeline:tischler_fibration"
+    assert "exhausted" in manifest["results"]["error"]
+
+
 def test_main_malformed_flags_exit_three(tmp_path, capsys):
     assert main(["validate"]) == 3
     assert main(["no-such-command"]) == 3
@@ -563,4 +600,8 @@ def test_main_malformed_flags_exit_three(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 3
     assert main(["denjoy-circle", "--iterations", "10",
                  "--out", str(tmp_path)]) == 3
+    # blowup_circle_map needs 100 orbit points: the boundary says so
+    assert main(["denjoy-circle", "--orbit-points", "50",
+                 "--out", str(tmp_path)]) == 3
+    assert "100 orbit points" in read_manifest(tmp_path)["checks"][0]["detail"]
     capsys.readouterr()

@@ -24,7 +24,6 @@ from flowbox.kernel import SOLVER_TOL, choose_partition
 from flowbox.smoothing import smooth_in_t
 
 RECT = BaseDomain("rectangle", 33, 33)
-ANN = BaseDomain("annulus", 33, 32)
 
 
 # ---------------------------------------------------------------- oracles
@@ -170,8 +169,9 @@ def test_base_domain_validation():
         BaseDomain("rectangle", 4, 33)
     with pytest.raises(ValueError):
         BaseDomain("torus", 33, 33)
-    assert ANN.periodic_y and not RECT.periodic_y
-    assert ANN.y_nodes[-1] < 1.0  # no seam duplicate
+    # an annular box is a rectangle chart glued to itself, not a base shape
+    with pytest.raises(ValueError, match="unknown base shape"):
+        BaseDomain("annulus", 33, 32)
     assert RECT.y_nodes[-1] == 1.0
 
 
@@ -352,10 +352,10 @@ def leaf_families(draw, base):
 
 @st.composite
 def long_leaf_families(draw):
-    """Like leaf_families, on a rectangle or annulus base, with 3 to 260
-    leaves, so greedy partition runs reach 64 candidates."""
-    shape = draw(st.sampled_from(["rectangle", "annulus"]))
-    base = BaseDomain(shape, draw(st.integers(8, 17)), draw(st.integers(8, 17)))
+    """Like leaf_families, with 3 to 260 leaves, so greedy partition runs
+    reach 64 candidates."""
+    base = BaseDomain("rectangle", draw(st.integers(8, 17)),
+                      draw(st.integers(8, 17)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     steps = rng.integers(1, 5, size=draw(st.integers(2, 259)))
     t = np.concatenate([[0.0], np.cumsum(steps) / steps.sum()])
@@ -407,8 +407,8 @@ def family_pairs(draw):
     kind = draw(st.sampled_from(["smoothed", "independent", "parallel"]))
     if kind == "parallel":
         return draw(parallel_gradient_pairs())
-    shape = draw(st.sampled_from(["rectangle", "annulus"]))
-    base = BaseDomain(shape, draw(st.integers(8, 17)), draw(st.integers(8, 17)))
+    base = BaseDomain("rectangle", draw(st.integers(8, 17)),
+                      draw(st.integers(8, 17)))
     a = draw(leaf_families(base))
     if kind == "smoothed":
         return a, smooth_in_t(a, draw(st.sampled_from([0.3, 0.1, 0.03])))
@@ -469,8 +469,8 @@ def test_c0_distance_finds_a_peak_between_sampled_heights():
 
 @st.composite
 def families_with_nodes(draw):
-    shape = draw(st.sampled_from(["rectangle", "annulus"]))
-    base = BaseDomain(shape, draw(st.integers(8, 17)), draw(st.integers(8, 17)))
+    base = BaseDomain("rectangle", draw(st.integers(8, 17)),
+                      draw(st.integers(8, 17)))
     node = st.tuples(st.integers(0, base.nx - 1), st.integers(0, base.ny - 1))
     nodes = draw(st.lists(node, min_size=1, max_size=6))
     if draw(st.booleans()):
@@ -666,10 +666,3 @@ def test_choose_partition_family_level():
 def test_holonomy_rejects_endpoints_outside_domain(start, end):
     with pytest.raises(ValueError, match="leaves the base domain"):
         holonomy(horizontal_family(RECT, 9), start, end)
-
-
-def test_annulus_path_wraps_seam():
-    # y is periodic on the annulus, so an endpoint past the seam is in range
-    fam = horizontal_family(ANN, 9)
-    assert holonomy(fam, (0.5, 0.98), (0.5, 0.005)).identity_defect() == 0.0
-    assert holonomy(fam, (0.5, 0.98), (0.5, 1.25)).identity_defect() == 0.0

@@ -35,6 +35,7 @@ from flowbox.foliation import (
 )
 from flowbox.kernel import (
     COMPARISON_TOL,
+    LadderError,
     MAX_RETRIES,
     SOLVER_TOL,
     Partition,
@@ -43,13 +44,12 @@ from flowbox.kernel import (
 )
 from flowbox.smoothing import (
     FACE_COMPAT_TOL,
-    SmoothingError,
     _axis_weight,
     _chart_blend,
     _corner_fiber_damp,
     _face_chart,
     _formula_smooth,
-    _paste_strip,
+    _paste,
     damped_blend,
     damped_cone,
     face_transport_defect,
@@ -69,7 +69,6 @@ from test_foliation import (
 )
 
 RECT = BaseDomain("rectangle", 33, 33)
-ANN = BaseDomain("annulus", 33, 32)
 
 
 # ----------------------------------------------------------------- oracles
@@ -263,8 +262,6 @@ def smooth_with_holonomy_constraint_oracle(
     the bands pin both end fibers, so the correction always snaps.
     """
     base = family.base
-    if base.shape != "rectangle":
-        raise ValueError("holonomy-constrained smoothing needs a rectangle base")
     inner, outer = bands
     weight = band_weight_oracle(base, inner, outer)[None]
     alpha = (0.5, 0.0), (0.5, 1.0)
@@ -297,7 +294,7 @@ def smooth_with_holonomy_constraint_oracle(
         if achieved <= epsilon and hol_defect <= COMPARISON_TOL:
             return candidate
         inner_eps *= 0.5
-    raise SmoothingError(
+    raise LadderError(
         f"constrained smoothing missed epsilon={epsilon} "
         f"(best {min(attempts):.6g})", achieved=min(attempts))
 
@@ -537,8 +534,8 @@ def test_local_replace_slices():
 
 @st.composite
 def blend_pairs(draw):
-    shape = draw(st.sampled_from(["rectangle", "annulus"]))
-    base = BaseDomain(shape, draw(st.integers(8, 17)), draw(st.integers(8, 17)))
+    base = BaseDomain("rectangle", draw(st.integers(8, 17)),
+                      draw(st.integers(8, 17)))
     return draw(leaf_families(base)), draw(leaf_families(base))
 
 
@@ -589,12 +586,6 @@ def test_holonomy_constraint_benchmark():
     assert np.max(np.abs(out.values - ref)) > 1e-4
 
 
-def test_holonomy_constraint_needs_rectangle():
-    fam = sheared_family(ANN, 0.5, m=17)
-    with pytest.raises(ValueError):
-        smooth_with_holonomy_constraint(fam, 0.2)
-
-
 def test_holonomy_constraint_reports_attempt_distances():
     fam = random_family(RECT, 65, np.random.default_rng(3))
     rep = {}
@@ -632,8 +623,8 @@ def test_holonomy_constraint_matches_correction_oracle(case):
     try:
         want = smooth_with_holonomy_constraint_oracle(family, epsilon, bands,
                                                       report=want_rep)
-    except SmoothingError as err:
-        with pytest.raises(SmoothingError) as caught:
+    except LadderError as err:
+        with pytest.raises(LadderError) as caught:
             smooth_with_holonomy_constraint(family, epsilon, bands,
                                             report=got_rep)
         assert str(caught.value) == str(err)
@@ -904,9 +895,11 @@ def test_globally_smooth_report_shape(smoothed_sheared):
     assert names == ["vertical-edge neighborhoods",
                      "maximal-face neighborhoods", "interior coning"]
     for stage in report["stages"]:
-        for key in ("region", "achieved_distance", "holonomy_defect",
-                    "retries"):
+        for key in ("region", "achieved_distance", "holonomy_defect"):
             assert key in stage
+    # only the face stage runs retry ladders, one per face
+    assert ["retries" in stage for stage in report["stages"]] \
+        == [False, True, False]
     rows = report["stages"][1]["faces"]
     assert len(rows) == 8
     assert all(row["seam_gap"] <= 1e-9 for row in rows)
@@ -930,6 +923,18 @@ def test_globally_smooth_reports_outer_attempt_distances(monkeypatch):
     assert report["retries"] >= 1
     assert len(distances) == report["retries"] + 1
     assert distances[-1] == report["achieved_distance"] <= 0.3 < distances[0]
+
+
+def test_globally_smooth_interior_failure_keeps_achieved(monkeypatch):
+    def failing_cone(family, collar_width, epsilon):
+        raise LadderError("cone missed", achieved=0.5)
+
+    monkeypatch.setattr(smoothing, "damped_cone", failing_cone)
+    with pytest.raises(LadderError) as err:
+        globally_smooth(_scene(grid=17, samples=9), 0.3)
+    assert str(err.value) == "box b00 interior coning: cone missed"
+    assert err.value.achieved == 0.5
+    assert err.value.stage == "interior coning"
 
 
 def test_globally_smooth_rejects_bad_scenes(sheared_scene):
@@ -989,7 +994,7 @@ def test_face_chart_paste_roundtrip(sheared_scene):
     assert np.array_equal(blended.values, chart.values)
     ta = e_a.inverse()(blended.t)
     ta[0], ta[-1] = 0.0, 1.0
-    back_a = _paste_strip(fam_a, blended, axis, True, 8, ta)
-    back_b = _paste_strip(fam_b, blended, axis, False, 8, blended.t.copy())
+    back_a = _paste(fam_a, blended, axis, 8, ta, first=blended.t)
+    back_b = _paste(fam_b, blended, axis, 8, blended.t, second=blended.t)
     assert np.max(np.abs(back_a.values - fam_a.leaves_at(ta))) <= 1e-12
     assert np.max(np.abs(back_b.values - fam_b.leaves_at(blended.t))) <= 1e-12
