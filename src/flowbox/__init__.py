@@ -36,7 +36,6 @@ from .decomposition import (
     validate,
 )
 from .denjoy import (
-    BlowupLocus,
     CircleMapLift,
     birkhoff_estimate,
     blowup_box,

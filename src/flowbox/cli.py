@@ -31,7 +31,6 @@ from .decomposition import (
     validate,
 )
 from .denjoy import (
-    BlowupLocus,
     birkhoff_estimate,
     blowup_circle_map,
     blowup_scene,
@@ -40,6 +39,7 @@ from .denjoy import (
     wandering_audit,
 )
 from .foliation import BaseDomain, horizontal_family, sheared_family
+from .kernel import InsertionSchedule
 from .measure import (
     ClosedOneForm,
     MeasuredScene,
@@ -314,10 +314,10 @@ def _run_blowup(config: ScenarioConfig, out_dir: Path):
                             config.packet_shear, config.packet_samples)
     rows, runs, checks = [], [], []
     for w in weights:
-        locus = BlowupLocus.from_levels(scene, (config.blowup_level,), (w,))
+        schedule = InsertionSchedule((config.blowup_level,), (w,))
         report = {}
         try:
-            blown, data = blowup_scene(scene, locus, {0: packet},
+            blown, data = blowup_scene(scene, schedule, (packet,),
                                        epsilon, report=report)
         except (RuntimeError, ValueError) as exc:
             # the report is only filled once an attempt finishes, so the

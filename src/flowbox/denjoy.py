@@ -40,119 +40,41 @@ from .smoothing import face_transport_defect
 FACE_RHO_TOL = 1e-6
 
 
-# ------------------------------------------------------------ locus types
-
-
-@dataclass(frozen=True)
-class BlowupLocus:
-    """Per-box insertion schedules with cross-box leaf identification.
-
-    labels[box][i] names the global leaf that schedules[box].points[i] blows
-    up; equal labels across a shared face must sit at transport-matched
-    heights, which for the strictly horizontal scenes accepted here means
-    equal heights and weights.
-    """
-
-    schedules: dict
-    labels: dict
-
-    def __post_init__(self):
-        if set(self.schedules) != set(self.labels):
-            raise ValueError("schedules and labels must cover the same boxes")
-        norm = {}
-        for key, sched in self.schedules.items():
-            labs = tuple(self.labels[key])
-            if len(labs) != len(sched.points):
-                raise ValueError(f"box {key}: one label per blowup point")
-            if len(set(labs)) != len(labs):
-                raise ValueError(f"box {key}: duplicate leaf labels")
-            norm[key] = labs
-        object.__setattr__(self, "labels", norm)
-        object.__setattr__(self, "schedules", dict(self.schedules))
-
-    @classmethod
-    def from_levels(cls, scene, levels, weights) -> "BlowupLocus":
-        """Uniform locus: each level crosses every box at its own height."""
-        sched = InsertionSchedule(tuple(levels), tuple(weights))
-        ids = tuple(range(len(sched.points)))
-        return cls({b.identifier: sched for b in scene.boxes},
-                   {b.identifier: ids for b in scene.boxes})
-
-    def scaled(self, factor: float) -> "BlowupLocus":
-        return BlowupLocus(
-            {k: InsertionSchedule(s.points,
-                                  tuple(w * factor for w in s.weights))
-             for k, s in self.schedules.items()},
-            dict(self.labels))
-
-    def to_json(self) -> dict:
-        return {k: {"schedule": s.to_json(),
-                    "labels": list(self.labels[k])}
-                for k, s in self.schedules.items()}
-
-
-@dataclass(frozen=True)
-class InsertedPacket:
-    """Foliation data inserted at one blown-up leaf.
-
-    One monotone family per box the leaf crosses; face holonomy across shared
-    faces is induced by the chart data itself, so a packet given this way is
-    never underdetermined.
-    """
-
-    label: object
-    families: dict
-
-    def family_for(self, box) -> LeafFamily:
-        if box not in self.families:
-            raise ValueError(f"packet {self.label!r} is underdetermined: "
-                             f"no data for box {box}")
-        return self.families[box]
+# ------------------------------------------------------------ collapse data
 
 
 @dataclass(frozen=True)
 class CollapseData:
-    """Per-box collapse maps with the packet injection and isotopy trace.
+    """One collapse map with the packet injection and isotopy trace.
 
-    Every fiber of a box carries the same collapse map, so pi acts as
-    identity x p on the box.  The injection j sends packet coordinate u of
+    Every fiber of every box carries the same collapse map, so pi acts as
+    identity x p on each box.  The injection j sends packet coordinate u of
     gap i affinely onto that gap, and pi_t is the straight-line trace in the
     fiber coordinate from the identity to pi.
     """
 
-    schedules: dict
-    collapses: dict
+    schedule: InsertionSchedule
+    collapse: CollapseMap
 
-    @classmethod
-    def single(cls, schedule, collapse) -> "CollapseData":
-        return cls({None: schedule}, {None: collapse})
-
-    def schedule(self, box=None) -> InsertionSchedule:
-        return self.schedules[box]
-
-    def collapse(self, box=None) -> CollapseMap:
-        return self.collapses[box]
-
-    def gaps(self, box=None) -> tuple:
+    def gaps(self) -> tuple:
         """Blown-coordinate gap intervals, ordered like the schedule points."""
-        plats = sorted(self.collapses[box].plateaus)
-        pts = self.schedules[box].points
-        if tuple(p[2] for p in plats) != tuple(pts):
+        plats = sorted(self.collapse.plateaus)
+        if tuple(p[2] for p in plats) != tuple(self.schedule.points):
             raise ValueError("collapse plateaus do not match the schedule")
         return tuple((p[0], p[1]) for p in plats)
 
-    def pi(self, z, box=None):
-        return self.collapses[box](z)
+    def pi(self, z):
+        return self.collapse(z)
 
-    def inject(self, index: int, u, box=None):
-        lo, hi = self.gaps(box)[index]
+    def inject(self, index: int, u):
+        lo, hi = self.gaps()[index]
         return lo + np.asarray(u, dtype=float) * (hi - lo)
 
-    def pi_t(self, s: float, z, box=None):
+    def pi_t(self, s: float, z):
         z = np.asarray(z, dtype=float)
         if not 0.0 <= s <= 1.0:
             raise ValueError("isotopy time must lie in [0, 1]")
-        return (1.0 - s) * z + s * self.collapses[box](z)
+        return (1.0 - s) * z + s * self.collapse(z)
 
 
 # ------------------------------------------------------------ one flow box
@@ -187,14 +109,13 @@ def blowup_box(family: LeafFamily, schedule: InsertionSchedule, packets):
             raise ValueError("packet base must match the box chart")
         if tuple(pkt.anchor) != tuple(family.anchor):
             raise ValueError("packet must share the box anchor node")
-    collapse = build_collapse(schedule)
-    data = CollapseData.single(schedule, collapse)
+    data = CollapseData(schedule, build_collapse(schedule))
     if not schedule.points:
         return family, data
 
     pts = np.array(schedule.points)
     on_point = np.min(np.abs(family.t[:, None] - pts[None, :]), axis=1) == 0.0
-    t_comp = collapse.complement_embedding(family.t[~on_point])
+    t_comp = data.collapse.complement_embedding(family.t[~on_point])
     parts_t = [t_comp]
     nx, ny = family.base.nx, family.base.ny
     parts_v = [np.broadcast_to(t_comp[:, None, None],
@@ -224,44 +145,15 @@ def blowup_box(family: LeafFamily, schedule: InsertionSchedule, packets):
 # ------------------------------------------------------------ scene blowup
 
 
-def _resolve_packets(packets, labels, box):
-    fams = []
-    for lab in labels:
-        if lab not in packets:
-            raise ValueError(f"packet for leaf {lab!r} is underdetermined")
-        pkt = packets[lab]
-        fams.append(pkt.family_for(box) if isinstance(pkt, InsertedPacket)
-                    else pkt)
-    return fams
-
-
-def _check_locus(scene, locus, faces):
-    for box in scene.boxes:
-        if box.identifier not in locus.schedules:
-            raise ValueError(f"locus must cover box {box.identifier} "
-                             "(an empty schedule is allowed)")
-    for axis, pos, (id_a, _sa), (id_b, _sb) in faces:
-        sa, sb = locus.schedules[id_a], locus.schedules[id_b]
-        same = (sa.points == sb.points and sa.weights == sb.weights
-                and locus.labels[id_a] == locus.labels[id_b])
-        if not same:
-            raise ValueError(
-                f"face {axis}={pos} ({id_a}|{id_b}): blowup locus disagrees "
-                "across the face")
-
-
-def _packet_scene_defect(scene, packets, locus):
-    """Transport compatibility of each packet's own chart data across faces."""
+def _packet_scene_defect(scene, packets):
+    """Transport compatibility of each packet's chart data across faces,
+    the packet placed in every box."""
     worst, bad = 0.0, None
-    labels = sorted({lab for labs in locus.labels.values() for lab in labs},
-                    key=repr)
-    for lab in labels:
-        fams = {b.identifier: _resolve_packets(packets, (lab,),
-                                               b.identifier)[0]
-                for b in scene.boxes}
-        defect = face_transport_defect(with_families(scene, fams))
+    for i, pkt in enumerate(packets):
+        defect = face_transport_defect(
+            with_families(scene, {b.identifier: pkt for b in scene.boxes}))
         if defect > worst:
-            worst, bad = defect, lab
+            worst, bad = defect, i
     return worst, bad
 
 
@@ -271,14 +163,14 @@ def _transport(family: LeafFamily, side: str) -> HolonomyMap:
     return fiber_transports(family, (nodes[0], nodes[-1]))[0]
 
 
-def _glued_rho(data, box, packet_fams, side: str) -> HolonomyMap:
+def _glued_rho(data, packets, side: str) -> HolonomyMap:
     """The face holonomy predicted by gluing: packet transports inside the
     gaps (conjugated into blown coordinates), the original holonomy through
     the collapse elsewhere.  The original here is horizontal, so the
     complement part is the identity."""
     xs = [np.array([0.0])]
     ys = [np.array([0.0])]
-    for (lo, hi), pkt in zip(data.gaps(box), packet_fams):
+    for (lo, hi), pkt in zip(data.gaps(), packets):
         rho_l = _transport(pkt, side)
         xs.append(lo + (hi - lo) * rho_l.inputs)
         ys.append(lo + (hi - lo) * rho_l.outputs)
@@ -290,18 +182,18 @@ def _glued_rho(data, box, packet_fams, side: str) -> HolonomyMap:
     return HolonomyMap(x[keep], y[keep])
 
 
-def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
-                 epsilon: float, report: dict | None = None):
+def blowup_scene(scene: DecompositionComplex, schedule: InsertionSchedule,
+                 packets, epsilon: float, report: dict | None = None):
     """Denjoy blowup of a strictly horizontal scene.
 
-    Blows up every box fiberwise, verifies that the resulting face holonomy
-    matches the glued holonomy predicted by the packet data on the gaps and
-    the collapse maps on the complement, and halves all weights until the
-    per-box distance budget is met.  The per-box restriction of the output is
-    the box blowup of the restriction, by construction.
+    Blows up every box fiberwise at the same schedule, verifies that the
+    resulting face holonomy matches the glued holonomy predicted by the
+    packet data on the gaps and the collapse map on the complement, and
+    halves all weights until the per-box distance budget is met.  The
+    per-box restriction of the output is the box blowup of the restriction,
+    by construction.
 
-    packets: mapping from leaf label to a LeafFamily (used in every box) or
-    an InsertedPacket carrying per-box families.
+    packets: one LeafFamily per schedule point, used in every box.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -309,42 +201,38 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
         raise ValueError("blowup_scene requires a valid decomposition")
     for box in scene.boxes:
         _require_horizontal(box.family, f"box {box.identifier}")
+    packets = tuple(packets)
+    if len(packets) != len(schedule.points):
+        raise ValueError("schedule points and packets must pair up")
     faces = shared_faces(scene)
-    _check_locus(scene, locus, faces)
-    pkt_defect, bad_label = _packet_scene_defect(scene, packets, locus)
+    pkt_defect, bad = _packet_scene_defect(scene, packets)
     if pkt_defect > FACE_RHO_TOL:
         raise ValueError(
-            f"packet {bad_label!r}: face holonomy data disagree across "
-            f"shared faces (defect {pkt_defect:.3g})")
+            f"packet {bad}: face holonomy data disagree across shared faces "
+            f"(defect {pkt_defect:.3g})")
 
     originals = {b.identifier: b.family for b in scene.boxes}
 
     def attempt(scale):
-        live = locus.scaled(scale) if scale < 1.0 else locus
-        fams, schedules, collapses = {}, {}, {}
+        live = InsertionSchedule(schedule.points,
+                                 tuple(w * scale for w in schedule.weights))
+        fams = {}
         stages = []
         with stage(stages, "edge-neighborhood boxes") as row:
             for box in scene.boxes:
-                ident = box.identifier
-                sched = live.schedules[ident]
-                pkts = _resolve_packets(packets, live.labels[ident], ident)
-                blown, d = blowup_box(box.family, sched, pkts)
-                fams[ident] = blown
-                schedules[ident] = sched
-                collapses[ident] = d.collapse()
+                fams[box.identifier], data = blowup_box(box.family, live,
+                                                        packets)
             box_distances = {i: c0_distance(originals[i], fams[i])
                              for i in fams}
             worst = max(box_distances.values())
             row.update({"region": "every flow box, fiberwise insertion",
                         "achieved_distance": worst})
-        data = CollapseData(schedules, collapses)
         blown_scene = with_families(scene, fams)
 
         rho_defect = 0.0
         with stage(stages, "maximal-face gluing") as row:
             for axis, pos, (id_a, side_a), (id_b, side_b) in faces:
-                pkts_a = _resolve_packets(packets, live.labels[id_a], id_a)
-                predicted = _glued_rho(data, id_a, pkts_a, side_a)
+                predicted = _glued_rho(data, packets, side_a)
                 for ident, side in ((id_a, side_a), (id_b, side_b)):
                     actual = _transport(fams[ident], side)
                     gap = predicted.max_difference(actual)
@@ -364,7 +252,7 @@ def blowup_scene(scene: DecompositionComplex, locus: BlowupLocus, packets,
         return (blown_scene, data), worst <= epsilon, {
             "operation": "blowup_scene",
             "epsilon": epsilon,
-            "locus": live.to_json(),
+            "schedule": live.to_json(),
             "achieved_distance": worst,
             "box_distances": box_distances,
             "face_defect": face_defect,
@@ -425,35 +313,33 @@ def verify_blowup(original, blown, data: CollapseData) -> dict:
         defect, wit)
 
     # (2) the injection maps L x (0,1) onto disjoint open gaps
+    gaps = data.gaps()
     defect, wit = 0.0, None
-    for key in pairs:
-        gaps = data.gaps(key)
-        for i, (lo, hi) in enumerate(gaps):
-            bad = max(0.0 - lo, hi - 1.0, lo - hi)
-            if bad > defect:
-                defect, wit = bad, {"box": key, "gap": i}
-        for (l1, h1), (l2, h2) in zip(gaps, gaps[1:]):
-            if h1 > l2 and h1 - l2 > defect:
-                defect, wit = h1 - l2, {"box": key}
+    for i, (lo, hi) in enumerate(gaps):
+        bad = max(0.0 - lo, hi - 1.0, lo - hi)
+        if bad > defect:
+            defect, wit = bad, {"gap": i}
+    for i, ((_l1, h1), (l2, _h2)) in enumerate(zip(gaps, gaps[1:])):
+        if h1 > l2 and h1 - l2 > defect:
+            defect, wit = h1 - l2, {"gap": i + 1}
     add(2, "packet injection lands in disjoint gaps inside (0, 1)",
         defect, wit)
 
     # (3) each packet fiber {p} x I stays inside one flow line
     defect, wit = 0.0, None
     us = np.linspace(0.0, 1.0, 9)
-    for key in pairs:
-        for i, (lo, hi) in enumerate(data.gaps(key)):
-            img = data.inject(i, us, box=key)
-            bad = max(float(lo - img.min()), float(img.max() - hi),
-                      float(np.max(-np.diff(img))) if img.size > 1 else 0.0)
-            if bad > defect:
-                defect, wit = bad, {"box": key, "gap": i}
+    for i, (lo, hi) in enumerate(gaps):
+        img = data.inject(i, us)
+        bad = max(float(lo - img.min()), float(img.max() - hi),
+                  float(np.max(-np.diff(img))) if img.size > 1 else 0.0)
+        if bad > defect:
+            defect, wit = bad, {"gap": i}
     add(3, "injection is fiberwise monotone into its own gap", defect, wit)
 
     # (4) packet boundary graphs are leaves of the blown foliation
     defect, wit = 0.0, None
     for key, (_orig, fam) in pairs.items():
-        for i, (lo, hi) in enumerate(data.gaps(key)):
+        for i, (lo, hi) in enumerate(gaps):
             walls = fam.leaves_at(np.array([lo, hi]))
             bad = max(float(np.max(np.abs(walls[0] - lo))),
                       float(np.max(np.abs(walls[1] - hi))))
@@ -463,20 +349,15 @@ def verify_blowup(original, blown, data: CollapseData) -> dict:
 
     # (5) preimages: points off the locus, whole gaps on it
     defect, wit = 0.0, None
+    collapse, points = data.collapse, data.schedule.points
+    for z, (lo, hi) in zip(points, gaps):
+        pre = collapse.preimage(z)
+        bad = (max(abs(pre[0] - lo), abs(pre[1] - hi))
+               if isinstance(pre, tuple) else 1.0)
+        if bad > defect:
+            defect, wit = bad, {"point": z}
+    pts = np.array(points) if points else np.empty(0)
     for key, (orig, _fam) in pairs.items():
-        collapse = data.collapse(key)
-        sched = data.schedule(key)
-        pts = np.array(sched.points) if sched.points else np.empty(0)
-        for i, z in enumerate(sched.points):
-            pre = collapse.preimage(z)
-            lo, hi = data.gaps(key)[i]
-            if not isinstance(pre, tuple):
-                if defect < 1.0:
-                    defect, wit = 1.0, {"box": key, "point": z}
-                continue
-            bad = max(abs(pre[0] - lo), abs(pre[1] - hi))
-            if bad > defect:
-                defect, wit = bad, {"box": key, "point": z}
         off = orig.t[(np.min(np.abs(orig.t[:, None] - pts[None, :]), axis=1)
                       > 1e-6)] if pts.size else orig.t
         for z in off:
@@ -494,7 +375,7 @@ def verify_blowup(original, blown, data: CollapseData) -> dict:
     # (6) the collapse maps blown leaves onto single original leaves
     defect, wit = 0.0, None
     for key, (orig, fam) in pairs.items():
-        collapsed = data.pi(fam.values, box=key)
+        collapsed = data.pi(fam.values)
         spread, local = _leaf_membership_spread(orig, collapsed)
         if spread > defect:
             defect, wit = spread, {"box": key, **local}
@@ -506,7 +387,7 @@ def verify_blowup(original, blown, data: CollapseData) -> dict:
     for key, (_orig, fam) in pairs.items():
         if fam.base.nx < 5 or fam.base.nx % 2 == 0 or fam.base.ny % 2 == 0:
             continue
-        collapsed = data.pi(fam.values, box=key)
+        collapsed = data.pi(fam.values)
         dx = 1.0 / (fam.base.nx - 1)
         g_full = np.gradient(collapsed, dx, axis=1)[:, ::2, ::2]
         g_half = np.gradient(collapsed[:, ::2, ::2], 2.0 * dx, axis=1)
@@ -517,22 +398,14 @@ def verify_blowup(original, blown, data: CollapseData) -> dict:
         defect, wit)
 
     # (8) straight-line isotopy: identity at 0, collapse at 1, monotone
-    defect, wit = 0.0, None
     zs = np.linspace(0.0, 1.0, 257)
-    for key in pairs:
-        collapse = data.collapse(key)
-        id_defect = float(np.max(np.abs(data.pi_t(0.0, zs, box=key) - zs)))
-        end_defect = float(np.max(np.abs(data.pi_t(1.0, zs, box=key)
-                                         - collapse(zs))))
-        mono = 0.0
-        for s in (0.25, 0.5, 0.75, 1.0):
-            mono = max(mono, -float(np.min(np.diff(
-                data.pi_t(s, zs, box=key)))))
-        bad = max(id_defect, end_defect, mono)
-        if bad > defect:
-            defect, wit = bad, {"box": key}
+    id_defect = float(np.max(np.abs(data.pi_t(0.0, zs) - zs)))
+    end_defect = float(np.max(np.abs(data.pi_t(1.0, zs) - collapse(zs))))
+    mono = 0.0
+    for s in (0.25, 0.5, 0.75, 1.0):
+        mono = max(mono, -float(np.min(np.diff(data.pi_t(s, zs)))))
     add(8, "collapse is the time-one map of a monotone straight-line isotopy",
-        defect, wit)
+        max(id_defect, end_defect, mono))
 
     worst = max(r["defect"] for r in rows)
     return {"operation": "verify_blowup", "tolerance": COMPARISON_TOL,
@@ -636,25 +509,22 @@ def rotation_number(lift: CircleMapLift, iterations: int,
     return birkhoff_estimate(circle_orbit(lift, n), report=report)
 
 
-def blowup_circle_map(alpha: float, orbit_length: int, weights=None,
+def blowup_circle_map(alpha: float, orbit_length: int,
                       report: dict | None = None) -> CircleMapLift:
     """Denjoy blowup of a rigid rotation along a finite orbit segment.
 
     Opens a gap at each orbit point frac(k*alpha), |k| <= N, with weight
-    weights(k) (default 1/(k^2+1)), rescales the circle back to length one,
-    and returns the piecewise-affine lift that maps the gap at orbit index k
-    onto the gap at k+1 for k < N and interpolates affinely elsewhere.
+    1/(k^2+1), rescales the circle back to length one, and returns the
+    piecewise-affine lift that maps the gap at orbit index k onto the gap at
+    k+1 for k < N and interpolates affinely elsewhere.
     """
     n = int(orbit_length)
     if n < 100:
         raise ValueError("orbit segment must contain at least 100 points")
     alpha = float(alpha)
-    rule = weights if weights is not None else (lambda k: 1.0 / (k * k + 1.0))
     ks = np.arange(-n, n + 1)
     orbit = np.mod(ks * alpha, 1.0)
-    w = np.array([float(rule(int(k))) for k in ks])
-    if np.any(w <= 0.0):
-        raise ValueError("weights must be positive")
+    w = 1.0 / (ks * ks + 1.0)
     order = np.argsort(orbit)
     sorted_pts = orbit[order]
     if np.min(np.diff(sorted_pts)) <= 1e-12:

@@ -329,8 +329,19 @@ class ClosedOneForm:
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) not in (2, 3):
             raise ValueError("need 2 (torus) or 3 (T^3) coefficients")
-        if all(float(c) == 0.0 for c in coeffs):
+        # the convergent ladder and the angle work on floats: a coefficient
+        # or a ratio to the lead that overflows one has no kernel to compare
+        try:
+            values = [float(c) for c in coeffs]
+        except OverflowError:
+            values = [math.inf]
+        lead = next((v for v in values if v != 0.0), None)
+        if lead is None:
             raise ValueError("coefficient vector must be nonzero")
+        if not all(math.isfinite(v) and math.isfinite(v / lead)
+                   for v in values):
+            raise ValueError("coefficients and their ratios to the first "
+                             "nonzero coefficient must be finite floats")
 
     @property
     def is_rational(self) -> bool:

@@ -15,7 +15,6 @@ from flowbox.decomposition import (
     validate,
 )
 from flowbox.denjoy import (
-    BlowupLocus,
     blowup_box,
     blowup_circle_map,
     blowup_scene,
@@ -173,13 +172,13 @@ def test_criterion_6_denjoy_blowup_verification():
     scene = build_torus_scene((2, 2), foliation={
         "kind": "horizontal", "grid": 33, "samples": 17})
     base = BaseDomain("rectangle", 33, 33)
-    packets = {0: sheared_family(base, 0.3, 17)}
+    packets = (sheared_family(base, 0.3, 17),)
 
     achieved = []
     for total_weight in (0.1, 0.05):
-        locus = BlowupLocus.from_levels(scene, (0.5,), (total_weight,))
+        schedule = InsertionSchedule((0.5,), (total_weight,))
         report = {}
-        blown, data = blowup_scene(scene, locus, packets,
+        blown, data = blowup_scene(scene, schedule, packets,
                                    epsilon=0.5, report=report)
         achieved.append(report["achieved_distance"])
         if total_weight == 0.1:
@@ -190,8 +189,7 @@ def test_criterion_6_denjoy_blowup_verification():
             assert verification["all_pass"]
             for box in scene.boxes:
                 ident = box.identifier
-                solo, _solo_data = blowup_box(
-                    box.family, locus.schedules[ident], [packets[0]])
+                solo, _solo_data = blowup_box(box.family, schedule, packets)
                 got = blown.box(ident).family
                 np.testing.assert_array_equal(got.t, solo.t)
                 assert np.max(np.abs(got.values - solo.values)) <= 1e-10

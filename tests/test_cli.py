@@ -604,4 +604,11 @@ def test_main_malformed_flags_exit_three(tmp_path, capsys):
     assert main(["denjoy-circle", "--orbit-points", "50",
                  "--out", str(tmp_path)]) == 3
     assert "100 orbit points" in read_manifest(tmp_path)["checks"][0]["detail"]
+    # coefficients, or ratios to the lead, that overflow a float
+    for coefficients in ("1e-320,1", "1e-300,1e300", "1" + "0" * 400 + ",1"):
+        assert main(["tischler", "--coefficients", coefficients,
+                     "--epsilon", "0.1", "--out", str(tmp_path)]) == 3
+        check, = read_manifest(tmp_path)["checks"]
+        assert check["name"] == "input-wellformed"
+        assert "finite" in check["detail"]
     capsys.readouterr()

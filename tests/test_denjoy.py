@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from flowbox.decomposition import build_torus_scene
 from flowbox.denjoy import (
-    BlowupLocus,
     CircleMapLift,
     CollapseData,
-    InsertedPacket,
     _leaf_membership_spread,
     birkhoff_estimate,
     blowup_box,
@@ -282,7 +280,7 @@ def test_blowup_box_random_schedules(entry):
     kept = fam.t[np.min(np.abs(fam.t[:, None] - np.array(zs)[None, :]),
                         axis=1) > 0.0]
     np.testing.assert_allclose(
-        data.pi(data.collapse().complement_embedding(kept)), kept,
+        data.pi(data.collapse.complement_embedding(kept)), kept,
         atol=1e-12)
     rep = verify_blowup(fam, blown, data)
     assert rep["all_pass"], rep
@@ -310,18 +308,18 @@ def _torus(samples=9, grid=17):
 def blown_sheared():
     scene = _torus(samples=17, grid=33)
     base = BaseDomain("rectangle", 33, 33)
-    locus = BlowupLocus.from_levels(scene, (0.5,), (0.1,))
-    packets = {0: sheared_family(base, 0.3, 17)}
+    schedule = InsertionSchedule((0.5,), (0.1,))
+    packets = (sheared_family(base, 0.3, 17),)
     report = {}
-    out, data = blowup_scene(scene, locus, packets, epsilon=0.5,
+    out, data = blowup_scene(scene, schedule, packets, epsilon=0.5,
                              report=report)
-    return scene, locus, packets, out, data, report
+    return scene, schedule, packets, out, data, report
 
 
 def test_blowup_scene_empty_locus_identity():
     scene = _torus()
-    locus = BlowupLocus.from_levels(scene, (), ())
-    out, data = blowup_scene(scene, locus, {}, epsilon=0.1)
+    out, data = blowup_scene(scene, InsertionSchedule((), ()), (),
+                             epsilon=0.1)
     for box in scene.boxes:
         np.testing.assert_array_equal(
             box.family.values, out.box(box.identifier).family.values)
@@ -333,24 +331,22 @@ def test_blowup_scene_empty_locus_identity():
 def test_blowup_scene_horizontal_packet_per_box_oracle():
     scene = _torus()
     base = BaseDomain("rectangle", 17, 17)
-    locus = BlowupLocus.from_levels(scene, (0.5,), (0.1,))
-    packets = {0: horizontal_family(base, 9)}
-    out, data = blowup_scene(scene, locus, packets, epsilon=0.1)
+    schedule = InsertionSchedule((0.5,), (0.1,))
+    packets = (horizontal_family(base, 9),)
+    out, data = blowup_scene(scene, schedule, packets, epsilon=0.1)
     for box in scene.boxes:
         ident = box.identifier
-        solo, solo_data = blowup_box(box.family,
-                                     locus.schedules[ident],
-                                     [packets[0]])
+        solo, solo_data = blowup_box(box.family, schedule, packets)
         got = out.box(ident).family
         assert np.max(np.abs(got.values - solo.values)) <= 1e-10
         np.testing.assert_array_equal(got.t, solo.t)
-        assert data.gaps(ident) == solo_data.gaps()
+        assert data.gaps() == solo_data.gaps()
         # horizontal packets keep the scene horizontal
         assert c0_distance(box.family, got) == 0.0
 
 
 def test_blowup_scene_sheared_packet_verifies(blown_sheared):
-    scene, _locus, _packets, out, data, report = blown_sheared
+    scene, _schedule, _packets, out, data, report = blown_sheared
     rep = verify_blowup(scene, out, data)
     assert rep["all_pass"], rep
     assert rep["max_defect"] < 1e-9
@@ -361,13 +357,13 @@ def test_blowup_scene_sheared_packet_verifies(blown_sheared):
 
 
 def test_blowup_scene_leaf_membership_against_leaf_through(blown_sheared):
-    scene, _locus, _packets, out, data, rep_unused = blown_sheared
+    scene, _schedule, _packets, out, data, rep_unused = blown_sheared
     rep = verify_blowup(scene, out, data)
     row = next(r for r in rep["properties"] if r["property"] == 6)
     worst = 0.0
     for box in scene.boxes:
         fam = out.box(box.identifier).family
-        collapsed = data.pi(fam.values, box=box.identifier)
+        collapsed = data.pi(fam.values)
         nodes = [(i, j, x, y)
                  for i, x in ((0, 0.0), (16, 0.5), (32, 1.0))
                  for j, y in ((0, 0.0), (32, 1.0))]
@@ -383,12 +379,12 @@ def test_blowup_scene_leaf_membership_against_leaf_through(blown_sheared):
 def test_blowup_scene_halving_weights_decreases_distance():
     scene = _torus(samples=17, grid=33)
     base = BaseDomain("rectangle", 33, 33)
-    packets = {0: sheared_family(base, 0.3, 17)}
+    packets = (sheared_family(base, 0.3, 17),)
     achieved = []
     for total in (0.1, 0.05):
-        locus = BlowupLocus.from_levels(scene, (0.5,), (total,))
         rep = {}
-        blowup_scene(scene, locus, packets, epsilon=0.5, report=rep)
+        blowup_scene(scene, InsertionSchedule((0.5,), (total,)), packets,
+                     epsilon=0.5, report=rep)
         achieved.append(rep["achieved_distance"])
         assert rep["achieved_distance"] == pytest.approx(
             sheared_packet_distance(total / (1.0 + total), 0.3), abs=1e-12)
@@ -398,10 +394,10 @@ def test_blowup_scene_halving_weights_decreases_distance():
 def test_blowup_scene_epsilon_forces_weight_halving():
     scene = _torus(samples=9, grid=17)
     base = BaseDomain("rectangle", 17, 17)
-    packets = {0: sheared_family(base, 0.3, 9)}
-    locus = BlowupLocus.from_levels(scene, (0.5,), (0.1,))
+    packets = (sheared_family(base, 0.3, 9),)
+    schedule = InsertionSchedule((0.5,), (0.1,))
     report = {}
-    out, data = blowup_scene(scene, locus, packets, epsilon=0.002,
+    out, data = blowup_scene(scene, schedule, packets, epsilon=0.002,
                              report=report)
     assert report["retries"] == 2
     assert report["achieved_distance"] <= 0.002
@@ -412,9 +408,9 @@ def test_blowup_scene_epsilon_forces_weight_halving():
     assert report["achieved_distance"] == pytest.approx(
         sheared_packet_distance(0.025 / 1.025, 0.3), abs=1e-12)
     # the returned data reflects the final halved weights
-    assert data.schedule("b00").weights == (0.025,)
+    assert data.schedule.weights == (0.025,)
     with pytest.raises(LadderError) as err:
-        blowup_scene(scene, locus, packets, epsilon=1e-9)
+        blowup_scene(scene, schedule, packets, epsilon=1e-9)
     assert err.value.achieved > 0.0
 
 
@@ -422,36 +418,73 @@ def test_blowup_scene_rejects_inconsistent_inputs():
     scene = _torus()
     base = BaseDomain("rectangle", 17, 17)
     pkt = horizontal_family(base, 9)
-    locus = BlowupLocus.from_levels(scene, (0.5,), (0.1,))
+    schedule = InsertionSchedule((0.5,), (0.1,))
     with pytest.raises(ValueError, match="positive"):
-        blowup_scene(scene, locus, {0: pkt}, epsilon=0.0)
+        blowup_scene(scene, schedule, (pkt,), epsilon=0.0)
     sheared_scene = build_torus_scene(
         (2, 2), foliation={"kind": "sheared", "shear": 0.1,
                            "samples": 9, "grid": 17})
     with pytest.raises(ValueError, match="straighten"):
-        blowup_scene(sheared_scene, locus, {0: pkt}, epsilon=0.1)
-    missing = BlowupLocus(
-        {k: v for k, v in locus.schedules.items() if k != "b11"},
-        {k: v for k, v in locus.labels.items() if k != "b11"})
-    with pytest.raises(ValueError, match="cover box"):
-        blowup_scene(scene, missing, {0: pkt}, epsilon=0.1)
-    skew = BlowupLocus(
-        {**locus.schedules, "b00": InsertionSchedule((0.5,), (0.2,))},
-        dict(locus.labels))
-    with pytest.raises(ValueError, match="locus disagrees"):
-        blowup_scene(scene, skew, {0: pkt}, epsilon=0.1)
-    with pytest.raises(ValueError, match="underdetermined"):
-        blowup_scene(scene, locus, {}, epsilon=0.1)
-    # per-box packet data that does not glue across the b00|b10 face
-    bent = InsertedPacket(0, {
-        "b00": sheared_family(base, 0.4, 9, axis="y"),
-        "b01": pkt, "b10": pkt, "b11": pkt})
+        blowup_scene(sheared_scene, schedule, (pkt,), epsilon=0.1)
+    with pytest.raises(ValueError, match="pair up"):
+        blowup_scene(scene, schedule, (), epsilon=0.1)
+    # a packet that does not glue with itself across the faces of the
+    # torus: f_t = t + 0.4 t(1-t) x y differs between x = 0 and x = 1
+    t = np.linspace(0.0, 1.0, 9)
+    x = np.linspace(0.0, 1.0, 17)
+    bump = t * (1.0 - t)
+    bent = LeafFamily(base, t, t[:, None, None] + 0.4 * bump[:, None, None]
+                      * x[None, :, None] * x[None, None, :], (0, 0))
     with pytest.raises(ValueError, match="holonomy data disagree"):
-        blowup_scene(scene, locus, {0: bent}, epsilon=0.1)
+        blowup_scene(scene, schedule, (bent,), epsilon=0.1)
+
+
+@st.composite
+def scene_blowup_inputs(draw):
+    """A 1-3 point schedule and one packet per point, each horizontal or
+    sheared in x or y, on the grid-17 base of the 2x2 torus."""
+    n = draw(st.integers(1, 3))
+    points = sorted(draw(st.lists(st.floats(0.02, 0.98), min_size=n,
+                                  max_size=n, unique=True)))
+    assume(min((b - a for a, b in zip(points, points[1:])), default=1.0)
+           > 1e-3)
+    weights = draw(st.lists(st.floats(0.02, 0.2), min_size=n, max_size=n))
+    base = BaseDomain("rectangle", 17, 17)
+    packets = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["horizontal", "x", "y"]))
+        samples = draw(st.integers(3, 9))
+        if kind == "horizontal":
+            packets.append(horizontal_family(base, samples))
+        else:
+            packets.append(sheared_family(base, draw(st.floats(-0.4, 0.4)),
+                                          samples, axis=kind))
+    return InsertionSchedule(tuple(points), tuple(weights)), tuple(packets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scene_blowup_inputs())
+def test_blowup_scene_multi_point_schedules(case):
+    schedule, packets = case
+    scene = _torus()
+    report = {}
+    out, data = blowup_scene(scene, schedule, packets, epsilon=0.5,
+                             report=report)
+    rep = verify_blowup(scene, out, data)
+    assert rep["all_pass"], rep
+    assert len(rep["properties"]) == 8
+    for box in scene.boxes:
+        solo, _solo_data = blowup_box(box.family, data.schedule, packets)
+        got = out.box(box.identifier).family
+        np.testing.assert_array_equal(got.t, solo.t)
+        np.testing.assert_array_equal(got.values, solo.values)
+    assert report["face_defect"] <= 1e-12
+    plateaus = sorted(build_collapse(data.schedule).plateaus)
+    assert data.gaps() == tuple((lo, hi) for lo, hi, _z in plateaus)
 
 
 def test_blowup_scene_report_is_json(blown_sheared):
-    _scene, _locus, _packets, _out, _data, report = blown_sheared
+    _scene, _schedule, _packets, _out, _data, report = blown_sheared
     blob = json.loads(json.dumps(report))
     assert blob["operation"] == "blowup_scene"
     assert [s["stage"] for s in blob["stages"]] == [
@@ -459,17 +492,16 @@ def test_blowup_scene_report_is_json(blown_sheared):
         "interior extension"]
     assert set(blob["box_distances"]) == {"b00", "b01", "b10", "b11"}
     assert blob["retries"] == 0
-    assert blob["locus"]["b00"]["schedule"]["weights"] == [0.1]
+    assert blob["schedule"] == {"points": [0.5], "weights": [0.1]}
 
 
 def test_verify_blowup_flags_corrupted_collapse(blown_sheared):
-    scene, _locus, _packets, out, data, _report = blown_sheared
-    (lo, hi), = data.gaps("b00")
+    scene, _schedule, _packets, out, data, _report = blown_sheared
+    (lo, hi), = data.gaps()
     shifted = CollapseMap(
         plateaus=((lo + 0.01, hi + 0.01, 0.5),),
         pieces=((0.0, lo + 0.01, 0.0, 0.5), (hi + 0.01, 1.0, 0.5, 1.0)))
-    corrupted = CollapseData(dict(data.schedules),
-                             {**data.collapses, "b00": shifted})
+    corrupted = CollapseData(data.schedule, shifted)
     rep = verify_blowup(scene, out, corrupted)
     assert not rep["all_pass"]
     row = next(r for r in rep["properties"] if r["property"] == 6)
@@ -485,14 +517,14 @@ def _assert_membership_matches_oracle(orig, heights):
 
 
 def test_leaf_membership_spread_matches_oracle_on_blowup(blown_sheared):
-    scene, _locus, _packets, out, data, _report = blown_sheared
-    (lo, hi), = data.gaps("b00")
+    scene, _schedule, _packets, out, data, _report = blown_sheared
+    (lo, hi), = data.gaps()
     shifted = CollapseMap(
         plateaus=((lo + 0.01, hi + 0.01, 0.5),),
         pieces=((0.0, lo + 0.01, 0.0, 0.5), (hi + 0.01, 1.0, 0.5, 1.0)))
     for box in scene.boxes:
         fam = out.box(box.identifier).family
-        collapsed = data.pi(fam.values, box=box.identifier)
+        collapsed = data.pi(fam.values)
         assert _assert_membership_matches_oracle(box.family, collapsed) < 1e-9
         # a collapse off the blown gap spreads leaves over many indices
         assert _assert_membership_matches_oracle(
@@ -518,28 +550,6 @@ def membership_cases(draw):
 @given(membership_cases())
 def test_leaf_membership_spread_matches_oracle_on_random_families(case):
     _assert_membership_matches_oracle(*case)
-
-
-def test_locus_and_packet_validation():
-    scene = _torus()
-    with pytest.raises(ValueError, match="label"):
-        BlowupLocus({"b00": InsertionSchedule((0.5,), (0.1,))},
-                    {"b00": (0, 1)})
-    with pytest.raises(ValueError, match="duplicate"):
-        BlowupLocus({"b00": InsertionSchedule((0.3, 0.6), (0.1, 0.1))},
-                    {"b00": (0, 0)})
-    with pytest.raises(ValueError, match="same boxes"):
-        BlowupLocus({"b00": InsertionSchedule((0.5,), (0.1,))}, {})
-    with pytest.raises(ValueError):
-        BlowupLocus.from_levels(scene, (0.0,), (0.1,))
-    locus = BlowupLocus.from_levels(scene, (0.5,), (0.1,))
-    half = locus.scaled(0.5)
-    assert half.schedules["b00"].weights == (0.05,)
-    family = horizontal_family(BaseDomain("rectangle", 17, 17), 9)
-    pkt = InsertedPacket(0, {b.identifier: family for b in scene.boxes})
-    assert pkt.family_for("b01").m == 9
-    with pytest.raises(ValueError, match="underdetermined"):
-        pkt.family_for("nope")
 
 
 # ---------------------------------------------------------------- circle
@@ -626,8 +636,6 @@ def test_blowup_circle_map_rejects_bad_inputs():
         blowup_circle_map(1.0 / 3.0, 300)
     with pytest.raises(ValueError, match="100"):
         blowup_circle_map(GOLDEN, 50)
-    with pytest.raises(ValueError, match="positive"):
-        blowup_circle_map(GOLDEN, 150, weights=lambda k: -1.0)
 
 
 def test_wandering_audit_blown_gaps_do_not_return():

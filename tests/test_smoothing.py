@@ -22,7 +22,7 @@ from flowbox.decomposition import (
     side_nodes,
     with_families,
 )
-from flowbox.denjoy import BlowupLocus, blowup_scene
+from flowbox.denjoy import blowup_scene
 from flowbox.foliation import (
     BaseDomain,
     HolonomyMap,
@@ -35,6 +35,7 @@ from flowbox.foliation import (
 )
 from flowbox.kernel import (
     COMPARISON_TOL,
+    InsertionSchedule,
     LadderError,
     MAX_RETRIES,
     SOLVER_TOL,
@@ -810,8 +811,8 @@ def blown_horizontal():
     # the inserted packet leaves refine every box's leaf grid
     scene = _scene(kind="horizontal", grid=17, samples=9)
     packet = sheared_family(BaseDomain("rectangle", 17, 17), 0.3, 9)
-    locus = BlowupLocus.from_levels(scene, (0.5,), (0.1,))
-    out, _data = blowup_scene(scene, locus, {0: packet}, epsilon=0.5)
+    out, _data = blowup_scene(scene, InsertionSchedule((0.5,), (0.1,)),
+                              (packet,), epsilon=0.5)
     return out
 
 
