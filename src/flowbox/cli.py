@@ -13,6 +13,7 @@ manifest), 2 validation failure, 3 malformed input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import json
@@ -28,7 +29,7 @@ from .decomposition import (
     DecompositionComplex,
     FlowBoxSpec,
     build_torus_scene,
-    validate,
+    validate,  # unused; the bench tracer's alias test checks it
 )
 from .denjoy import (
     birkhoff_estimate,
@@ -233,14 +234,13 @@ def _load_scene(path_str: str | None) -> DecompositionComplex:
                              f"decomposition: {exc}") from exc
 
 
-def _require_valid(scene: DecompositionComplex) -> dict:
-    report = validate(scene)
+def _require_valid(scene: DecompositionComplex) -> None:
+    report = scene.validation
     if not report["valid"]:
         raise ValidationFailure(
             "scene fails validation",
             results={"validation": report},
             checks=_condition_checks(report))
-    return report
 
 
 def _condition_checks(report: dict) -> list:
@@ -260,11 +260,51 @@ def _condition_checks(report: dict) -> list:
 
 def _run_validate(config: ScenarioConfig, out_dir: Path):
     scene = _load_scene(config.scene)
-    report = validate(scene)
+    report = scene.validation
     results = {"validation": report,
                "boxes": [box.identifier for box in scene.boxes],
                "volume": str(scene.volume)}
     return results, _condition_checks(report)
+
+
+@contextlib.contextmanager
+def _named_failure(pipeline: str, results=None):
+    """Turn a pipeline's RuntimeError or ValueError into a PipelineFailure.
+    The report is only filled once an attempt finishes, so the failed stage
+    travels on the error itself."""
+    try:
+        yield
+    except (RuntimeError, ValueError) as exc:
+        stage = getattr(exc, "stage", None) or pipeline
+        raise PipelineFailure(stage, str(exc), results=results) from exc
+
+
+def _run_ladder(values, pipeline, name: str, grade, csv_path: Path,
+                value_name: str) -> tuple:
+    """(runs, checks) of pipeline(value, report) down a ladder of values.
+
+    grade(value, report, result) gives each rung's run entry, check row and
+    face defect; a strictly decreasing ladder gets a distances-decrease row.
+    """
+    rows, runs, checks = [], [], []
+    for value in values:
+        report = {}
+        with _named_failure(name, {"runs": runs}):
+            result = pipeline(value, report)
+        run_entry, check, face = grade(value, report, result)
+        rows.append((float(value), float(report["achieved_distance"]),
+                     float(face)))
+        runs.append(run_entry)
+        checks.append(check)
+    if len(values) >= 2 and all(b < a for a, b in zip(values, values[1:])):
+        distances = [row[1] for row in rows]
+        checks.append({"name": "distances-decrease",
+                       "pass": all(b < a for a, b in
+                                   zip(distances, distances[1:])),
+                       "distances": distances})
+    _write_csv(csv_path, (value_name, "achieved_distance", "face_defect"),
+               rows)
+    return runs, checks
 
 
 def _run_smooth(config: ScenarioConfig, out_dir: Path):
@@ -275,32 +315,18 @@ def _run_smooth(config: ScenarioConfig, out_dir: Path):
     except ValueError as exc:
         raise MalformedInput(f"scene cannot be smoothed: {exc}") from exc
     ladder = tuple(config.epsilons) or (0.3, 0.15, 0.075)
-    rows, runs, checks = [], [], []
-    for eps in ladder:
-        report = {}
-        try:
-            globally_smooth(scene, eps, report=report)
-        except (RuntimeError, ValueError) as exc:
-            # the report is only filled once an attempt finishes, so the
-            # failed stage travels on the error itself
-            stage = getattr(exc, "stage", None) or "globally_smooth"
-            raise PipelineFailure(stage, str(exc), results={"runs": runs}) from exc
+
+    def grade(eps, report, _smoothed):
         achieved = report["achieved_distance"]
         face = report["face_defect_after"]
-        rows.append((float(eps), float(achieved), float(face)))
-        runs.append(report)
-        checks.append({"name": f"epsilon-{eps:g}",
-                       "pass": achieved <= eps and face < FACE_DEFECT_TOL,
-                       "achieved_distance": float(achieved),
-                       "face_defect": float(face)})
-    if len(ladder) >= 2 and all(b < a for a, b in zip(ladder, ladder[1:])):
-        distances = [row[1] for row in rows]
-        checks.append({"name": "distances-decrease",
-                       "pass": all(b < a for a, b in
-                                   zip(distances, distances[1:])),
-                       "distances": distances})
-    _write_csv(out_dir / "smooth.csv",
-               ("epsilon", "achieved_distance", "face_defect"), rows)
+        return report, {"name": f"epsilon-{eps:g}",
+                        "pass": achieved <= eps and face < FACE_DEFECT_TOL,
+                        "achieved_distance": float(achieved),
+                        "face_defect": float(face)}, face
+
+    runs, checks = _run_ladder(
+        ladder, lambda eps, report: globally_smooth(scene, eps, report=report),
+        "globally_smooth", grade, out_dir / "smooth.csv", "epsilon")
     return {"runs": runs, "ladder": [float(e) for e in ladder]}, checks
 
 
@@ -312,35 +338,23 @@ def _run_blowup(config: ScenarioConfig, out_dir: Path):
     base = scene.boxes[0].family.base
     packet = sheared_family(BaseDomain("rectangle", base.nx, base.ny),
                             config.packet_shear, config.packet_samples)
-    rows, runs, checks = [], [], []
-    for w in weights:
+
+    def blowup(w, report):
         schedule = InsertionSchedule((config.blowup_level,), (w,))
-        report = {}
-        try:
-            blown, data = blowup_scene(scene, schedule, (packet,),
-                                       epsilon, report=report)
-        except (RuntimeError, ValueError) as exc:
-            # the report is only filled once an attempt finishes, so the
-            # failed stage travels on the error itself
-            stage = getattr(exc, "stage", None) or "blowup_scene"
-            raise PipelineFailure(stage, str(exc), results={"runs": runs}) from exc
-        verification = verify_blowup(scene, blown, data)
-        achieved = report["achieved_distance"]
-        rows.append((float(w), float(achieved), float(report["face_defect"])))
-        runs.append({"total_weight": float(w), "pipeline": report,
-                     "verification": verification})
-        checks.append({"name": f"verified-w-{w:g}",
-                       "pass": verification["all_pass"],
-                       "max_defect": float(verification["max_defect"]),
-                       "achieved_distance": float(achieved)})
-    if len(weights) >= 2 and all(b < a for a, b in zip(weights, weights[1:])):
-        distances = [row[1] for row in rows]
-        checks.append({"name": "distances-decrease",
-                       "pass": all(b < a for a, b in
-                                   zip(distances, distances[1:])),
-                       "distances": distances})
-    _write_csv(out_dir / "blowup.csv",
-               ("total_weight", "achieved_distance", "face_defect"), rows)
+        return blowup_scene(scene, schedule, (packet,), epsilon,
+                            report=report)
+
+    def grade(w, report, result):
+        verification = verify_blowup(scene, *result)
+        return ({"total_weight": float(w), "pipeline": report,
+                 "verification": verification},
+                {"name": f"verified-w-{w:g}", "pass": verification["all_pass"],
+                 "max_defect": float(verification["max_defect"]),
+                 "achieved_distance": float(report["achieved_distance"])},
+                report["face_defect"])
+
+    runs, checks = _run_ladder(weights, blowup, "blowup_scene", grade,
+                               out_dir / "blowup.csv", "total_weight")
     return {"runs": runs, "weights": [float(w) for w in weights],
             "epsilon": float(epsilon)}, checks
 
@@ -474,12 +488,9 @@ def _run_measure(config: ScenarioConfig, out_dir: Path):
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
     report = {}
-    try:
+    with _named_failure("smooth_measured_scene"):
         smoothed = smooth_measured_scene(measured, config.subsamples,
                                          report=report)
-    except (RuntimeError, ValueError) as exc:
-        stage = getattr(exc, "stage", None) or "smooth_measured_scene"
-        raise PipelineFailure(stage, str(exc)) from exc
     checks = [
         {"name": "post-invariance",
          "pass": report["post_defect"] < MEASURE_POST_TOL,

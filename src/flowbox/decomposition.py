@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -275,6 +276,17 @@ class DecompositionComplex:
             raise ValueError("box identifiers must be unique")
         if not self.v_boxes <= set(ids):
             raise ValueError("V must be a set of listed box identifiers")
+
+    @cached_property
+    def validation(self) -> dict:
+        """validate()'s report on this scene, computed on the first read.
+
+        The report reads only the boxes' exact geometry, which is frozen, so
+        every pipeline given this object shares one report and must not
+        mutate it.  validate is looked up at call time, so a rebound or
+        patched module-level validate is the one that runs.
+        """
+        return validate(self)
 
     @property
     def f_boxes(self) -> tuple:
@@ -624,68 +636,34 @@ def enforce_condition5(complex_: DecompositionComplex) -> DecompositionComplex:
     return current
 
 
-# -------------------------------------------------------------- face poset
+# ---------------------------------------------------------- scene helpers
 
-@dataclass(frozen=True)
-class FacePoset:
-    """Geometric vertical faces (shared faces identified) ordered by
-    containment; maximal elements flagged."""
+def maximal_faces(complex_: DecompositionComplex) -> tuple:
+    """The identified vertical faces in sorted order, each a dict of axis,
+    pos, span, heights and owners (the sorted (box id, side) pairs carrying
+    it).
 
-    faces: tuple        # of dicts: axis, pos, span, heights, owners
-    containments: tuple  # (i, j) meaning faces[i] strictly inside faces[j]
-    maximal: tuple
-
-    def __post_init__(self):
-        below = {i: [j for (a, j) in self.containments if a == i]
-                 for i in range(len(self.faces))}
-        for (i, j) in self.containments:
-            if (j, i) in self.containments:
-                raise ValueError("containment is not antisymmetric")
-        for i in range(len(self.faces)):
-            above = [j for j in below[i] if j in self.maximal]
-            if i in self.maximal:
-                above.append(i)
-            if len(above) != 1:
-                raise ValueError(
-                    f"face {i} must lie below exactly one maximal face")
-
-
-def maximal_faces(complex_: DecompositionComplex) -> FacePoset:
-    """Containment poset of the identified vertical faces.
-
-    Condition (5) makes interior-overlapping faces nested, so every face has
-    a unique maximal face above it.
+    In a valid scene whose faces each join two boxes, no identified face
+    lies inside another: that would put two boxes on one side of the plane
+    over the smaller face, overlapping in the interior.  So these are the
+    maximal faces; shared_faces checks the owners.
     """
     groups = {}
     for box in complex_.boxes:
         for g in _geom_faces(box):
             groups.setdefault(g.key(), []).append((g.box_id, g.side))
-    keys = sorted(groups, key=lambda k: (k[0], k[1], k[2][0], k[2][1],
-                                         k[3][0], k[3][1]))
-    faces = tuple(
+    return tuple(
         {"axis": k[0], "pos": str(k[1]),
          "span": _interval_str(k[2]), "heights": _interval_str(k[3]),
          "owners": tuple(sorted(groups[k]))}
-        for k in keys)
-    contain = []
-    for i, ki in enumerate(keys):
-        for j, kj in enumerate(keys):
-            if i == j or ki[0] != kj[0] or ki[1] != kj[1]:
-                continue
-            if circ_contains(kj[2], ki[2]) and circ_contains(kj[3], ki[3]):
-                contain.append((i, j))
-    maximal = tuple(i for i in range(len(keys))
-                    if not any(a == i for (a, _) in contain))
-    return FacePoset(faces, tuple(contain), maximal)
+        for k in sorted(groups))
 
-
-# ---------------------------------------------------------- scene helpers
 
 def shared_faces(complex_: DecompositionComplex) -> list:
     """Identified geometric faces, each as
     (axis, pos, (id, E/N side), (id, W/S side))."""
     out = []
-    for face in maximal_faces(complex_).faces:
+    for face in maximal_faces(complex_):
         owners = face["owners"]
         head = [o for o in owners if o[1] in ("E", "N")]
         tail = [o for o in owners if o[1] in ("W", "S")]

@@ -16,7 +16,7 @@ from .decomposition import (
     DecompositionComplex,
     shared_faces,
     side_nodes,
-    validate,
+    validate,  # unused; the bench tracer's alias test checks it
     with_families,
 )
 from .foliation import (
@@ -197,7 +197,7 @@ def blowup_scene(scene: DecompositionComplex, schedule: InsertionSchedule,
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    if not validate(scene)["valid"]:
+    if not scene.validation["valid"]:
         raise ValueError("blowup_scene requires a valid decomposition")
     for box in scene.boxes:
         _require_horizontal(box.family, f"box {box.identifier}")

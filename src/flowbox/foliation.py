@@ -292,6 +292,19 @@ def c0_distance(a: LeafFamily, b: LeafFamily) -> float:
     return worst
 
 
+def merged_grid(a: np.ndarray, b: np.ndarray,
+                tol: float = SOLVER_TOL) -> np.ndarray:
+    """Sorted union of two sample sets, dropping every point within tol of
+    the last one kept; the first point and the last are always kept."""
+    t = np.union1d(a, b)
+    kept = [0]
+    for i in range(1, t.size):
+        if t[i] - t[kept[-1]] > tol:
+            kept.append(i)
+    kept[-1] = t.size - 1
+    return t[kept]
+
+
 @dataclass(frozen=True)
 class HolonomyMap:
     """Sampled monotone bijection of [0,1] with endpoints fixed.

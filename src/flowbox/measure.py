@@ -18,7 +18,7 @@ from .decomposition import (
     DecompositionComplex,
     shared_faces,
     side_nodes,
-    validate,
+    validate,  # unused; the bench tracer's alias test checks it
 )
 from .foliation import (
     HolonomyMap,
@@ -27,6 +27,7 @@ from .foliation import (
     fiber_transports,
     interp_columns,
     inverse_interp_columns,
+    merged_grid,
     node_columns,
 )
 from .kernel import stage
@@ -88,13 +89,6 @@ class TransverseMeasure:
                    np.asarray(data["totals"], dtype=float))
 
 
-def _union_grid(*arrays) -> np.ndarray:
-    grid = np.array([0.0, 1.0])
-    for a in arrays:
-        grid = np.union1d(grid, np.asarray(a, dtype=float))
-    return grid
-
-
 def smooth_measure_on_transversal(mu: TransverseMeasure, subsample_count: int,
                                   report: dict | None = None):
     """Smooth a fiber measure: returns (reparametrization f, new measure).
@@ -110,7 +104,7 @@ def smooth_measure_on_transversal(mu: TransverseMeasure, subsample_count: int,
         raise ValueError("cumulative must be strictly increasing")
     nodes = np.linspace(0.0, 1.0, int(subsample_count))
     spline = PchipInterpolator(nodes, mu(nodes))
-    grid = _union_grid(mu.heights, nodes)
+    grid = merged_grid(mu.heights, nodes)
     g_vals = np.asarray(spline(grid), dtype=float)
     if np.any(np.diff(g_vals) <= 0.0):
         raise ValueError("spline lost strict monotonicity; refine subsamples")
@@ -220,7 +214,7 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
     reparametrization isotopy re-anchors each family to itself.
     """
     scene = measured.scene
-    if not validate(scene)["valid"]:
+    if not scene.validation["valid"]:
         raise ValueError("scene fails validation; fix the decomposition first")
     stages = []
     with stage(stages, "invariance pre-check") as row:
@@ -259,7 +253,7 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
                     smoothed[neighbor] = smoothed[current]
                 else:
                     mu_c = smoothed[current]
-                    grid = _union_grid(chain.inputs,
+                    grid = merged_grid(chain.inputs,
                                        chain.inverse()(mu_c.heights))
                     smoothed[neighbor] = TransverseMeasure(
                         grid, mu_c(chain(grid)))
@@ -289,7 +283,7 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
             e_0j = fiber_map(fam, nodes[0])
             for node, trans in zip(nodes[1:], fiber_transports(fam, nodes)):
                 e_ij = fiber_map(fam, node)
-                grid = _union_grid(e_ij.outputs, trans.outputs)
+                grid = merged_grid(e_ij.outputs, trans.outputs)
                 direct = mu_new(e_ij.inverse()(grid))
                 via_edge = mu_new(e_0j.inverse()(trans.inverse()(grid)))
                 residual = max(residual,

@@ -24,7 +24,7 @@ from .decomposition import (
     DecompositionComplex,
     shared_faces,
     side_nodes,
-    validate,
+    validate,  # unused; the bench tracer's alias test checks it
     with_families,
 )
 from .foliation import (
@@ -34,6 +34,7 @@ from .foliation import (
     fiber_map,
     holonomy,
     interp_columns,
+    merged_grid,
     node_columns,
     tangent_field,
 )
@@ -41,7 +42,6 @@ from .kernel import (
     COMPARISON_TOL,
     LadderError,
     Partition,
-    SOLVER_TOL,
     choose_partition,
     halving_ladder,
     smooth_ramp,
@@ -69,19 +69,6 @@ def _axis_weight(u: np.ndarray, lo_in, hi_in, lo_out, hi_out) -> np.ndarray:
     return w
 
 
-def _merged_indices(ta: np.ndarray, tb: np.ndarray,
-                    tol: float = SOLVER_TOL) -> np.ndarray:
-    """Union of two sample sets with near-duplicates dropped (endpoints kept)."""
-    t = np.union1d(ta, tb)
-    kept = [0]
-    for i in range(1, t.size):
-        if t[i] - t[kept[-1]] > tol:
-            kept.append(i)
-    if t[kept[-1]] != 1.0:
-        kept[-1] = t.size - 1
-    return t[kept]
-
-
 def damped_blend(f: LeafFamily, g: LeafFamily, weight) -> LeafFamily:
     """Leaves f + weight*(g - f) on the merged leaf indices of f and g.
 
@@ -89,7 +76,7 @@ def damped_blend(f: LeafFamily, g: LeafFamily, weight) -> LeafFamily:
     where it is exactly zero are f's resampled values, and f's anchor column
     is pinned to the merged indices, which resampling can miss by an ulp.
     """
-    t = _merged_indices(f.t, g.t)
+    t = merged_grid(f.t, g.t)
     a = f.leaves_at(t)
     vals = a + weight * (g.leaves_at(t) - a)
     vals[:, f.anchor[0], f.anchor[1]] = t
@@ -349,7 +336,7 @@ def _face_chart(fam_a: LeafFamily, fam_b: LeafFamily, axis: str, width: int,
     """
     e_a = fiber_map(fam_a, (fam_a.base.nx - 1, 0) if axis == "x"
                     else (0, fam_a.base.ny - 1))
-    zs = _merged_indices(e_a.outputs, fam_b.t, tol=1e-10)
+    zs = merged_grid(e_a.outputs, fam_b.t, tol=1e-10)
     ta = e_a.inverse()(zs)
     ta[0], ta[-1] = 0.0, 1.0
     if not np.all(np.diff(ta) > 0.0):
@@ -423,7 +410,7 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
         raise ValueError("epsilon must be positive")
     grid = grid_nodes(scene)
     width = (grid - 1) // 4
-    if not validate(scene)["valid"]:
+    if not scene.validation["valid"]:
         raise ValueError("globally_smooth requires a valid decomposition")
     pre = {}
     pre_defect = face_transport_defect(scene, report=pre)
@@ -477,7 +464,7 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
                     # a box glued to itself reads its two halves along two
                     # reindexings, so it gets the union grid, each half at
                     # its own image indices
-                    t_u = _merged_indices(ta, blended.t)
+                    t_u = merged_grid(ta, blended.t)
                     za = e_a(t_u)
                     za[0], za[-1] = 0.0, 1.0
                     fams[id_a] = _paste(fams[id_a], blended, axis, width,

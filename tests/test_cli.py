@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import flowbox
-from flowbox import cli, denjoy, smoothing
+from flowbox import cli, decomposition, denjoy, smoothing
 from flowbox.cli import (
     GOLDEN_MEAN,
     MalformedInput,
@@ -196,6 +196,26 @@ def test_blowup_weight_ladder_distances_decrease(scenes, tmp_path):
                for row in manifest["checks"])
     for run_entry in manifest["results"]["runs"]:
         assert run_entry["verification"]["all_pass"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["blowup", "--weights", "0.2,0.1,0.05", "--packet-samples", "9"],
+    ["measure"],
+])
+def test_scene_runs_validate_the_scene_once(argv, scenes, tmp_path,
+                                            monkeypatch):
+    # the CLI's check and every pipeline call (one per blowup weight) read
+    # the loaded scene's one cached report
+    seen = []
+
+    def counting_validate(complex_):
+        seen.append(complex_)
+        return validate(complex_)
+
+    monkeypatch.setattr(decomposition, "validate", counting_validate)
+    assert main(argv + ["--scene", str(scenes["horizontal"]),
+                        "--out", str(tmp_path)]) == 0
+    assert len(seen) == 1
 
 
 def test_denjoy_circle_golden_rotation_estimate(tmp_path):

@@ -120,11 +120,10 @@ def test_build_1x1_annular():
     assert report["valid"]
     axes = {a["axis"] for a in report["annular_faces"]}
     assert axes == {"x", "y"}
-    poset = maximal_faces(scene)
-    # opposite sides self-identify: one annular face per axis, both maximal
-    assert len(poset.faces) == 2
-    assert set(poset.maximal) == {0, 1}
-    for f in poset.faces:
+    faces = maximal_faces(scene)
+    # opposite sides self-identify: one annular face per axis
+    assert len(faces) == 2
+    for f in faces:
         assert len(f["owners"]) == 2
         assert {o[0] for o in f["owners"]} == {"b00"}
 
@@ -253,6 +252,25 @@ def test_enforce_five_box_scene():
     assert enforce_condition5(fixed) is fixed
 
 
+def test_validation_is_one_report_per_scene(monkeypatch):
+    seen = []
+
+    def counting_validate(complex_):
+        seen.append(complex_)
+        return validate(complex_)
+
+    monkeypatch.setattr(decomposition, "validate", counting_validate)
+    scene = five_box_scene()
+    assert scene.validation is scene.validation
+    assert scene.validation == validate(scene)
+    assert seen == [scene]
+    # a rebuilt scene is a new object with its own report
+    again = DecompositionComplex(scene.boxes, scene.v_boxes)
+    assert again.validation is not scene.validation
+    assert again.validation == scene.validation
+    assert seen == [scene, again]
+
+
 def test_enforce_validates_each_complex_once(monkeypatch):
     seen = []
 
@@ -313,19 +331,18 @@ def test_enforce_span_subdivision_without_box_split():
         assert spans == [(F(0), F(1, 2)), (F(1, 2), F(1))]
 
 
-# -------------------------------------------------------------- face poset
+# --------------------------------------------------------- identified faces
 
 def test_maximal_faces_2x2_enumeration():
     scene = build_torus_scene((2, 2))
-    poset = maximal_faces(scene)
+    faces = maximal_faces(scene)
     got = {(f["axis"], F(f["pos"]),
             (F(f["span"][0]), F(f["span"][1])),
             (F(f["heights"][0]), F(f["heights"][1])))
-           for f in poset.faces}
+           for f in faces}
     assert got == expected_2x2_faces()
-    assert len(poset.faces) == 8
-    assert set(poset.maximal) == set(range(8))
-    for f in poset.faces:
+    assert len(faces) == 8
+    for f in faces:
         assert len(f["owners"]) == 2  # every geometric face is shared
 
 
@@ -333,18 +350,15 @@ def test_face_poset_five_box_containments():
     scene = five_box_scene()
     scene = DecompositionComplex(tuple(
         scene.box(i) for i in ["b10", "b11", "b01", "b00.0", "b00.1"]))
-    poset = maximal_faces(scene)
-    by_key = {(f["axis"], F(f["pos"]),
-               (F(f["span"][0]), F(f["span"][1])),
-               (F(f["heights"][0]), F(f["heights"][1]))): i
-              for i, f in enumerate(poset.faces)}
-    half = by_key[("x", F(1, 2), (F(0), F(1, 2)), (F(0), F(1, 2)))]
-    full = by_key[("x", F(1, 2), (F(0), F(1, 2)), (F(0), F(1)))]
-    assert (half, full) in poset.containments
-    assert full in poset.maximal
-    assert half not in poset.maximal
+    keys = [(f["axis"], F(f["pos"]),
+             (F(f["span"][0]), F(f["span"][1])),
+             (F(f["heights"][0]), F(f["heights"][1])))
+            for f in maximal_faces(scene)]
+    # the split box's half-height face and its full-height neighbour's
+    # are both listed
+    assert ("x", F(1, 2), (F(0), F(1, 2)), (F(0), F(1, 2))) in keys
+    assert ("x", F(1, 2), (F(0), F(1, 2)), (F(0), F(1))) in keys
     # interval arithmetic agrees with brute-force sampling on all pairs
-    keys = list(by_key)
     for a in keys:
         for b in keys:
             if a is b or a[0] != b[0] or a[1] != b[1]:

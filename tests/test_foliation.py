@@ -16,6 +16,7 @@ from flowbox.foliation import (
     horizontal_family,
     interp_columns,
     inverse_interp_columns,
+    merged_grid,
     sheared_family,
     tangent_field,
     _leaf_gradients,
@@ -594,6 +595,14 @@ def _unit_knots(rises):
     knots = np.concatenate([[0.0], np.cumsum(rises) / np.sum(rises)])
     knots[-1] = 1.0
     return knots
+
+
+def test_merged_grid_drops_near_duplicates_and_keeps_ends():
+    a = np.array([0.0, 0.25, 0.5, 1.0 - 1e-13, 1.0])
+    b = np.array([0.0, 5e-13, np.nextafter(0.25, 1.0), 0.75, 1.0])
+    assert merged_grid(a, b).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    # a looser tolerance drops more, and the last point still wins
+    assert merged_grid(a, b, tol=0.3).tolist() == [0.0, 0.5, 1.0]
 
 
 @st.composite

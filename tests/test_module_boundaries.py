@@ -1,8 +1,10 @@
-"""Layout rule: flowbox modules share only public names.
+"""Layout rules for the modules under src/flowbox.
 
-A module under src/flowbox may import from another flowbox module only
-names without a leading underscore; a helper another module needs is made
-public first.
+A module may import from another flowbox module only names without a
+leading underscore; a helper another module needs is made public first.
+Only kernel keeps retry-ladder bookkeeping, only decomposition calls
+validate (everything else reads a scene's cached validation report), and
+every definition is used in src.
 """
 
 import ast
@@ -112,6 +114,37 @@ def test_rule_catches_retry_ladders(tmp_path):
         (5, "attempt_distances"),
         (6, "attempt_distances"),
     ]
+
+
+def validate_calls(path: Path) -> list:
+    """Lines of every call of a function named validate in the file, bare
+    or as an attribute: a verdict on a scene that its cached validation
+    report already holds."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name)
+             else getattr(node.func, "attr", None)) == "validate")
+
+
+def test_only_decomposition_calls_validate():
+    offenders = {path.name: validate_calls(path)
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "decomposition.py"}
+    assert {name: rows for name, rows in offenders.items() if rows} == {}
+
+
+def test_rule_catches_validate_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .decomposition import validate\n"
+                     "from . import decomposition\n"
+                     "report = validate(scene)\n"
+                     "ok = decomposition.validate(scene)['valid']\n"
+                     "ok = scene.validation['valid']\n"
+                     "check = validate\n"
+                     "parser.add_parser('validate')\n")
+    assert validate_calls(probe) == [3, 4]
 
 
 # argparse calls this override itself; nothing in flowbox names it
