@@ -60,6 +60,10 @@ SCENE_TEMPLATES = ("horizontal-t3", "sheared-t3", "split-t3", "annulus-box")
 # 28 times the default 2x2 scene of grid 33 with 17 samples, and 16 MB as
 # float64, so a size flag cannot fill the machine's memory
 MAX_SCENE_VALUES = 2 ** 21
+# spline nodes `measure` may put on each fiber: each node adds a row per box
+# to measures.csv.  At this cap a grid-9 2x2 scene writes 0.7 MB in about
+# 0.2 s on a 2-vCPU x86 VM; 10^5 nodes wrote 17 MB, 5*10^6 ran for minutes
+MAX_SUBSAMPLES = 2 ** 12
 
 # tolerances the check rows are graded against; the library pipelines
 # enforce their own internal budgets, these only grade the emitted numbers
@@ -131,8 +135,9 @@ class ScenarioConfig:
             raise MalformedInput("audit steps must be positive")
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
             raise MalformedInput("alpha must lie in (0, 1)")
-        if self.subsamples < 4:
-            raise MalformedInput("need at least 4 subsample nodes")
+        if not 4 <= self.subsamples <= MAX_SUBSAMPLES:
+            raise MalformedInput(f"need between 4 and {MAX_SUBSAMPLES} "
+                                 f"subsample nodes")
         if not (math.isfinite(self.packet_shear)
                 and 0.0 <= self.packet_shear < 1.0):
             raise MalformedInput("packet shear must lie in [0, 1)")
@@ -739,7 +744,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--measure-file", default=None,
                      help="JSON cumulative(s); default is Lebesgue on "
                           "every box")
-    sub.add_argument("--subsamples", type=int, default=9)
+    sub.add_argument("--subsamples", type=int, default=9,
+                     help=f"spline nodes per fiber, 4 to {MAX_SUBSAMPLES} "
+                          f"(default 9)")
     add_common(sub)
 
     sub = subparsers.add_parser("generate",

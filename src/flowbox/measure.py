@@ -12,7 +12,6 @@ from fractions import Fraction
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .decomposition import (
     DecompositionComplex,
@@ -89,6 +88,39 @@ class TransverseMeasure:
                    np.asarray(data["totals"], dtype=float))
 
 
+def _pchip_end(h0, h1, m0, m1):
+    """Moler's one-sided end slope, cut at 0 where it would turn down."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    return d if d > 0.0 else 0.0
+
+
+def _pchip(x, y, z):
+    """Monotone cubic (Fritsch-Carlson PCHIP) through (x, y), read at z.
+
+    x is strictly increasing and y nondecreasing, with at least 3 nodes; z
+    outside [x[0], x[-1]] extrapolates the end cubics.  Every value is the
+    float scipy.interpolate.PchipInterpolator gives, computed in scipy's
+    order: interior slopes are the weighted harmonic mean of the two
+    secants (0 next to a flat cell, whose secant has reciprocal inf), end
+    slopes are `_pchip_end`, then come the Hermite coefficients and PPoly's
+    power sum.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    with np.errstate(divide="ignore"):
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d = np.concatenate([[_pchip_end(h[0], h[1], m[0], m[1])], inner,
+                        [_pchip_end(h[-1], h[-2], m[-1], m[-2])]])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c0, c1 = t / h, (m - d[:-1]) / h - t
+    cell = np.clip(np.searchsorted(x, z, side="right") - 1, 0, x.size - 2)
+    s = z - x[cell]
+    s2 = s * s
+    return y[cell] + d[cell] * s + c1[cell] * s2 + c0[cell] * (s2 * s)
+
+
 def smooth_measure_on_transversal(mu: TransverseMeasure, subsample_count: int,
                                   report: dict | None = None):
     """Smooth a fiber measure: returns (reparametrization f, new measure).
@@ -103,9 +135,9 @@ def smooth_measure_on_transversal(mu: TransverseMeasure, subsample_count: int,
     if np.any(np.diff(mu.totals) <= 0.0):
         raise ValueError("cumulative must be strictly increasing")
     nodes = np.linspace(0.0, 1.0, int(subsample_count))
-    spline = PchipInterpolator(nodes, mu(nodes))
+    node_vals = mu(nodes)
     grid = merged_grid(mu.heights, nodes)
-    g_vals = np.asarray(spline(grid), dtype=float)
+    g_vals = _pchip(nodes, node_vals, grid)
     if np.any(np.diff(g_vals) <= 0.0):
         raise ValueError("spline lost strict monotonicity; refine subsamples")
     f_vals = np.interp(g_vals, mu.totals, mu.heights)
@@ -113,7 +145,8 @@ def smooth_measure_on_transversal(mu: TransverseMeasure, subsample_count: int,
     f = HolonomyMap(grid, f_vals)
     smoothed = TransverseMeasure(grid, g_vals)
     if report is not None:
-        node_residual = float(np.abs(smoothed(nodes) - spline(nodes)).max())
+        node_residual = float(np.abs(
+            smoothed(nodes) - _pchip(nodes, node_vals, nodes)).max())
         report.update({"operation": "smooth_measure_on_transversal",
                        "subsample_count": int(subsample_count),
                        "node_residual": node_residual,

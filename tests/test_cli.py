@@ -15,6 +15,7 @@ import flowbox
 from flowbox import cli, decomposition, denjoy, smoothing
 from flowbox.cli import (
     GOLDEN_MEAN,
+    MAX_SUBSAMPLES,
     MalformedInput,
     ScenarioConfig,
     generate_scene,
@@ -352,6 +353,41 @@ def test_blowup_failure_names_the_failed_stage(target, skip, stage, scenes,
     assert "injected failure" in manifest["results"]["error"]
 
 
+@pytest.fixture(scope="module")
+def horizontal9_scene(tmp_path_factory):
+    return generate_scene("horizontal-t3", {"grid": 9, "samples": 9},
+                          tmp_path_factory.mktemp("h9") / "h9.json")
+
+
+def test_measure_subsamples_over_the_cap_exit_three(horizontal9_scene,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+    # the cap is checked before any spline node is allocated
+    def never(*args, **kwargs):
+        raise AssertionError("measure ran over the subsample cap")
+
+    monkeypatch.setattr(cli, "smooth_measured_scene", never)
+    assert main(["measure", "--scene", str(horizontal9_scene),
+                 "--subsamples", str(MAX_SUBSAMPLES + 1),
+                 "--out", str(tmp_path)]) == 3
+    assert str(MAX_SUBSAMPLES) in capsys.readouterr().err
+    manifest = read_manifest(tmp_path)
+    [row] = manifest["checks"]
+    assert row["name"] == "input-wellformed" and not row["pass"]
+    assert f"between 4 and {MAX_SUBSAMPLES} subsample nodes" in row["detail"]
+    assert not (tmp_path / "measures.csv").exists()
+
+
+def test_measure_subsamples_at_the_cap_runs(horizontal9_scene, tmp_path):
+    assert main(["measure", "--scene", str(horizontal9_scene),
+                 "--subsamples", str(MAX_SUBSAMPLES),
+                 "--out", str(tmp_path)]) == 0
+    manifest = read_manifest(tmp_path)
+    assert all(c["pass"] for c in manifest["checks"])
+    _, rows = read_csv(tmp_path / "measures.csv")
+    assert len(rows) >= 4 * MAX_SUBSAMPLES
+
+
 def test_measure_rejects_noninvariant_with_stage(scenes, tmp_path):
     # Lebesgue is not holonomy-invariant on the sheared scene; the
     # pre-check must stop the pipeline and name the stage
@@ -561,19 +597,58 @@ def test_main_generate_then_validate(tmp_path, capsys):
     assert read_manifest(out)["ok"]
 
 
-def test_python_dash_m_flowbox_runs_the_cli(tmp_path):
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(flowbox.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_python_dash_m_flowbox_runs_the_cli(tmp_path):
     done = subprocess.run(
         [sys.executable, "-m", "flowbox", "generate", "--template",
          "horizontal-t3", "--grid", "9", "--samples", "9",
          "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_src_env(), timeout=120)
     assert done.returncode == 0
     assert done.stderr == ""
     assert (tmp_path / "horizontal-t3.json").exists()
+
+
+# numpy is the only runtime dependency: scipy is a test oracle only
+_NO_SCIPY = """
+import json, runpy, sys
+from pathlib import Path
+
+out = Path(sys.argv[1])
+import flowbox
+assert "scipy" not in sys.modules, "import flowbox loaded scipy"
+sys.argv = ["flowbox", "--help"]
+try:
+    runpy.run_module("flowbox", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0
+assert "scipy" not in sys.modules, "flowbox --help loaded scipy"
+
+sys.modules["scipy"] = None  # any import of scipy now fails
+from flowbox.cli import main
+assert main(["generate", "--template", "horizontal-t3", "--grid", "9",
+             "--samples", "9", "--out", str(out)]) == 0
+assert main(["measure", "--scene", str(out / "horizontal-t3.json"),
+             "--out", str(out / "m")]) == 0
+manifest = json.loads((out / "m" / "manifest.json").read_text())
+assert manifest["checks"] and all(c["pass"] for c in manifest["checks"])
+"""
+
+
+def test_flowbox_runs_without_scipy(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, str(tmp_path)],
+        capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "m" / "measures.csv").exists()
 
 
 def test_main_tischler_with_fraction_tokens(tmp_path):

@@ -22,9 +22,11 @@ from flowbox.foliation import (
     LeafFamily,
     fiber_map,
     fiber_transports,
+    merged_grid,
 )
 from flowbox.kernel import InsertionSchedule, build_collapse
 from flowbox.measure import (
+    _pchip,
     ClosedOneForm,
     MeasuredScene,
     TransverseMeasure,
@@ -265,6 +267,58 @@ def test_smooth_random_cumulatives_spline_exact(subsamples, increments):
     assert np.all(np.diff(f.outputs) > 0.0)
     assert float(f(0.0)) == 0.0 and float(f(1.0)) == 1.0
     assert new.totals[-1] == pytest.approx(mu.totals[-1], abs=1e-12)
+
+
+# scipy's PchipInterpolator is the oracle for measure's own PCHIP, which
+# repeats scipy's operations in scipy's order, so the two agree to the bit.
+# The == holds on scipy 1.17; scipy 1.10, the oldest the test extra allows,
+# builds its slopes, Hermite coefficients and PPoly sum by the same
+# formulas, so it is held to the same == there.
+def _assert_pchip_is_scipy(mu, subsamples, points):
+    nodes = np.linspace(0.0, 1.0, subsamples)
+    values = mu(nodes)
+    spline = PchipInterpolator(nodes, values)
+    grid = merged_grid(mu.heights, nodes)
+    for z in (nodes, grid, points):
+        assert np.array_equal(_pchip(nodes, values, z), spline(z))
+    # rounding keeps the order and makes flat cells
+    flat = np.round(values, 1)
+    assert np.array_equal(_pchip(nodes, flat, points),
+                          PchipInterpolator(nodes, flat)(points))
+    _, new = smooth_measure_on_transversal(mu, subsamples)
+    assert np.array_equal(new.heights, grid)
+    assert np.array_equal(new.totals, spline(grid))
+
+
+@st.composite
+def near_flat_cumulatives(draw):
+    """A strictly increasing cumulative whose steps mix ordinary rises with
+    near-flat ones, a node count of 4-40 and points in and just outside
+    [0, 1]."""
+    steps = draw(st.lists(st.one_of(st.floats(0.05, 2.0),
+                                     st.floats(1e-12, 1e-6)),
+                          min_size=1, max_size=40))
+    totals = np.concatenate([[0.0], np.cumsum(steps)])
+    mu = TransverseMeasure(np.linspace(0.0, 1.0, totals.size), totals)
+    points = np.array(draw(st.lists(st.floats(-0.1, 1.1), min_size=1,
+                                    max_size=20)))
+    return mu, draw(st.integers(4, 40)), points
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_flat_cumulatives())
+def test_pchip_matches_scipy_oracle(case):
+    _assert_pchip_is_scipy(*case)
+
+
+def test_pchip_matches_scipy_oracle_on_kinked_measure():
+    # criterion 9's measure, at its node count and at others
+    heights = np.linspace(0.0, 1.0, 41)
+    totals = 0.85 * heights + 0.3 * np.minimum(heights, 0.5)
+    kinked = TransverseMeasure(heights, totals / totals[-1])
+    points = np.random.default_rng(9).uniform(0.0, 1.0, 500)
+    for subsamples in (4, 9, 17, 40):
+        _assert_pchip_is_scipy(kinked, subsamples, points)
 
 
 # ------------------------------------------------------ measured scenes
