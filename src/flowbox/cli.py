@@ -396,11 +396,9 @@ def _run_tischler(config: ScenarioConfig, out_dir: Path):
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
     report = {}
-    try:
+    with _named_failure("tischler_fibration"):
         rational, certificate = tischler_fibration(form, epsilon,
                                                    report=report)
-    except RuntimeError as exc:
-        raise PipelineFailure("tischler_fibration", str(exc)) from exc
     checks = [
         {"name": "angle-bound",
          "pass": report["angle_defect"] < 2.0 * epsilon,
@@ -425,11 +423,9 @@ def _run_tischler(config: ScenarioConfig, out_dir: Path):
 
 def _run_denjoy_circle(config: ScenarioConfig, out_dir: Path):
     circle_report = {}
-    try:
+    with _named_failure("orbit blowup"):
         lift = blowup_circle_map(config.alpha, config.orbit_points,
                                  report=circle_report)
-    except ValueError as exc:
-        raise PipelineFailure("orbit blowup", str(exc)) from exc
     # one orbit feeds both the CSV and the Birkhoff estimate: the estimate
     # is the last row's running average, bit for bit
     orbit = circle_orbit(lift, config.iterations)

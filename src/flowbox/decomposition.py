@@ -52,50 +52,19 @@ def circ_contains(outer, inner) -> bool:
 
 
 def circ_components(a, b) -> list:
-    """Connected components of the intersection of two circular intervals.
+    """Connected components of the intersection of two circle arcs, sorted.
 
-    Intervals are (lo, hi) pairs; anything of extent >= 1 is the full
-    circle.  Shift copies catch intersections across the 0 = 1 seam, and
-    touching pieces are merged back into single components.
+    Both arcs are (lo, hi) with 0 <= lo < hi <= 1, as every box range and
+    face span is (faces tile their side).  The intersection is then the
+    plain overlap, plus the seam point 0 = 1 when one arc ends at 1 and the
+    other starts at 0, unless the overlap already reaches the seam.
     """
-    def clamp(iv):
-        lo, hi = iv
-        return (lo, lo + 1) if hi - lo >= 1 else (lo, hi)
-
-    a, b = clamp(a), clamp(b)
-    pieces = []
-    for shift in (-1, 0, 1):
-        lo = max(a[0], b[0] + shift)
-        hi = min(a[1], b[1] + shift)
-        if lo <= hi:
-            canon = (_mod1(lo), _mod1(lo) + (hi - lo))
-            if canon not in pieces:
-                pieces.append(canon)
-
-    def merge(p, q):
-        # merged circular interval when q starts inside p, else None
-        d = _mod1(q[0] - p[0])
-        if d <= p[1] - p[0]:
-            ext = min(max(p[1] - p[0], d + (q[1] - q[0])), Fraction(1))
-            return (p[0], p[0] + ext)
-        return None
-
-    changed = True
-    while changed and len(pieces) > 1:
-        changed = False
-        for i in range(len(pieces)):
-            for j in range(len(pieces)):
-                if i == j:
-                    continue
-                m = merge(pieces[i], pieces[j])
-                if m is not None:
-                    pieces = [pieces[k] for k in range(len(pieces))
-                              if k not in (i, j)] + [m]
-                    changed = True
-                    break
-            if changed:
-                break
-    return sorted(pieces)
+    lo, hi = max(a[0], b[0]), min(a[1], b[1])
+    pieces = [(lo, hi)] if lo <= hi else []
+    if ((a[0] == 0 and b[1] == 1) or (b[0] == 0 and a[1] == 1)) \
+            and not (pieces and (lo == 0 or hi == 1)):
+        pieces.insert(0, (Fraction(0), Fraction(0)))
+    return pieces
 
 
 def _interval_str(iv) -> list:
@@ -410,20 +379,16 @@ def validate(complex_: DecompositionComplex) -> dict:
         for j in range(i + 1, len(boxes)):
             a, b = boxes[i], boxes[j]
             for (xc, yc, zc) in _pair_components(a, b):
-                extents = [xc[1] - xc[0], yc[1] - yc[0], zc[1] - zc[0]]
-                dims = sum(1 for e in extents if e > 0)
-                if dims == 3:
+                if xc[1] > xc[0] and yc[1] > yc[0] and zc[1] > zc[0]:
                     witnesses3.append({
                         "boxes": [a.identifier, b.identifier],
                         "overlap": [_interval_str(xc), _interval_str(yc),
                                     _interval_str(zc)]})
                     continue
-                if dims < 2:
+                contact = _vertical_contact(xc, yc, zc)
+                if contact is None:
                     continue
-                if extents[2] == 0:
-                    continue  # horizontal disk in a shared leaf
-                axis, pos, span = ("x", _mod1(xc[0]), yc) \
-                    if extents[0] == 0 else ("y", _mod1(yc[0]), xc)
+                axis, pos, span = contact
                 fa = _face_containing(a, axis, pos, span, zc)
                 fb = _face_containing(b, axis, pos, span, zc)
                 if fa is None or fb is None:
@@ -445,11 +410,10 @@ def validate(complex_: DecompositionComplex) -> dict:
     for vb in (complex_.box(i) for i in sorted(complex_.v_boxes)):
         for fb in complex_.f_boxes:
             for (xc, yc, zc) in _pair_components(vb, fb):
-                extents = [xc[1] - xc[0], yc[1] - yc[0], zc[1] - zc[0]]
-                if sum(1 for e in extents if e > 0) != 2 or extents[2] == 0:
+                contact = _vertical_contact(xc, yc, zc)
+                if contact is None:
                     continue
-                axis, pos, span = ("x", _mod1(xc[0]), yc) \
-                    if extents[0] == 0 else ("y", _mod1(yc[0]), xc)
+                axis, pos, span = contact
                 if not _vertical_union_of_faces(fb, axis, pos, span, zc):
                     witnesses2.append({
                         "v_box": vb.identifier, "box": fb.identifier,
@@ -460,25 +424,17 @@ def validate(complex_: DecompositionComplex) -> dict:
 
     # (5) later vertical cells meeting earlier ones must be contained
     witnesses5 = []
-    f_boxes = complex_.f_boxes
-    for n in range(len(f_boxes)):
-        later = f_boxes[n]
-        for g in _geom_faces(later):
-            for i in range(n):
-                for g0 in _geom_faces(f_boxes[i]):
-                    if g0.axis != g.axis or g0.pos != g.pos:
-                        continue
-                    if not _interiors_overlap(g, g0):
-                        continue
-                    if not (circ_contains(g0.span, g.span)
-                            and circ_contains(g0.heights, g.heights)):
-                        witnesses5.append({
-                            "later": [g.box_id, g.side,
-                                      _interval_str(g.span),
-                                      _interval_str(g.heights)],
-                            "earlier": [g0.box_id, g0.side,
-                                        _interval_str(g0.span),
-                                        _interval_str(g0.heights)]})
+    earlier = []
+    for box in complex_.f_boxes:
+        for g, g0 in _meetings(box, earlier):
+            if not (circ_contains(g0.span, g.span)
+                    and circ_contains(g0.heights, g.heights)):
+                witnesses5.append({
+                    "later": [g.box_id, g.side, _interval_str(g.span),
+                              _interval_str(g.heights)],
+                    "earlier": [g0.box_id, g0.side, _interval_str(g0.span),
+                                _interval_str(g0.heights)]})
+        earlier += _geom_faces(box)
     report["conditions"]["5"] = {"pass": not witnesses5,
                                  "witnesses": witnesses5}
 
@@ -489,16 +445,27 @@ def validate(complex_: DecompositionComplex) -> dict:
     return report
 
 
-def _interiors_overlap(g: _GeomFace, g0: _GeomFace) -> bool:
-    for comp in circ_components(g.span, g0.span):
-        if comp[1] > comp[0]:
-            break
-    else:
-        return False
-    for comp in circ_components(g.heights, g0.heights):
-        if comp[1] > comp[0]:
-            return True
-    return False
+def _vertical_contact(xc, yc, zc):
+    """(axis, pos, span) of a component of two boxes' intersection that is a
+    vertical rectangle, or None for a solid, a horizontal disk in a shared
+    leaf, or anything of lower dimension."""
+    if zc[1] == zc[0] or (xc[1] > xc[0]) == (yc[1] > yc[0]):
+        return None
+    if xc[1] == xc[0]:
+        return ("x", _mod1(xc[0]), yc)
+    return ("y", _mod1(yc[0]), xc)
+
+
+def _meetings(box: FlowBoxSpec, earlier) -> list:
+    """(g, g0) pairs of a vertical cell g of box and a cell g0 of earlier
+    (cells in listing order) on the same plane whose interiors overlap, with
+    g the outer loop.  Arcs lie in [0, 1], so the interiors of two arcs
+    overlap exactly when their plain overlap has positive length."""
+    return [(g, g0) for g in _geom_faces(box) for g0 in earlier
+            if g0.axis == g.axis and g0.pos == g.pos
+            and max(g.span[0], g0.span[0]) < min(g.span[1], g0.span[1])
+            and max(g.heights[0], g0.heights[0])
+            < min(g.heights[1], g0.heights[1])]
 
 
 def _coverage_report(complex_: DecompositionComplex) -> dict:
@@ -577,62 +544,46 @@ def _split_box(box: FlowBoxSpec, height_cuts, span_cuts) -> list:
 
 
 def enforce_condition5(complex_: DecompositionComplex) -> DecompositionComplex:
-    """Inductive subdivision making condition (5) hold.
+    """Inductive subdivision making condition (5) hold, in one forward pass.
 
-    For each box in listing order, the union X of earlier vertical cells
-    meeting its cells' interiors dictates horizontal splits (at the heights
-    of the horizontal boundaries of X) and extra vertical edges (at the span
-    boundaries of X).  Earlier boxes are never touched, so one forward pass
-    settles the induction; the outer loop of at most 32 passes is a guard.
+    Each F box, in listing order, is cut against the F boxes and pieces
+    already placed before it: the earlier vertical cells X meeting its
+    cells' interiors dictate horizontal splits (at the heights of X's
+    horizontal boundaries) and extra vertical edges (at X's span
+    boundaries).  Placed boxes are never touched again, and every piece of
+    a cut box lies inside the cells that met it, so the pass settles the
+    induction.  V boxes pass through unchanged.  Conditions (1)-(4) must
+    hold; a scene that already satisfies (5) is returned as it is.
     """
-    rep = validate(complex_)
+    rep = complex_.validation
     for cond in ("1", "2", "3", "4"):
         if not rep["conditions"][cond]["pass"]:
             raise ValueError(
                 f"conditions (1)-(4) must hold before enforcing (5); "
                 f"condition ({cond}) fails")
-    current = complex_
-    for _ in range(32):
-        if rep["conditions"]["5"]["pass"]:
-            return current
-        v_ids = current.v_boxes
-        listing = list(current.boxes)
-        f_positions = [k for k, b in enumerate(listing)
-                       if b.identifier not in v_ids]
-        for n_idx, pos in enumerate(f_positions):
-            box = listing[pos]
-            earlier = [listing[p] for p in f_positions[:n_idx]]
-            x_cells = []
-            for e in earlier:
-                for g0 in _geom_faces(e):
-                    for g in _geom_faces(box):
-                        if g0.axis == g.axis and g0.pos == g.pos \
-                                and _interiors_overlap(g, g0):
-                            x_cells.append(g0)
-                            break
-            if not x_cells:
-                continue
-            height_cuts = {h for g0 in x_cells for h in g0.heights
-                           if box.heights[0] < h < box.heights[1]}
-            span_cuts = {}
-            for g0 in x_cells:
-                for g in _geom_faces(box):
-                    if g.axis == g0.axis and g.pos == g0.pos:
-                        pts = {p for p in g0.span
-                               if g.span[0] < p < g.span[1]}
-                        if pts:
-                            span_cuts.setdefault(g.side, set()).update(pts)
-            if not height_cuts and not span_cuts:
-                continue
-            pieces = _split_box(box, height_cuts, span_cuts)
-            listing[pos:pos + 1] = pieces
-            current = DecompositionComplex(tuple(listing), v_ids)
-            break
-        else:
-            break
-        rep = validate(current)
-    if not rep["conditions"]["5"]["pass"]:
-        raise RuntimeError("condition (5) enforcement did not converge")
+    if rep["conditions"]["5"]["pass"]:
+        return complex_
+    listing, earlier = [], []
+    for box in complex_.boxes:
+        if box.identifier in complex_.v_boxes:
+            listing.append(box)
+            continue
+        meetings = _meetings(box, earlier)
+        height_cuts = {h for _, g0 in meetings for h in g0.heights
+                       if box.heights[0] < h < box.heights[1]}
+        span_cuts = {}
+        for g, g0 in meetings:
+            pts = {p for p in g0.span if g.span[0] < p < g.span[1]}
+            if pts:
+                span_cuts.setdefault(g.side, set()).update(pts)
+        pieces = _split_box(box, height_cuts, span_cuts) \
+            if height_cuts or span_cuts else [box]
+        listing += pieces
+        for piece in pieces:
+            earlier += _geom_faces(piece)
+    current = DecompositionComplex(tuple(listing), complex_.v_boxes)
+    if not current.validation["conditions"]["5"]["pass"]:
+        raise RuntimeError("condition (5) still fails after enforcement")
     return current
 
 

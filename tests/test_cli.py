@@ -688,6 +688,19 @@ def test_tischler_failure_names_the_stage(tmp_path, monkeypatch):
     assert "exhausted" in manifest["results"]["error"]
 
 
+def test_denjoy_circle_failure_names_the_stage(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("orbit points collide")
+
+    monkeypatch.setattr(cli, "blowup_circle_map", fail)
+    assert main(["denjoy-circle", "--iterations", "1000",
+                 "--out", str(tmp_path)]) == 1
+    manifest = read_manifest(tmp_path)
+    assert manifest["results"]["failed_stage"] == "orbit blowup"
+    assert manifest["checks"][0]["name"] == "pipeline:orbit blowup"
+    assert "collide" in manifest["results"]["error"]
+
+
 def test_main_malformed_flags_exit_three(tmp_path, capsys):
     assert main(["validate"]) == 3
     assert main(["no-such-command"]) == 3

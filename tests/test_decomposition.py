@@ -72,6 +72,103 @@ def five_box_scene():
     return build_torus_scene((2, 2), height_splits={(0, 0): [F(1, 2)]})
 
 
+def circ_components_oracle(a, b):
+    """General circular-interval intersection: shift copies catch pieces
+    across the 0 = 1 seam, and touching pieces are merged back into single
+    components.  Arcs of extent >= 1 are the full circle."""
+    def clamp(iv):
+        lo, hi = iv
+        return (lo, lo + 1) if hi - lo >= 1 else (lo, hi)
+
+    def mod1(v):
+        return v - (v // 1)
+
+    a, b = clamp(a), clamp(b)
+    pieces = []
+    for shift in (-1, 0, 1):
+        lo = max(a[0], b[0] + shift)
+        hi = min(a[1], b[1] + shift)
+        if lo <= hi:
+            canon = (mod1(lo), mod1(lo) + (hi - lo))
+            if canon not in pieces:
+                pieces.append(canon)
+
+    def merge(p, q):
+        # merged circular interval when q starts inside p, else None
+        d = mod1(q[0] - p[0])
+        if d <= p[1] - p[0]:
+            ext = min(max(p[1] - p[0], d + (q[1] - q[0])), F(1))
+            return (p[0], p[0] + ext)
+        return None
+
+    changed = True
+    while changed and len(pieces) > 1:
+        changed = False
+        for i in range(len(pieces)):
+            for j in range(len(pieces)):
+                if i == j:
+                    continue
+                m = merge(pieces[i], pieces[j])
+                if m is not None:
+                    pieces = [pieces[k] for k in range(len(pieces))
+                              if k not in (i, j)] + [m]
+                    changed = True
+                    break
+            if changed:
+                break
+    return sorted(pieces)
+
+
+def interiors_overlap_oracle(g, g0):
+    return any(c[1] > c[0] for c in circ_components_oracle(g.span, g0.span)) \
+        and any(c[1] > c[0]
+                for c in circ_components_oracle(g.heights, g0.heights))
+
+
+def enforce_condition5_oracle(complex_):
+    """Restart-loop enforcement: split the first F box whose earlier cells
+    dictate cuts, revalidate, and rescan the listing from the start."""
+    rep = validate(complex_)
+    current = complex_
+    while not rep["conditions"]["5"]["pass"]:
+        v_ids = current.v_boxes
+        listing = list(current.boxes)
+        f_positions = [k for k, b in enumerate(listing)
+                       if b.identifier not in v_ids]
+        for n_idx, pos in enumerate(f_positions):
+            box = listing[pos]
+            earlier = [listing[p] for p in f_positions[:n_idx]]
+            cells = decomposition._geom_faces(box)
+            x_cells = []
+            for e in earlier:
+                for g0 in decomposition._geom_faces(e):
+                    for g in cells:
+                        if g0.axis == g.axis and g0.pos == g.pos \
+                                and interiors_overlap_oracle(g, g0):
+                            x_cells.append(g0)
+                            break
+            height_cuts = {h for g0 in x_cells for h in g0.heights
+                           if box.heights[0] < h < box.heights[1]}
+            span_cuts = {}
+            for g0 in x_cells:
+                for g in cells:
+                    if g.axis == g0.axis and g.pos == g0.pos:
+                        pts = {p for p in g0.span
+                               if g.span[0] < p < g.span[1]}
+                        if pts:
+                            span_cuts.setdefault(g.side, set()).update(pts)
+            if not height_cuts and not span_cuts:
+                continue
+            pieces = decomposition._split_box(box, height_cuts, span_cuts)
+            listing[pos:pos + 1] = pieces
+            current = DecompositionComplex(tuple(listing), v_ids)
+            break
+        else:
+            raise AssertionError("condition (5) fails with nothing to split")
+        rep = validate(current)
+    return current
+
+
 # ------------------------------------------------------- circular intervals
 
 def test_circ_components_hand_cases():
@@ -84,6 +181,17 @@ def test_circ_components_hand_cases():
         == [(F(1, 4), F(1, 2))]
     assert circ_components((F(0), F(1, 4)), (F(3, 4), F(1))) \
         == [(F(0), F(0))]
+
+
+def test_circ_components_matches_general_oracle():
+    # every arc in [0, 1] with endpoints k/q, q <= 8: 253 arcs, 64009 pairs
+    ends = sorted({F(k, q) for q in range(1, 9) for k in range(q + 1)})
+    arcs = [(lo, hi) for lo in ends for hi in ends if lo < hi]
+    assert len(arcs) == 253
+    for a in arcs:
+        for b in arcs:
+            assert circ_components(a, b) == circ_components_oracle(a, b), \
+                (a, b)
 
 
 def test_circ_contains_matches_sampling():
@@ -279,10 +387,10 @@ def test_enforce_validates_each_complex_once(monkeypatch):
         return validate(complex_)
 
     monkeypatch.setattr(decomposition, "validate", counting_validate)
-    # the input and the complexes its three box splits make, each
-    # validated once
-    enforce_condition5(five_box_scene())
-    assert len(seen) == 4 and len({id(c) for c in seen}) == 4
+    # the input and the result, each validated once
+    scene = five_box_scene()
+    fixed = enforce_condition5(scene)
+    assert seen == [scene, fixed]
     seen.clear()
     enforce_condition5(build_torus_scene((2, 2)))
     assert len(seen) == 1
@@ -306,6 +414,17 @@ def test_enforce_nested_splits_converge():
     fixed = enforce_condition5(scene)
     assert validate(fixed)["valid"]
     assert len(fixed.boxes) == 12
+    assert fixed.volume == F(1)
+
+
+def test_enforce_needs_no_split_cap():
+    # 35 box splits, more than a capped restart loop allowed
+    scene = build_torus_scene(
+        (6, 6), height_splits={(0, 0): [F(1, 2)]},
+        foliation={"kind": "horizontal", "grid": 9, "samples": 5})
+    fixed = enforce_condition5(scene)
+    assert fixed.validation["valid"]
+    assert len(fixed.boxes) == 72
     assert fixed.volume == F(1)
 
 
@@ -443,3 +562,4 @@ def test_build_enforce_always_valid(m, n, cuts, cell):
     fixed = enforce_condition5(scene)
     assert validate(fixed)["valid"]
     assert fixed.volume == F(1)
+    assert fixed.to_json() == enforce_condition5_oracle(scene).to_json()
