@@ -70,12 +70,12 @@ def _eval_grids(values: np.ndarray, base: BaseDomain, pts: np.ndarray):
     return (1.0 - v) * row0 + v * row1
 
 
-def _leaf_gradients(family: "LeafFamily") -> np.ndarray:
-    """Per-leaf gradients (m, nx, ny, 2) by central differences, one-sided
-    second-order differences at the edges."""
+def _leaf_gradients(family: "LeafFamily") -> tuple:
+    """Per-leaf gradient components (g_x, g_y), each (m, nx, ny): central
+    differences inside, first-order one-sided differences at the edges."""
     base = family.base
     dx, dy = 1.0 / (base.nx - 1), 1.0 / (base.ny - 1)
-    return np.stack(np.gradient(family.values, dx, dy, axis=(1, 2)), axis=-1)
+    return tuple(np.gradient(family.values, dx, dy, axis=(1, 2)))
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,11 @@ class LeafFamily:
 def tangent_field(family: LeafFamily) -> np.ndarray:
     """Unit leaf normals (m, nx, ny, 3) at every sample point, from central
     finite differences of the sampled leaves."""
-    g = _leaf_gradients(family)
-    normals = np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1)
-    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    g_x, g_y = _leaf_gradients(family)
+    norm = np.sqrt(g_x * g_x + g_y * g_y + 1.0)  # as np.linalg.norm sums
+    normals = np.empty(g_x.shape + (3,))
+    for c, top in enumerate((-g_x, -g_y, 1.0)):
+        np.divide(top, norm, out=normals[..., c])
     return normals
 
 
@@ -243,52 +245,50 @@ def c0_distance(a: LeafFamily, b: LeafFamily) -> float:
     if a.base != b.base:
         raise ValueError("families must share a base domain")
     n, k = a.base.nx * a.base.ny, a.m + b.m
-
-    def node_rows(grid, m):
-        # (m, nx, ny) -> contiguous (n, m): one row of leaf samples per node
-        return np.ascontiguousarray(grid.reshape(m, n).T)
-
-    va, vb = node_rows(a.values, a.m), node_rows(b.values, b.m)
-    ga = [node_rows(g, a.m) for g in np.moveaxis(_leaf_gradients(a), -1, 0)]
-    gb = [node_rows(g, b.m) for g in np.moveaxis(_leaf_gradients(b), -1, 0)]
-    rows = k * np.arange(n)[:, None]
+    cols_b, cols_a = slice(0, b.m), slice(b.m, k)
+    # one row per node, b's leaves and then a's: the heights z and (p_x,
+    # p_y, q_x, q_y), a's gradient p and b's q, at their own leaves
+    z, g = np.empty((n, k)), np.empty((4, n, k))
+    for f, cols, c in ((b, cols_b, 2), (a, cols_a, 0)):
+        z[:, cols] = f.values.reshape(f.m, n).T
+        for d, grad in zip(g[c:c + 2], _leaf_gradients(f)):
+            d[:, cols] = grad.reshape(f.m, n).T
 
     # merged order: each node's heights of both families sorted exactly (a
     # float offset per node would round near-equal heights together and let
     # the argument order decide); b's leaves come first in the rows sorted,
     # so the stable sort puts a's leaf i after the b leaves at or below it
     # and b's leaf j after the a leaves strictly below it
-    from_a = np.argsort(np.concatenate([vb, va], axis=1), axis=1,
-                        kind="stable") >= b.m
-    pa = np.flatnonzero(from_a).reshape(n, a.m)
-    pb = np.flatnonzero(~from_a).reshape(n, b.m)
-
-    def interp(v, grads, zq, place):
-        # gradients at the heights zq, linear between the bracketing leaves
-        # (exact at a leaf's own height) and constant beyond the end leaves
-        m, below = v.shape[1], place - rows - np.arange(zq.shape[1])
-        pos = m * np.arange(n)[:, None] + np.clip(below - 1, 0, m - 2)
-        v_lo, v_hi = v.ravel()[pos], v.ravel()[pos + 1]
-        u = np.clip((zq - v_lo) / (v_hi - v_lo), 0.0, 1.0)
-        return [(1.0 - u) * c.ravel()[pos] + u * c.ravel()[pos + 1]
-                for c in grads]
-
-    # (p_x, p_y, q_x, q_y), a's gradient p and b's q, at the merged heights
-    g = np.empty((4, n * k))
-    for c, (at_a, at_b) in enumerate(zip(ga + interp(vb, gb, va, pa),
-                                         interp(va, ga, vb, pb) + gb)):
-        g[c, pa.ravel()], g[c, pb.ravel()] = at_a.ravel(), at_b.ravel()
-    g = g.reshape(4, n, k)
-    worst = float(_normal_angles(g[:2], g[2:]).max())
-    # between merged heights the angle is at most the gnomonic distance
-    # |q - p| (the projection only stretches), convex along the segment, so
-    # only segments with an end farther than worst can beat it
+    order = np.argsort(z, axis=1, kind="stable")
+    rows = k * np.arange(n)[:, None]
+    # each family's gradients at the other's heights, linear between the
+    # bracketing leaves and constant beyond the end leaves: the other's
+    # leaf i, merged at rank r, comes after r - i leaves of the family
+    for at, src, c, mask in ((cols_b, cols_a, 0, order < b.m),
+                             (cols_a, cols_b, 2, order >= b.m)):
+        shift = np.arange(at.stop - at.start) + 1 - src.start
+        pos = np.clip(np.flatnonzero(mask).reshape(n, -1) - shift,
+                      rows + src.start, rows + src.stop - 2)
+        pos1, v_lo = pos + 1, z.take(pos)
+        u = np.clip((z[:, at] - v_lo) / (z.take(pos1) - v_lo), 0.0, 1.0)
+        for d in g[c:c + 2]:
+            d[:, at] = (1.0 - u) * d.take(pos) + u * d.take(pos1)
+    del mask, pos, pos1, v_lo, u  # their pages serve the passes below
+    # the angle is at most the gnomonic distance |q - p|, convex between
+    # merged heights (the projection only stretches): only pairs farther
+    # than the angle at the farthest, less 1e-9 for rounding (none: all 0),
+    # and segments with an end farther than worst can hold the largest
     e = g[2:] - g[:2]
-    far = np.einsum("i...,i...->...", e, e) > worst * worst
-    node, seg = np.nonzero(far[:, :-1] | far[:, 1:])
+    far = np.einsum("i...,i...->...", e, e)
+    top = g.reshape(4, -1)[:, np.argmax(far)]
+    near = far > (1.0 - 1e-9) * _normal_angles(top[:2], top[2:]) ** 2
+    worst = float(_normal_angles(g[:2, near], g[2:, near]).max(initial=0.0))
+    far = (far > worst * worst).take(order + rows)
+    node, seg = np.divmod(np.flatnonzero(far[:, :-1] | far[:, 1:]), k - 1)
     if node.size:
-        worst = _interior_peak(g[:, node, seg],
-                               g[:, node, seg + 1] - g[:, node, seg], worst)
+        lo, hi = order[node, seg], order[node, seg + 1]
+        worst = _interior_peak(g[:, node, lo],
+                               g[:, node, hi] - g[:, node, lo], worst)
     return worst
 
 

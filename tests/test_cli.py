@@ -270,6 +270,39 @@ def test_smooth_ladder_meets_each_epsilon(scenes, tmp_path):
     assert all(row["pass"] for row in manifest["checks"])
 
 
+def test_smooth_on_an_already_smooth_scene_exits_zero(scenes, tmp_path):
+    # every rung reaches 0.0, which cannot fall any further
+    assert main(["smooth", "--scene", str(scenes["horizontal"]),
+                 "--out", str(tmp_path)]) == 0
+    manifest = read_manifest(tmp_path)
+    assert all(row["pass"] for row in manifest["checks"])
+    row, = (row for row in manifest["checks"]
+            if row["name"] == "distances-decrease")
+    assert row["distances"] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("distances, ok", [
+    ((0.2, 0.1, 0.1), False),
+    ((0.2, 0.2, 0.1), False),
+    ((0.2, 1e-13, 1e-13), True),
+    ((0.2, 0.0, 0.0), True),
+    ((0.2, 0.1, 0.0), True),
+])
+def test_ladder_distances_fall_strictly_above_solver_tol(distances, ok,
+                                                         tmp_path):
+    def pipeline(value, report):
+        report["achieved_distance"] = dict(zip((0.3, 0.15, 0.075),
+                                               distances))[value]
+
+    def grade(value, report, result):
+        return {}, {"name": f"rung-{value:g}", "pass": True}, 0.0
+
+    _, checks = cli._run_ladder((0.3, 0.15, 0.075), pipeline, "ladder",
+                                grade, tmp_path / "ladder.csv", "epsilon")
+    assert checks[-1] == {"name": "distances-decrease", "pass": ok,
+                          "distances": list(distances)}
+
+
 def test_tischler_run_writes_certificate(tmp_path):
     config = ScenarioConfig(kind="tischler", out=str(tmp_path),
                             coefficients=(1, math.sqrt(2.0)),

@@ -19,7 +19,9 @@ from flowbox.foliation import (
     merged_grid,
     sheared_family,
     tangent_field,
+    _interior_peak,
     _leaf_gradients,
+    _normal_angles,
 )
 from flowbox.kernel import SOLVER_TOL, choose_partition
 from flowbox.smoothing import smooth_in_t
@@ -43,6 +45,64 @@ def sheared_leaf_index_oracle(x, z, shear=0.5):
 GOLDEN_INDEX = sheared_leaf_index_oracle(1.0, 0.5)  # (3 - sqrt 5)/2
 
 
+def np_gradients(family: LeafFamily) -> tuple:
+    """np.gradient's per-leaf (g_x, g_y) on the family's grid spacing."""
+    dx, dy = 1.0 / (family.base.nx - 1), 1.0 / (family.base.ny - 1)
+    return tuple(np.gradient(family.values, dx, dy, axis=(1, 2)))
+
+
+def tangent_field_oracle(family: LeafFamily) -> np.ndarray:
+    """Reference for tangent_field: (-g_x, -g_y, 1) stacked, divided by its
+    np.linalg.norm."""
+    g = np.stack(np_gradients(family), axis=-1)
+    normals = np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1)
+    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    return normals
+
+
+def c0_distance_scatter_oracle(a: LeafFamily, b: LeafFamily) -> float:
+    """Reference for c0_distance's arithmetic in merged order: each
+    family's gradients are interpolated at the other's heights and then
+    scattered, component by component, into the heights' merged order, and
+    the angles and the segments are taken there.  c0_distance must equal
+    it to the bit."""
+    n, k = a.base.nx * a.base.ny, a.m + b.m
+
+    def node_rows(grid, m):
+        return np.ascontiguousarray(grid.reshape(m, n).T)
+
+    va, vb = node_rows(a.values, a.m), node_rows(b.values, b.m)
+    ga = [node_rows(c, a.m) for c in np_gradients(a)]
+    gb = [node_rows(c, b.m) for c in np_gradients(b)]
+    rows = k * np.arange(n)[:, None]
+    from_a = np.argsort(np.concatenate([vb, va], axis=1), axis=1,
+                        kind="stable") >= b.m
+    pa = np.flatnonzero(from_a).reshape(n, a.m)
+    pb = np.flatnonzero(~from_a).reshape(n, b.m)
+
+    def interp(v, grads, zq, place):
+        m, below = v.shape[1], place - rows - np.arange(zq.shape[1])
+        pos = m * np.arange(n)[:, None] + np.clip(below - 1, 0, m - 2)
+        v_lo, v_hi = v.ravel()[pos], v.ravel()[pos + 1]
+        u = np.clip((zq - v_lo) / (v_hi - v_lo), 0.0, 1.0)
+        return [(1.0 - u) * c.ravel()[pos] + u * c.ravel()[pos + 1]
+                for c in grads]
+
+    g = np.empty((4, n * k))
+    for c, (at_a, at_b) in enumerate(zip(ga + interp(vb, gb, va, pa),
+                                         interp(va, ga, vb, pb) + gb)):
+        g[c, pa.ravel()], g[c, pb.ravel()] = at_a.ravel(), at_b.ravel()
+    g = g.reshape(4, n, k)
+    worst = float(_normal_angles(g[:2], g[2:]).max())
+    e = g[2:] - g[:2]
+    far = np.einsum("i...,i...->...", e, e) > worst * worst
+    node, seg = np.nonzero(far[:, :-1] | far[:, 1:])
+    if node.size:
+        worst = _interior_peak(g[:, node, seg],
+                               g[:, node, seg + 1] - g[:, node, seg], worst)
+    return worst
+
+
 def c0_distance_oracle(a: LeafFamily, b: LeafFamily, samples: int = 32) -> float:
     """Reference for c0_distance by search instead of algebra.
 
@@ -59,8 +119,8 @@ def c0_distance_oracle(a: LeafFamily, b: LeafFamily, samples: int = 32) -> float
     n = a.base.nx * a.base.ny
     va = a.values.reshape(a.m, n).T        # (n, ma)
     vb = b.values.reshape(b.m, n).T
-    ga = _leaf_gradients(a).reshape(a.m, n, 2).transpose(1, 0, 2)  # (n, ma, 2)
-    gb = _leaf_gradients(b).reshape(b.m, n, 2).transpose(1, 0, 2)
+    ga = np.stack(np_gradients(a), -1).reshape(a.m, n, 2).transpose(1, 0, 2)
+    gb = np.stack(np_gradients(b), -1).reshape(b.m, n, 2).transpose(1, 0, 2)
     ends = []
     for r in range(n):
         z = np.union1d(va[r], vb[r])
@@ -425,6 +485,38 @@ def test_c0_distance_matches_oracle(pair):
     assert d == c0_distance(b, a)
     assert c0_distance(a, a) == 0.0
     assert c0_distance(b, b) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(8, 17), st.integers(8, 17)).flatmap(
+    lambda shape: leaf_families(BaseDomain("rectangle", *shape))))
+def test_leaf_normals_match_numpy_oracles(family):
+    g_x, g_y = _leaf_gradients(family)
+    want_x, want_y = np_gradients(family)
+    assert np.array_equal(g_x, want_x) and np.array_equal(g_y, want_y)
+    # first-order one-sided differences at the edges
+    v, dx = family.values, 1.0 / (family.base.nx - 1)
+    assert np.array_equal(g_x[:, 0], (v[:, 1] - v[:, 0]) / dx)
+    assert np.array_equal(tangent_field(family), tangent_field_oracle(family))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_pairs())
+def test_c0_distance_matches_scatter_oracle(pair):
+    a, b = pair
+    assert c0_distance(a, b) == c0_distance_scatter_oracle(a, b)
+    assert c0_distance(b, a) == c0_distance_scatter_oracle(b, a)
+
+
+def test_c0_distance_matches_scatter_oracle_on_ties():
+    # every height of one family nearly ties one of the other's, or every
+    # node row reaches the same largest angle
+    flat = horizontal_family(RECT, 17)
+    pairs = [one_ulp_pair(seed) for seed in (12, 53)]
+    pairs += [(flat, sheared_family(RECT, 0.3, 13)), (flat, flat)]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            assert c0_distance(x, y) == c0_distance_scatter_oracle(x, y)
 
 
 def midpoint_refinement(family: LeafFamily) -> LeafFamily:
