@@ -40,7 +40,13 @@ from .denjoy import (
     wandering_audit,
 )
 from .foliation import BaseDomain, horizontal_family, sheared_family
-from .kernel import SOLVER_TOL, InsertionSchedule
+from .kernel import (
+    COMPARISON_TOL,
+    FACE_COMPAT_TOL,
+    ROTATION_TOL,
+    SOLVER_TOL,
+    InsertionSchedule,
+)
 from .measure import (
     ClosedOneForm,
     MeasuredScene,
@@ -64,12 +70,6 @@ MAX_SCENE_VALUES = 2 ** 21
 # to measures.csv.  At this cap a grid-9 2x2 scene writes 0.7 MB in about
 # 0.2 s on a 2-vCPU x86 VM; 10^5 nodes wrote 17 MB, 5*10^6 ran for minutes
 MAX_SUBSAMPLES = 2 ** 12
-
-# tolerances the check rows are graded against; the library pipelines
-# enforce their own internal budgets, these only grade the emitted numbers
-FACE_DEFECT_TOL = 1e-6
-ROTATION_TOL = 1e-3
-MEASURE_POST_TOL = 1e-9
 
 
 class MalformedInput(ValueError):
@@ -220,16 +220,22 @@ def _write_csv(path: Path, header, rows) -> Path:
     return path
 
 
+def _read_json(path: Path, what: str):
+    """Parsed JSON of a scene or measure file, or MalformedInput."""
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {what} file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"{what} file {path} is not valid JSON: "
+                             f"{exc}") from exc
+
+
 def _load_scene(path_str: str | None) -> DecompositionComplex:
     if path_str is None:
         raise MalformedInput("this scenario needs a scene file (--scene)")
     path = Path(path_str)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise MalformedInput(f"cannot read scene file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"scene file {path} is not valid JSON: {exc}") from exc
+    data = _read_json(path, "scene")
     if isinstance(data, dict) and "scene" in data:
         data = data["scene"]  # generated files wrap the scene with metadata
     try:
@@ -325,7 +331,7 @@ def _run_smooth(config: ScenarioConfig, out_dir: Path):
         achieved = report["achieved_distance"]
         face = report["face_defect_after"]
         return report, {"name": f"epsilon-{eps:g}",
-                        "pass": achieved <= eps and face < FACE_DEFECT_TOL,
+                        "pass": achieved <= eps and face < FACE_COMPAT_TOL,
                         "achieved_distance": float(achieved),
                         "face_defect": float(face)}, face
 
@@ -461,13 +467,7 @@ def _load_measures(config: ScenarioConfig,
         mu = TransverseMeasure.lebesgue()
         return {name: mu for name in identifiers}
     path = Path(config.measure_file)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise MalformedInput(f"cannot read measure file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"measure file {path} is not valid JSON: "
-                             f"{exc}") from exc
+    data = _read_json(path, "measure")
     try:
         if isinstance(data, dict) and "measures" in data:
             return {name: TransverseMeasure.from_json(entry)
@@ -494,7 +494,7 @@ def _run_measure(config: ScenarioConfig, out_dir: Path):
                                          report=report)
     checks = [
         {"name": "post-invariance",
-         "pass": report["post_defect"] < MEASURE_POST_TOL,
+         "pass": report["post_defect"] < COMPARISON_TOL,
          "post_defect": float(report["post_defect"])},
         {"name": "defect-not-increased",
          "pass": report["post_defect"] <= report["pre_defect"] + 1e-15,
@@ -639,7 +639,8 @@ def generate_scene(template: str, parameters: dict | None = None,
                "scene": scene.to_json()}
     out_path = Path(path) if path is not None else Path(f"{template}.json")
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # compact: indenting makes a grid-33 scene over three times as large
+    out_path.write_text(json.dumps(payload, sort_keys=True) + "\n")
     return out_path
 
 

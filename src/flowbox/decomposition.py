@@ -15,7 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .foliation import BaseDomain, LeafFamily, horizontal_family, sheared_family
+from .foliation import (
+    BaseDomain,
+    LeafFamily,
+    horizontal_family,
+    node_columns,
+    sheared_family,
+)
 
 SIDES = ("W", "E", "S", "N")
 
@@ -133,7 +139,25 @@ class FlowBoxSpec:
             if not (0 <= lo < hi <= 1):
                 raise ValueError(f"{name} must satisfy 0 <= lo < hi <= 1")
         object.__setattr__(self, "faces", tuple(self.faces))
-        problems = box_wellformedness(self)
+        # condition (1): faces tile each side at the box's heights
+        problems = []
+        for side in SIDES:
+            lo, hi = self.side_range(side)
+            spans = sorted(f.span for f in self.faces if f.side == side)
+            if not spans:
+                problems.append(f"side {side} has no faces")
+                continue
+            if spans[0][0] != lo or spans[-1][1] != hi:
+                problems.append(f"side {side} faces do not reach the corners")
+            for (_, b), (c, _) in zip(spans, spans[1:]):
+                if b != c:
+                    problems.append(f"side {side} faces do not tile (gap at {b})")
+            for f in self.faces:
+                if f.side == side and f.heights != self.heights:
+                    problems.append(
+                        f"side {side} face heights differ from the box heights")
+        if not isinstance(self.family, LeafFamily):
+            problems.append("missing attached leaf family")
         if problems:
             raise ValueError(f"box {self.identifier}: " + "; ".join(problems))
 
@@ -170,14 +194,9 @@ class FlowBoxSpec:
     def with_default_faces(cls, identifier, x_range, y_range, heights,
                            family) -> "FlowBoxSpec":
         """One full-span face per side."""
-        x_range = (frac(x_range[0]), frac(x_range[1]))
-        y_range = (frac(y_range[0]), frac(y_range[1]))
-        heights = (frac(heights[0]), frac(heights[1]))
-        faces = []
-        for side in SIDES:
-            span = y_range if side in ("W", "E") else x_range
-            faces.append(Face(side, span, heights))
-        return cls(identifier, x_range, y_range, heights, tuple(faces), family)
+        faces = tuple(Face(side, y_range if side in ("W", "E") else x_range,
+                           heights) for side in SIDES)
+        return cls(identifier, x_range, y_range, heights, faces, family)
 
     def to_json(self) -> dict:
         return {
@@ -199,30 +218,6 @@ class FlowBoxSpec:
             tuple(Face.from_json(f) for f in data["faces"]),
             LeafFamily.from_json(data["family"]),
         )
-
-
-def box_wellformedness(box: FlowBoxSpec) -> list:
-    """Condition (1) checks: faces tile each side at the box's heights and a
-    valid leaf family is attached.  Returns human-readable problems."""
-    problems = []
-    for side in SIDES:
-        lo, hi = box.side_range(side)
-        spans = sorted(f.span for f in box.faces if f.side == side)
-        if not spans:
-            problems.append(f"side {side} has no faces")
-            continue
-        if spans[0][0] != lo or spans[-1][1] != hi:
-            problems.append(f"side {side} faces do not reach the corners")
-        for (a, b), (c, d) in zip(spans, spans[1:]):
-            if b != c:
-                problems.append(f"side {side} faces do not tile (gap at {b})")
-        for f in box.faces:
-            if f.side == side and f.heights != box.heights:
-                problems.append(
-                    f"side {side} face heights differ from the box heights")
-    if not isinstance(box.family, LeafFamily):
-        problems.append("missing attached leaf family")
-    return problems
 
 
 @dataclass(frozen=True)
@@ -360,15 +355,12 @@ def validate(complex_: DecompositionComplex) -> dict:
     """
     report = {"conditions": {}, "annular_faces": [], "valid": True}
 
-    witnesses1 = []
     for box in complex_.boxes:
-        for p in box_wellformedness(box):
-            witnesses1.append({"box": box.identifier, "problem": p})
         for axis in box.annular_sides():
             report["annular_faces"].append(
                 {"box": box.identifier, "axis": axis})
-    report["conditions"]["1"] = {"pass": not witnesses1,
-                                 "witnesses": witnesses1}
+    # (1) holds for every box: FlowBoxSpec raises on any box that breaks it
+    report["conditions"]["1"] = {"pass": True, "witnesses": []}
 
     # (3) interior disjointness and (4) boundary-intersection shape, from the
     # same component decomposition
@@ -503,10 +495,7 @@ def family_slice(fam: LeafFamily, lo: float, hi: float) -> LeafFamily:
     grids = fam.leaves_at(ts)
     f_lo, f_hi = grids[0], grids[-1]
     vals = (grids - f_lo) / (f_hi - f_lo)
-    vals[0] = 0.0
-    vals[-1] = 1.0
     s = (ts - lo) / (hi - lo)
-    s[0], s[-1] = 0.0, 1.0
     ix, iy = fam.anchor
     vals[:, ix, iy] = s
     return LeafFamily(fam.base, s, vals, fam.anchor)
@@ -644,6 +633,19 @@ def side_nodes(base: BaseDomain, side: str) -> list:
         iy = 0 if side == "S" else base.ny - 1
         return [(ix, iy) for ix in range(base.nx)]
     raise ValueError(f"unknown side {side!r}")
+
+
+def face_columns(scene: DecompositionComplex, face) -> tuple:
+    """(fam_a, cols_a, fam_b, cols_b) of a face from shared_faces: each
+    owner's family and its node_columns along its side of the face."""
+    axis, pos, (id_a, side_a), (id_b, side_b) = face
+    fam_a, fam_b = scene.box(id_a).family, scene.box(id_b).family
+    nodes_a = side_nodes(fam_a.base, side_a)
+    nodes_b = side_nodes(fam_b.base, side_b)
+    if len(nodes_a) != len(nodes_b):
+        raise ValueError(f"face {axis}={pos}: sides sampled differently")
+    return (fam_a, node_columns(fam_a, nodes_a),
+            fam_b, node_columns(fam_b, nodes_b))
 
 
 # ------------------------------------------------------------ construction

@@ -22,13 +22,14 @@ from .decomposition import (
 from .foliation import (
     HolonomyMap,
     LeafFamily,
-    SOLVER_TOL,
     c0_distance,
     fiber_transports,
     inverse_interp_columns,
 )
 from .kernel import (
     COMPARISON_TOL,
+    FACE_COMPAT_TOL,
+    SOLVER_TOL,
     CollapseMap,
     InsertionSchedule,
     build_collapse,
@@ -36,8 +37,6 @@ from .kernel import (
     stage,
 )
 from .smoothing import face_transport_defect
-
-FACE_RHO_TOL = 1e-6
 
 
 # ------------------------------------------------------------ collapse data
@@ -206,7 +205,7 @@ def blowup_scene(scene: DecompositionComplex, schedule: InsertionSchedule,
         raise ValueError("schedule points and packets must pair up")
     faces = shared_faces(scene)
     pkt_defect, bad = _packet_scene_defect(scene, packets)
-    if pkt_defect > FACE_RHO_TOL:
+    if pkt_defect > FACE_COMPAT_TOL:
         raise ValueError(
             f"packet {bad}: face holonomy data disagree across shared faces "
             f"(defect {pkt_defect:.3g})")
@@ -237,7 +236,7 @@ def blowup_scene(scene: DecompositionComplex, schedule: InsertionSchedule,
                     actual = _transport(fams[ident], side)
                     gap = predicted.max_difference(actual)
                     rho_defect = max(rho_defect, gap)
-                    if gap > FACE_RHO_TOL:
+                    if gap > FACE_COMPAT_TOL:
                         raise ValueError(
                             f"face {axis}={pos} ({id_a}|{id_b}): blown "
                             f"holonomy disagrees with the glued prediction "
@@ -347,13 +346,13 @@ def verify_blowup(original, blown, data: CollapseData) -> dict:
                 defect, wit = bad, {"box": key, "gap": i}
     add(4, "gap boundary graphs are leaves of the blown family", defect, wit)
 
-    # (5) preimages: points off the locus, whole gaps on it
+    # (5) preimages: whole gaps on the locus, points off it (gaps() checked
+    # that the plateau values are the schedule points: no other case arises)
     defect, wit = 0.0, None
     collapse, points = data.collapse, data.schedule.points
     for z, (lo, hi) in zip(points, gaps):
         pre = collapse.preimage(z)
-        bad = (max(abs(pre[0] - lo), abs(pre[1] - hi))
-               if isinstance(pre, tuple) else 1.0)
+        bad = max(abs(pre[0] - lo), abs(pre[1] - hi))
         if bad > defect:
             defect, wit = bad, {"point": z}
     pts = np.array(points) if points else np.empty(0)
@@ -361,14 +360,9 @@ def verify_blowup(original, blown, data: CollapseData) -> dict:
         off = orig.t[(np.min(np.abs(orig.t[:, None] - pts[None, :]), axis=1)
                       > 1e-6)] if pts.size else orig.t
         for z in off:
-            pre = collapse.preimage(float(z))
-            if isinstance(pre, tuple):
-                defect, wit = max(defect, pre[1] - pre[0]), {"box": key,
-                                                             "point": float(z)}
-            else:
-                bad = abs(float(collapse(pre)) - float(z))
-                if bad > defect:
-                    defect, wit = bad, {"box": key, "point": float(z)}
+            bad = abs(float(collapse(collapse.preimage(float(z)))) - float(z))
+            if bad > defect:
+                defect, wit = bad, {"box": key, "point": float(z)}
     add(5, "preimage is a point off the locus and the whole gap on it",
         defect, wit)
 
@@ -538,11 +532,9 @@ def blowup_circle_map(alpha: float, orbit_length: int,
     gap_lo = (orbit + below) / (1.0 + total)
     gap_hi = (orbit + below + w) / (1.0 + total)
 
-    idx = {int(k): i for i, k in enumerate(ks)}
-    src = [int(k) for k in ks if int(k) < n]
-    xs = np.concatenate([[gap_lo[idx[k]], gap_hi[idx[k]]] for k in src])
-    ys = np.concatenate([[gap_lo[idx[k + 1]], gap_hi[idx[k + 1]]]
-                         for k in src])
+    # ks is -n..n in order, so each gap but the last maps onto the next one
+    xs = np.column_stack([gap_lo[:-1], gap_hi[:-1]]).ravel()
+    ys = np.column_stack([gap_lo[1:], gap_hi[1:]]).ravel()
     order2 = np.argsort(xs)
     xs, ys = xs[order2], ys[order2]
     # unroll the image values into a monotone lift
@@ -558,9 +550,8 @@ def blowup_circle_map(alpha: float, orbit_length: int,
             "alpha": alpha,
             "orbit_length": n,
             "total_weight": total,
-            "gaps": {str(int(k)): [float(gap_lo[idx[int(k)]]),
-                                   float(gap_hi[idx[int(k)]])]
-                     for k in ks},
+            "gaps": {str(int(k)): [float(lo), float(hi)]
+                     for k, lo, hi in zip(ks, gap_lo, gap_hi)},
         })
     return CircleMapLift(xs, lift_y)
 

@@ -16,8 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-COMPARISON_TOL = 1e-9
-SOLVER_TOL = 1e-12
+# the contract tolerances, each with the identities it bounds
+FACE_COMPAT_TOL = 1e-6  # face transports and measure arcs across glued faces
+COMPARISON_TOL = 1e-9  # pinned holonomy, blowup properties, smoothed measure
+SOLVER_TOL = 1e-12  # collapse widths, anchoring, slack at the ends of [0, 1]
+ROTATION_TOL = 1e-3  # the circle shadow's Birkhoff estimate against alpha
 # budget halvings a retry ladder makes after its first attempt
 MAX_RETRIES = 5
 

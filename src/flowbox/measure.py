@@ -15,24 +15,20 @@ import numpy as np
 
 from .decomposition import (
     DecompositionComplex,
+    face_columns,
     shared_faces,
     side_nodes,
     validate,  # unused; the bench tracer's alias test checks it
 )
 from .foliation import (
     HolonomyMap,
-    SOLVER_TOL,
     fiber_map,
     fiber_transports,
     interp_columns,
     inverse_interp_columns,
     merged_grid,
-    node_columns,
 )
-from .kernel import stage
-
-INVARIANCE_PRE_TOL = 1e-6
-INVARIANCE_POST_TOL = 1e-9
+from .kernel import COMPARISON_TOL, FACE_COMPAT_TOL, SOLVER_TOL, stage
 
 
 @dataclass(frozen=True)
@@ -188,18 +184,10 @@ def scene_invariance_defect(measured: MeasuredScene,
     """
     rows = []
     worst = 0.0
-    for axis, pos, (id_a, side_a), (id_b, side_b) in \
-            shared_faces(measured.scene):
-        fam_a = measured.scene.box(id_a).family
-        fam_b = measured.scene.box(id_b).family
-        mu_a = measured.measure(id_a)
-        mu_b = measured.measure(id_b)
-        nodes_a = side_nodes(fam_a.base, side_a)
-        nodes_b = side_nodes(fam_b.base, side_b)
-        if len(nodes_a) != len(nodes_b):
-            raise ValueError(f"face {axis}={pos}: sides sampled differently")
-        cols_a = node_columns(fam_a, nodes_a)
-        cols_b = node_columns(fam_b, nodes_b)
+    for face in shared_faces(measured.scene):
+        axis, pos, (id_a, _), (id_b, _) = face
+        fam_a, cols_a, fam_b, cols_b = face_columns(measured.scene, face)
+        mu_a, mu_b = measured.measure(id_a), measured.measure(id_b)
         heights = np.concatenate([
             interp_columns(mu_a.heights, fam_a.t, cols_a),
             interp_columns(mu_b.heights, fam_b.t, cols_b),
@@ -253,10 +241,10 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
     with stage(stages, "invariance pre-check") as row:
         pre = scene_invariance_defect(measured)
         row["defect"] = pre
-        if pre > INVARIANCE_PRE_TOL:
+        if pre > FACE_COMPAT_TOL:
             raise ValueError(
                 f"measure invariance defect {pre:.3e} exceeds "
-                f"{INVARIANCE_PRE_TOL:g}; not an invariant measure")
+                f"{FACE_COMPAT_TOL:g}; not an invariant measure")
 
     order = sorted(b.identifier for b in scene.boxes)
     root = order[0]
@@ -298,10 +286,10 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
                     measured.measure(name), subsample_count)
         result = MeasuredScene(scene, smoothed)
         loop_defect = scene_invariance_defect(result)
-        if loop_defect > INVARIANCE_POST_TOL:
+        if loop_defect > COMPARISON_TOL:
             raise RuntimeError(
                 f"smoothed measure defect {loop_defect:.3e} exceeds "
-                f"{INVARIANCE_POST_TOL:g}")
+                f"{COMPARISON_TOL:g}")
         row.update({"tree_edges": tree_edges, "loop_defect": loop_defect})
 
     with stage(stages, "interior cone extension") as row:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .decomposition import (
     DecompositionComplex,
+    face_columns,
     shared_faces,
-    side_nodes,
     validate,  # unused; the bench tracer's alias test checks it
     with_families,
 )
@@ -35,11 +35,11 @@ from .foliation import (
     holonomy,
     interp_columns,
     merged_grid,
-    node_columns,
     tangent_field,
 )
 from .kernel import (
     COMPARISON_TOL,
+    FACE_COMPAT_TOL,
     LadderError,
     Partition,
     choose_partition,
@@ -230,9 +230,6 @@ def damped_cone(family: LeafFamily, collar_width: float,
 
 # --------------------------------------------------- scene-level pipeline
 
-FACE_COMPAT_TOL = 1e-6
-
-
 def grid_nodes(scene: DecompositionComplex) -> int:
     """Common chart size of a full-height grid scene; raises otherwise.
 
@@ -280,13 +277,9 @@ def face_transport_defect(scene: DecompositionComplex,
     """
     rows = []
     worst = 0.0
-    for axis, pos, (id_a, side_a), (id_b, side_b) in shared_faces(scene):
-        fam_a = scene.box(id_a).family
-        fam_b = scene.box(id_b).family
-        cols_a = node_columns(fam_a, side_nodes(fam_a.base, side_a))
-        cols_b = node_columns(fam_b, side_nodes(fam_b.base, side_b))
-        if cols_a.shape[1] != cols_b.shape[1]:
-            raise ValueError(f"face {axis}={pos}: sides sampled differently")
+    for face in shared_faces(scene):
+        axis, pos, (id_a, _), (id_b, _) = face
+        _, cols_a, _, cols_b = face_columns(scene, face)
         # every transport along a side starts from the same fiber, so all of
         # them are evaluated on one union grid in one pass per side
         xs = np.union1d(cols_a[:, 0], cols_b[:, 0])
@@ -338,7 +331,6 @@ def _face_chart(fam_a: LeafFamily, fam_b: LeafFamily, axis: str, width: int,
                     else (0, fam_a.base.ny - 1))
     zs = merged_grid(e_a.outputs, fam_b.t, tol=1e-10)
     ta = e_a.inverse()(zs)
-    ta[0], ta[-1] = 0.0, 1.0
     if not np.all(np.diff(ta) > 0.0):
         raise RuntimeError(f"{label}: seam reindexing collapsed leaf samples")
     ga = fam_a.leaves_at(ta)
@@ -459,14 +451,12 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
                 # the chart carries box b's leaf indices; e_a sends box a's
                 # to them
                 ta = e_a.inverse()(blended.t)
-                ta[0], ta[-1] = 0.0, 1.0
                 if id_a == id_b:
                     # a box glued to itself reads its two halves along two
                     # reindexings, so it gets the union grid, each half at
                     # its own image indices
                     t_u = merged_grid(ta, blended.t)
                     za = e_a(t_u)
-                    za[0], za[-1] = 0.0, 1.0
                     fams[id_a] = _paste(fams[id_a], blended, axis, width,
                                         t_u, first=za, second=t_u)
                 else:

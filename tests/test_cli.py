@@ -535,6 +535,65 @@ def _annulus_base(scene):
     scene["boxes"][0]["family"]["base"]["shape"] = "annulus"
 
 
+def _west_faces(scene, *spans):
+    """Replace box b00's W faces by faces over the given spans."""
+    faces = scene["boxes"][0]["faces"]
+    west = next(f for f in faces if f["side"] == "W")
+    faces[:] = [f for f in faces if f["side"] != "W"] + [
+        dict(west, span=list(span)) for span in spans]
+
+
+def _west_missing(scene):
+    _west_faces(scene)
+
+
+def _west_short(scene):
+    _west_faces(scene, ("0", "1/4"))
+
+
+def _west_gap(scene):
+    _west_faces(scene, ("0", "1/4"), ("1/3", "1/2"))
+
+
+def _west_heights(scene):
+    scene["boxes"][0]["faces"][0]["heights"] = ["0", "1/2"]
+
+
+@pytest.mark.parametrize("kind", ["validate", "smooth"])
+@pytest.mark.parametrize("corrupt, problem", [
+    (_west_missing, "side W has no faces"),
+    (_west_short, "side W faces do not reach the corners"),
+    (_west_gap, "side W faces do not tile (gap at 1/4)"),
+    (_west_heights, "side W face heights differ from the box heights"),
+])
+def test_condition_1_breach_exit_three(kind, corrupt, problem, scenes,
+                                       tmp_path):
+    data = json.loads(Path(scenes["horizontal"]).read_text())
+    assert data["scene"]["boxes"][0]["faces"][0]["side"] == "W"
+    corrupt(data["scene"])
+    path = tmp_path / "breach.json"
+    path.write_text(json.dumps(data))
+    config = ScenarioConfig(kind=kind, out=str(tmp_path / "run"),
+                            scene=str(path))
+    assert run(config) == 3
+    row = read_manifest(tmp_path / "run")["checks"][0]
+    assert row["name"] == "input-wellformed" and not row["pass"]
+    assert row["detail"] == (f"scene file {path} does not describe a "
+                             f"decomposition: box b00: {problem}")
+
+
+@pytest.mark.parametrize("template", ["horizontal", "sheared", "split",
+                                      "annulus"])
+def test_validate_condition_1_row_passes_on_every_template(template, scenes,
+                                                           tmp_path):
+    code = run(ScenarioConfig(kind="validate", out=str(tmp_path),
+                              scene=str(scenes[template])))
+    assert code == (2 if template == "split" else 0)
+    rows = {row["name"]: row for row in read_manifest(tmp_path)["checks"]}
+    assert rows["condition-1"] == {"name": "condition-1", "pass": True,
+                                   "witnesses": []}
+
+
 @pytest.mark.parametrize("kind", ["validate", "smooth"])
 @pytest.mark.parametrize("corrupt, reason", [
     (_leaf_nan, "leaves must be strictly increasing"),

@@ -255,6 +255,37 @@ def test_build_rejects_bad_splits():
         build_torus_scene((0, 2))
 
 
+FULL = (F(0), F(1))
+# the E, S and N faces of a box over [0, 1/2]^2 x [0, 1]
+OTHER_SIDES = tuple(Face(side, (F(0), F(1, 2)), FULL) for side in "ESN")
+
+
+@pytest.mark.parametrize("west, problem", [
+    ((), "side W has no faces"),
+    ((Face("W", (F(0), F(1, 4)), FULL),),
+     "side W faces do not reach the corners"),
+    ((Face("W", (F(0), F(1, 4)), FULL), Face("W", (F(1, 3), F(1, 2)), FULL)),
+     "side W faces do not tile (gap at 1/4)"),
+    ((Face("W", (F(0), F(1, 2)), (F(0), F(1, 2))),),
+     "side W face heights differ from the box heights"),
+])
+def test_flow_box_spec_enforces_condition_1(west, problem):
+    # condition (1) is checked once, when the box is built, so validate's
+    # condition-1 row has nothing left to find
+    fam = horizontal_family(BaseDomain("rectangle", 9, 9), 9)
+    with pytest.raises(ValueError) as err:
+        FlowBoxSpec("b", (F(0), F(1, 2)), (F(0), F(1, 2)), FULL,
+                    west + OTHER_SIDES, fam)
+    assert str(err.value) == f"box b: {problem}"
+
+
+def test_flow_box_spec_needs_a_leaf_family():
+    faces = (Face("W", (F(0), F(1, 2)), FULL),) + OTHER_SIDES
+    with pytest.raises(ValueError) as err:
+        FlowBoxSpec("b", (F(0), F(1, 2)), (F(0), F(1, 2)), FULL, faces, None)
+    assert str(err.value) == "box b: missing attached leaf family"
+
+
 # -------------------------------------------------------------- validation
 
 def test_five_box_failing_order_witness():

@@ -2,9 +2,10 @@
 
 A module may import from another flowbox module only names without a
 leading underscore; a helper another module needs is made public first.
-Only kernel keeps retry-ladder bookkeeping, only decomposition calls
-validate (everything else reads a scene's cached validation report), and
-every definition is used in src.
+Only kernel keeps retry-ladder bookkeeping and binds the contract
+tolerances (the module-level *_TOL names), only decomposition calls validate
+(everything else reads a scene's cached validation report), and every
+definition is used in src.
 """
 
 import ast
@@ -113,6 +114,51 @@ def test_rule_catches_retry_ladders(tmp_path):
         (4, "attempt_distances"),
         (5, "attempt_distances"),
         (6, "attempt_distances"),
+    ]
+
+
+def tolerance_bindings(path: Path) -> list:
+    """(line, name) of every module-level binding of a name ending in _TOL
+    in the file.  An import binds nothing here: reading kernel's name is
+    how the other modules use a tolerance."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and name.id.endswith("_TOL"):
+                    found.append((node.lineno, name.id))
+    return found
+
+
+def test_only_kernel_binds_tolerances():
+    offenders = {path.name: tolerance_bindings(path)
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "kernel.py"}
+    assert {name: rows for name, rows in offenders.items() if rows} == {}
+
+
+def test_rule_catches_tolerance_bindings(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .kernel import SOLVER_TOL, COMPARISON_TOL as C\n"
+                     "FACE_TOL = 1e-6\n"
+                     "POST_TOL: float = 1e-9\n"
+                     "LOW, HIGH_TOL = 0, 1\n"
+                     "SOLVER_TOL *= 2\n"
+                     "TOLERANCE = 1\n"
+                     "def f():\n"
+                     "    LOCAL_TOL = 3\n")
+    assert tolerance_bindings(probe) == [
+        (2, "FACE_TOL"),
+        (3, "POST_TOL"),
+        (4, "HIGH_TOL"),
+        (5, "SOLVER_TOL"),
     ]
 
 
