@@ -19,7 +19,7 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,6 +70,10 @@ MAX_SCENE_VALUES = 2 ** 21
 # to measures.csv.  At this cap a grid-9 2x2 scene writes 0.7 MB in about
 # 0.2 s on a 2-vCPU x86 VM; 10^5 nodes wrote 17 MB, 5*10^6 ran for minutes
 MAX_SUBSAMPLES = 2 ** 12
+# the ladders `smooth` and `blowup` run when no flag gives one
+SMOOTH_LADDER = (0.3, 0.15, 0.075)
+BLOWUP_WEIGHTS = (0.2, 0.1, 0.05)
+BLOWUP_EPSILON = 0.5
 
 
 class MalformedInput(ValueError):
@@ -79,7 +83,7 @@ class MalformedInput(ValueError):
 class ValidationFailure(Exception):
     """Scene rejected by the decomposition validator before any pipeline ran."""
 
-    def __init__(self, message: str, results=None, checks=None):
+    def __init__(self, message: str, results, checks):
         super().__init__(message)
         self.results = results
         self.checks = checks
@@ -114,6 +118,12 @@ class ScenarioConfig:
     blowup_level: float = 0.5
 
     def __post_init__(self):
+        # a caller who passes ints gets the manifest of the equal floats
+        for name in ("epsilons", "weights"):
+            object.__setattr__(self, name,
+                               tuple(float(v) for v in getattr(self, name)))
+        for name in ("alpha", "packet_shear", "blowup_level"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.kind not in SCENARIO_KINDS:
             raise MalformedInput(f"unknown scenario kind {self.kind!r}; "
                                  f"choose one of {', '.join(SCENARIO_KINDS)}")
@@ -147,24 +157,9 @@ class ScenarioConfig:
             raise MalformedInput("blowup level must lie strictly inside (0, 1)")
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "out": str(self.out),
-            "scene": self.scene,
-            "seed": self.seed,
-            "epsilons": [float(e) for e in self.epsilons],
-            "weights": [float(w) for w in self.weights],
-            "iterations": self.iterations,
-            "orbit_points": self.orbit_points,
-            "audit_steps": self.audit_steps,
-            "alpha": float(self.alpha),
-            "coefficients": [str(c) for c in self.coefficients],
-            "subsamples": self.subsamples,
-            "measure_file": self.measure_file,
-            "packet_shear": float(self.packet_shear),
-            "packet_samples": self.packet_samples,
-            "blowup_level": float(self.blowup_level),
-        }
+        # coefficients as given, e.g. "17/12"
+        return dict(asdict(self), out=str(self.out),
+                    coefficients=[str(c) for c in self.coefficients])
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +291,11 @@ def _run_ladder(values, pipeline, name: str, grade, csv_path: Path,
 
     grade(value, report, result) gives each rung's run entry, check row and
     face defect; a strictly decreasing ladder gets a distances-decrease row.
+    A rung's attempt is fixed by the budget it accepts, value * 2**-retries,
+    so the row asks the distance to fall strictly unless it is already at
+    SOLVER_TOL or both rungs accepted one budget and so ran one attempt.
     """
-    rows, runs, checks = [], [], []
+    rows, runs, checks, budgets = [], [], [], []
     for value in values:
         report = {}
         with _named_failure(name, {"runs": runs}):
@@ -305,13 +303,17 @@ def _run_ladder(values, pipeline, name: str, grade, csv_path: Path,
         run_entry, check, face = grade(value, report, result)
         rows.append((float(value), float(report["achieved_distance"]),
                      float(face)))
+        budgets.append(value * 0.5 ** report["retries"])
         runs.append(run_entry)
         checks.append(check)
     if len(values) >= 2 and all(b < a for a, b in zip(values, values[1:])):
         distances = [row[1] for row in rows]
+        rungs = list(zip(distances, budgets))
         checks.append({"name": "distances-decrease",
-                       "pass": all(b < a or a <= SOLVER_TOL for a, b in
-                                   zip(distances, distances[1:])),
+                       "pass": all(b < a or a <= SOLVER_TOL
+                                   or (b == a and budget_a == budget_b)
+                                   for (a, budget_a), (b, budget_b)
+                                   in zip(rungs, rungs[1:])),
                        "distances": distances})
     _write_csv(csv_path, (value_name, "achieved_distance", "face_defect"),
                rows)
@@ -325,7 +327,7 @@ def _run_smooth(config: ScenarioConfig, out_dir: Path):
         grid_nodes(scene)
     except ValueError as exc:
         raise MalformedInput(f"scene cannot be smoothed: {exc}") from exc
-    ladder = tuple(config.epsilons) or (0.3, 0.15, 0.075)
+    ladder = config.epsilons or SMOOTH_LADDER
 
     def grade(eps, report, _smoothed):
         achieved = report["achieved_distance"]
@@ -338,14 +340,14 @@ def _run_smooth(config: ScenarioConfig, out_dir: Path):
     runs, checks = _run_ladder(
         ladder, lambda eps, report: globally_smooth(scene, eps, report=report),
         "globally_smooth", grade, out_dir / "smooth.csv", "epsilon")
-    return {"runs": runs, "ladder": [float(e) for e in ladder]}, checks
+    return {"runs": runs, "ladder": ladder}, checks
 
 
 def _run_blowup(config: ScenarioConfig, out_dir: Path):
     scene = _load_scene(config.scene)
     _require_valid(scene)
-    weights = tuple(config.weights) or (0.2, 0.1, 0.05)
-    epsilon = config.epsilons[0] if config.epsilons else 0.5
+    weights = config.weights or BLOWUP_WEIGHTS
+    epsilon = config.epsilons[0] if config.epsilons else BLOWUP_EPSILON
     base = scene.boxes[0].family.base
     packet = sheared_family(BaseDomain("rectangle", base.nx, base.ny),
                             config.packet_shear, config.packet_samples)
@@ -366,8 +368,7 @@ def _run_blowup(config: ScenarioConfig, out_dir: Path):
 
     runs, checks = _run_ladder(weights, blowup, "blowup_scene", grade,
                                out_dir / "blowup.csv", "total_weight")
-    return {"runs": runs, "weights": [float(w) for w in weights],
-            "epsilon": float(epsilon)}, checks
+    return {"runs": runs, "weights": weights, "epsilon": epsilon}, checks
 
 
 def _parse_coefficient(token: str):
@@ -409,7 +410,7 @@ def _run_tischler(config: ScenarioConfig, out_dir: Path):
         {"name": "angle-bound",
          "pass": report["angle_defect"] < 2.0 * epsilon,
          "angle_defect": float(report["angle_defect"]),
-         "epsilon": float(epsilon)},
+         "epsilon": epsilon},
         {"name": "closed-leaf-certificate",
          "pass": bool(certificate["closes_exactly"]
                       and certificate["distinct_before_return"]),
@@ -443,14 +444,14 @@ def _run_denjoy_circle(config: ScenarioConfig, out_dir: Path):
     checks = [
         {"name": "rotation-close",
          "pass": abs(final - config.alpha) < ROTATION_TOL,
-         "estimate": final, "alpha": float(config.alpha),
+         "estimate": final, "alpha": config.alpha,
          "error": abs(final - config.alpha)},
         {"name": "gaps-wander", "pass": audit["wandering"],
          "revisits": audit["revisits"]},
     ]
     _write_csv(out_dir / "rotation.csv",
                ("iterate", "orbit_value", "rotation_estimate"), rows)
-    results = {"alpha": float(config.alpha),
+    results = {"alpha": config.alpha,
                "orbit_points": config.orbit_points,
                "gap_count": len(gaps),
                "total_weight": circle_report["total_weight"],
@@ -542,9 +543,7 @@ def run(config: ScenarioConfig) -> int:
         results, checks = _malformed(exc)
         code = 3
     except ValidationFailure as exc:
-        results = exc.results or {"error": str(exc)}
-        checks = exc.checks or [{"name": "scene-valid", "pass": False,
-                                 "detail": str(exc)}]
+        results, checks = exc.results, exc.checks
         code = 2
     except PipelineFailure as exc:
         results = dict(exc.results or {})
@@ -680,10 +679,10 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        parser_class=_Parser)
 
-    def add_common(sub):
+    def add_common(sub, seed=ScenarioConfig.seed):
         sub.add_argument("--out", default=".",
                          help="output directory (default: current)")
-        sub.add_argument("--seed", type=int, default=0,
+        sub.add_argument("--seed", type=int, default=seed,
                          help="deterministic seed recorded in the manifest")
 
     sub = subparsers.add_parser("validate",
@@ -696,21 +695,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--scene", required=True)
     sub.add_argument("--epsilon", action="append", type=float, default=None,
                      help="target C0 distance; repeat for a ladder "
-                          "(default 0.3 0.15 0.075)")
+                          f"(default {' '.join(map(str, SMOOTH_LADDER))})")
     add_common(sub)
 
     sub = subparsers.add_parser("blowup",
                                 help="blow up one leaf over a weight ladder")
     sub.add_argument("--scene", required=True)
-    sub.add_argument("--weights", type=_float_list, default=(),
+    sub.add_argument("--weights", type=_float_list,
+                     default=ScenarioConfig.weights,
                      help="comma-separated total weights "
-                          "(default 0.2,0.1,0.05)")
+                          f"(default {','.join(map(str, BLOWUP_WEIGHTS))})")
     sub.add_argument("--epsilon", type=float, default=None,
-                     help="C0 budget for each blowup (default 0.5)")
-    sub.add_argument("--level", type=float, default=0.5,
-                     help="height of the blown leaf (default 0.5)")
-    sub.add_argument("--packet-shear", type=float, default=0.3)
-    sub.add_argument("--packet-samples", type=int, default=17)
+                     help="C0 budget for each blowup "
+                          f"(default {BLOWUP_EPSILON})")
+    sub.add_argument("--level", type=float,
+                     default=ScenarioConfig.blowup_level,
+                     help="height of the blown leaf (default %(default)s)")
+    sub.add_argument("--packet-shear", type=float,
+                     default=ScenarioConfig.packet_shear)
+    sub.add_argument("--packet-samples", type=int,
+                     default=ScenarioConfig.packet_samples)
     add_common(sub)
 
     sub = subparsers.add_parser("tischler",
@@ -728,96 +732,86 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "the gaps")
     sub.add_argument("--alpha", default="golden",
                      help="rotation number, a float or 'golden'")
-    sub.add_argument("--orbit-points", type=int, default=300)
-    sub.add_argument("--iterations", type=int, default=20000,
-                     help="rotation-estimate iterates (default 20000)")
-    sub.add_argument("--audit-steps", type=int, default=2000,
-                     help="gap-return horizon (default 2000)")
+    sub.add_argument("--orbit-points", type=int,
+                     default=ScenarioConfig.orbit_points)
+    sub.add_argument("--iterations", type=int,
+                     default=ScenarioConfig.iterations,
+                     help="rotation-estimate iterates (default %(default)s)")
+    sub.add_argument("--audit-steps", type=int,
+                     default=ScenarioConfig.audit_steps,
+                     help="gap-return horizon (default %(default)s)")
     add_common(sub)
 
     sub = subparsers.add_parser("measure",
                                 help="smooth an invariant transverse measure")
     sub.add_argument("--scene", required=True)
-    sub.add_argument("--measure-file", default=None,
+    sub.add_argument("--measure-file", default=ScenarioConfig.measure_file,
                      help="JSON cumulative(s); default is Lebesgue on "
                           "every box")
-    sub.add_argument("--subsamples", type=int, default=9,
+    sub.add_argument("--subsamples", type=int,
+                     default=ScenarioConfig.subsamples,
                      help=f"spline nodes per fiber, 4 to {MAX_SUBSAMPLES} "
-                          f"(default 9)")
+                          "(default %(default)s)")
     add_common(sub)
 
+    # a flag not given stays out of the namespace, so generate_scene alone
+    # holds the template defaults
     sub = subparsers.add_parser("generate",
-                                help="write a built-in scene template")
+                                help="write a built-in scene template",
+                                argument_default=argparse.SUPPRESS)
     sub.add_argument("--template", required=True, choices=SCENE_TEMPLATES)
-    sub.add_argument("--grid", type=int, default=33)
-    sub.add_argument("--samples", type=int, default=17)
-    sub.add_argument("--shear", type=float, default=0.1)
-    sub.add_argument("--split", default="2,2")
-    add_common(sub)
+    sub.add_argument("--grid", type=int)
+    sub.add_argument("--samples", type=int)
+    sub.add_argument("--shear", type=float)
+    sub.add_argument("--split")
+    add_common(sub, seed=argparse.SUPPRESS)
 
     return parser
 
 
+# flag dests named other than their ScenarioConfig field, and the flags
+# whose token needs parsing; every other dest is its field's value
+_FIELD_OF_FLAG = {"command": "kind", "epsilon": "epsilons",
+                  "level": "blowup_level"}
+_PARSE_FLAG = {
+    # smooth's --epsilon repeats; blowup's and tischler's is one value
+    "epsilon": lambda v: tuple(v) if isinstance(v, list) else (v,),
+    "coefficients": lambda v: tuple(_parse_coefficient(tok)
+                                    for tok in v.split(",")),
+    "alpha": _parse_alpha,
+}
+
+
 def _config_from_args(args) -> ScenarioConfig:
-    kwargs = {"kind": args.command, "out": args.out, "seed": args.seed}
-    if getattr(args, "scene", None) is not None:
-        kwargs["scene"] = args.scene
-    if args.command == "smooth" and args.epsilon:
-        kwargs["epsilons"] = tuple(args.epsilon)
-    if args.command == "blowup":
-        if args.weights:
-            kwargs["weights"] = tuple(args.weights)
-        if args.epsilon is not None:
-            kwargs["epsilons"] = (args.epsilon,)
-        kwargs["blowup_level"] = args.level
-        kwargs["packet_shear"] = args.packet_shear
-        kwargs["packet_samples"] = args.packet_samples
-    if args.command == "tischler":
-        kwargs["coefficients"] = tuple(
-            _parse_coefficient(tok) for tok in args.coefficients.split(","))
-        kwargs["epsilons"] = (args.epsilon,)
-    if args.command == "denjoy-circle":
-        kwargs["alpha"] = _parse_alpha(args.alpha)
-        kwargs["orbit_points"] = args.orbit_points
-        kwargs["iterations"] = args.iterations
-        kwargs["audit_steps"] = args.audit_steps
-    if args.command == "measure":
-        kwargs["measure_file"] = args.measure_file
-        kwargs["subsamples"] = args.subsamples
+    kwargs = {}
+    for dest, value in vars(args).items():
+        if value is not None:  # None: an optional flag left to its field
+            parse = _PARSE_FLAG.get(dest, lambda v: v)
+            kwargs[_FIELD_OF_FLAG.get(dest, dest)] = parse(value)
     return ScenarioConfig(**kwargs)
 
 
 def main(argv=None) -> int:
+    args = None
     try:
         args = _build_parser().parse_args(argv)
-    except MalformedInput as exc:
-        print(f"flowbox: error: {exc}", file=sys.stderr)
-        return 3
-
-    if args.command == "generate":
-        params = {"grid": args.grid, "samples": args.samples,
-                  "shear": args.shear, "split": args.split,
-                  "seed": args.seed}
-        try:
-            path = generate_scene(args.template, params,
-                                  Path(args.out) / f"{args.template}.json")
-        except MalformedInput as exc:
-            print(f"flowbox: error: {exc}", file=sys.stderr)
-            return 3
-        print(path)
-        return 0
-
-    try:
+        if args.command == "generate":
+            params = {k: v for k, v in vars(args).items()
+                      if k not in ("command", "template", "out")}
+            print(generate_scene(args.template, params,
+                                 Path(args.out) / f"{args.template}.json"))
+            return 0
         config = _config_from_args(args)
     except MalformedInput as exc:
         print(f"flowbox: error: {exc}", file=sys.stderr)
-        # no ScenarioConfig exists, so the manifest records the flags as
-        # parsed
-        flags = dict(vars(args))
-        flags["kind"] = flags.pop("command")
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_manifest(out_dir, flags, *_malformed(exc), 3)
+        if args is not None and args.command != "generate":
+            # no ScenarioConfig exists, so the manifest records the flags
+            # as parsed
+            flags = dict(vars(args))
+            flags["kind"] = flags.pop("command")
+            out_dir = Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            _write_manifest(out_dir, flags, *_malformed(exc), 3)
         return 3
     code = run(config)
     manifest = Path(config.out) / "manifest.json"

@@ -46,15 +46,9 @@ def _mod1(v: Fraction) -> Fraction:
 # ------------------------------------------------- circular interval algebra
 
 def circ_contains(outer, inner) -> bool:
-    """Closed containment of circular intervals (lo, hi), hi - lo <= 1."""
-    o_lo, o_hi = outer
-    i_lo, i_hi = inner
-    if o_hi - o_lo >= 1:
-        return True
-    if i_hi - i_lo > o_hi - o_lo:
-        return False
-    d = _mod1(i_lo - o_lo)
-    return d + (i_hi - i_lo) <= o_hi - o_lo
+    """Closed containment of circle arcs (lo, hi) with 0 <= lo < hi <= 1.
+    No such arc crosses the seam, so this is plain containment."""
+    return outer[0] <= inner[0] and inner[1] <= outer[1]
 
 
 def circ_components(a, b) -> list:
@@ -323,15 +317,13 @@ def _face_containing(box: FlowBoxSpec, axis: str, pos: Fraction,
 
 
 def _circ_cover_exact(span, pieces) -> bool:
-    """Exact covering of a circular interval by sub-intervals of it."""
-    length = span[1] - span[0]
-    offsets = sorted((_mod1(p[0] - span[0]), p[1] - p[0]) for p in pieces)
-    reach = Fraction(0)
-    for d, ext in offsets:
-        if d > reach:
+    """Exact covering of an arc by sub-arcs of it, all in [0, 1]."""
+    reach = span[0]
+    for lo, hi in sorted(pieces):
+        if lo > reach:
             return False
-        reach = max(reach, d + ext)
-    return reach >= length
+        reach = max(reach, hi)
+    return reach >= span[1]
 
 
 def _vertical_union_of_faces(box: FlowBoxSpec, axis: str, pos: Fraction,

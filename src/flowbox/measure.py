@@ -74,10 +74,6 @@ class TransverseMeasure:
         grid = np.linspace(0.0, 1.0, int(samples))
         return cls(grid, grid.copy())
 
-    def to_json(self) -> dict:
-        return {"heights": self.heights.tolist(),
-                "totals": self.totals.tolist()}
-
     @classmethod
     def from_json(cls, data: dict) -> "TransverseMeasure":
         return cls(np.asarray(data["heights"], dtype=float),

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,23 @@ def test_smooth_on_an_already_smooth_scene_exits_zero(scenes, tmp_path):
     assert row["distances"] == [0.0, 0.0, 0.0]
 
 
+def _ladder_row(distances, retries, tmp_path):
+    """The distances-decrease row of _run_ladder down the ladder 0.3, 0.15,
+    0.075 when rung k reaches distances[k] after retries[k] retries."""
+    ladder = (0.3, 0.15, 0.075)
+
+    def pipeline(value, report):
+        k = ladder.index(value)
+        report.update(achieved_distance=distances[k], retries=retries[k])
+
+    def grade(value, report, result):
+        return {}, {"name": f"rung-{value:g}", "pass": True}, 0.0
+
+    _, checks = cli._run_ladder(ladder, pipeline, "ladder", grade,
+                                tmp_path / "ladder.csv", "epsilon")
+    return checks[-1]
+
+
 @pytest.mark.parametrize("distances, ok", [
     ((0.2, 0.1, 0.1), False),
     ((0.2, 0.2, 0.1), False),
@@ -290,17 +308,21 @@ def test_smooth_on_an_already_smooth_scene_exits_zero(scenes, tmp_path):
 ])
 def test_ladder_distances_fall_strictly_above_solver_tol(distances, ok,
                                                          tmp_path):
-    def pipeline(value, report):
-        report["achieved_distance"] = dict(zip((0.3, 0.15, 0.075),
-                                               distances))[value]
+    # no retries, so every rung accepted a budget of its own
+    assert _ladder_row(distances, (0, 0, 0), tmp_path) == {
+        "name": "distances-decrease", "pass": ok,
+        "distances": list(distances)}
 
-    def grade(value, report, result):
-        return {}, {"name": f"rung-{value:g}", "pass": True}, 0.0
 
-    _, checks = cli._run_ladder((0.3, 0.15, 0.075), pipeline, "ladder",
-                                grade, tmp_path / "ladder.csv", "epsilon")
-    assert checks[-1] == {"name": "distances-decrease", "pass": ok,
-                          "distances": list(distances)}
+@pytest.mark.parametrize("retries, ok", [
+    # budgets 0.075, 0.075, 0.0375: the first two rungs ran one attempt
+    ((2, 1, 1), True),
+    # budgets 0.15, 0.075, 0.0375
+    ((1, 1, 1), False),
+])
+def test_ladder_equal_distances_pass_only_at_one_budget(retries, ok,
+                                                        tmp_path):
+    assert _ladder_row((0.15, 0.15, 0.07), retries, tmp_path)["pass"] is ok
 
 
 def test_tischler_run_writes_certificate(tmp_path):
@@ -675,6 +697,59 @@ def test_tischler_requires_inputs(tmp_path):
 
 # ---------------------------------------------------------------------------
 # argparse front end
+
+
+# the required flags of each scenario subcommand and the fields they give
+REQUIRED_FLAGS = {
+    "validate": (["--scene", "s.json"], {"scene": "s.json"}),
+    "smooth": (["--scene", "s.json"], {"scene": "s.json"}),
+    "blowup": (["--scene", "s.json"], {"scene": "s.json"}),
+    "measure": (["--scene", "s.json"], {"scene": "s.json"}),
+    "tischler": (["--coefficients", "1,17/12", "--epsilon", "0.1"],
+                 {"coefficients": (1, Fraction(17, 12)), "epsilons": (0.1,)}),
+    "denjoy-circle": ([], {}),
+}
+
+
+@pytest.mark.parametrize("command", REQUIRED_FLAGS)
+def test_flag_defaults_are_the_config_defaults(command):
+    flags, fields = REQUIRED_FLAGS[command]
+    args = cli._build_parser().parse_args([command] + flags)
+    assert cli._config_from_args(args) == \
+        ScenarioConfig(kind=command, out=".", **fields)
+
+
+def test_generate_leaves_its_defaults_to_generate_scene():
+    args = cli._build_parser().parse_args(["generate", "--template",
+                                           "annulus-box"])
+    assert vars(args) == {"command": "generate", "template": "annulus-box",
+                          "out": "."}
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("validate", []),
+    ("smooth", [("repeat for a ladder",
+                 " ".join(map(str, cli.SMOOTH_LADDER)))]),
+    ("blowup", [("comma-separated total weights",
+                 ",".join(map(str, cli.BLOWUP_WEIGHTS))),
+                ("C0 budget for each blowup", cli.BLOWUP_EPSILON),
+                ("height of the blown leaf", ScenarioConfig.blowup_level)]),
+    ("tischler", []),
+    ("denjoy-circle", [("rotation-estimate iterates",
+                        ScenarioConfig.iterations),
+                       ("gap-return horizon", ScenarioConfig.audit_steps)]),
+    ("measure", [(f"4 to {MAX_SUBSAMPLES}", ScenarioConfig.subsamples)]),
+    ("generate", []),
+])
+def test_help_names_each_default(command, defaults, capsys):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "output directory (default: current)" in text
+    for phrase, default in defaults:
+        assert f"{phrase} (default {default})" in text
+    assert "%" not in text and "None" not in text
 
 
 def test_main_generate_then_validate(tmp_path, capsys):

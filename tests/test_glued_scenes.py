@@ -11,12 +11,14 @@ Lebesgue measure in s is invariant; on a box its cumulative is
 TransverseMeasure(t, s).
 """
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from flowbox.cli import main
 from flowbox.decomposition import DecompositionComplex, FlowBoxSpec
 from flowbox.foliation import BaseDomain, LeafFamily
 from flowbox.kernel import COMPARISON_TOL, FACE_COMPAT_TOL, SOLVER_TOL
@@ -36,13 +38,10 @@ modes = st.tuples(st.integers(-2, 2), st.integers(-2, 2),
                   st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * math.pi))
 
 
-@st.composite
-def glued_scenes(draw):
-    """(scene, measures): an m x n torus scene cut from h, with the
-    invariant measure on every box."""
-    m, n = draw(st.sampled_from([(2, 2), (1, 1), (3, 2)]))
-    amplitude = draw(st.sampled_from([0.5, 0.9]))
-    waves = draw(st.lists(modes, min_size=1, max_size=3))
+def cut_scene(m, n, amplitude, waves):
+    """(scene, measures): the m x n torus scene cut from h with a the given
+    amplitude times the cosine modes (p, q, c, phase), with the invariant
+    measure on every box."""
 
     def a(x, y):
         # math.cos node by node, so the scene's bits do not depend on
@@ -72,6 +71,16 @@ def glued_scenes(draw):
     return DecompositionComplex(tuple(boxes)), measures
 
 
+@st.composite
+def glued_scenes(draw):
+    """(scene, measures) of cut_scene over a drawn split, amplitude and 1 to
+    3 modes."""
+    m, n = draw(st.sampled_from([(2, 2), (1, 1), (3, 2)]))
+    amplitude = draw(st.sampled_from([0.5, 0.9]))
+    waves = draw(st.lists(modes, min_size=1, max_size=3))
+    return cut_scene(m, n, amplitude, waves)
+
+
 @settings(max_examples=12, deadline=None)
 @given(glued_scenes())
 def test_globally_smooth_holds_its_contract_on_glued_scenes(case):
@@ -91,10 +100,10 @@ def test_globally_smooth_holds_its_contract_on_glued_scenes(case):
         # the attempt a rung accepts is fixed by its budget alone
         rungs.append((report["achieved_distance"],
                       eps * 0.5 ** report["retries"]))
-    # the ladder rule cli._run_ladder grades: a strict fall while above
-    # SOLVER_TOL.  It has one known exception, which this test pins down
-    # exactly: a rung that passes on a retry whose budget equals the next
-    # rung's accepted budget runs that very attempt, so achieved repeats
+    # the ladder rule cli._run_ladder grades, exception included: a strict
+    # fall while above SOLVER_TOL, except that a rung that passes on a
+    # retry whose budget equals the next rung's accepted budget runs that
+    # very attempt, so achieved repeats
     for (a, budget_a), (b, budget_b) in zip(rungs, rungs[1:]):
         assert b < a or a <= SOLVER_TOL or (b == a and budget_a == budget_b)
 
@@ -109,3 +118,23 @@ def test_smooth_measured_scene_holds_its_contract_on_glued_scenes(case):
     smooth_measured_scene(measured, 9, report=report)
     assert report["pre_defect"] <= FACE_COMPAT_TOL
     assert report["post_defect"] < COMPARISON_TOL
+
+
+def test_flowbox_smooth_passes_when_two_rungs_accept_one_budget(tmp_path):
+    # rung 0.3 passes on its second retry and rung 0.15 on its first, both
+    # at budget 0.075, so they return one family: distances
+    # [0.1497, 0.1497, 0.0732], retries [2, 1, 1]
+    scene, _ = cut_scene(1, 1, 0.5, [(-1, -2, 0.375, 0.0),
+                                     (2, 2, 1.0, 0.4375)])
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene.to_json()))
+    out = tmp_path / "run"
+    assert main(["smooth", "--scene", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [run["retries"] for run in manifest["results"]["runs"]] \
+        == [2, 1, 1]
+    row, = (row for row in manifest["checks"]
+            if row["name"] == "distances-decrease")
+    first, second, third = row["distances"]
+    assert first == second > third
+    assert row["pass"]

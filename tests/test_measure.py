@@ -197,7 +197,8 @@ def test_lebesgue_and_sampling():
     mu = from_cumulative(lambda z: 2.0 + z * z + z, 21)
     assert mu(0.0) == 0.0
     assert mu.totals[-1] == pytest.approx(2.0, abs=1e-15)
-    back = TransverseMeasure.from_json(mu.to_json())
+    back = TransverseMeasure.from_json({"heights": mu.heights.tolist(),
+                                        "totals": mu.totals.tolist()})
     assert np.array_equal(back.heights, mu.heights)
     assert np.array_equal(back.totals, mu.totals)
 
