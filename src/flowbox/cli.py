@@ -59,8 +59,6 @@ from .smoothing import globally_smooth, grid_nodes
 SCHEMA_VERSION = 1
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
-SCENARIO_KINDS = ("validate", "smooth", "blowup", "tischler",
-                  "denjoy-circle", "measure")
 SCENE_TEMPLATES = ("horizontal-t3", "sheared-t3", "split-t3", "annulus-box")
 # leaf-grid values a generated scene may hold (boxes x samples x grid^2):
 # 28 times the default 2x2 scene of grid 33 with 17 samples, and 16 MB as
@@ -70,32 +68,37 @@ MAX_SCENE_VALUES = 2 ** 21
 # to measures.csv.  At this cap a grid-9 2x2 scene writes 0.7 MB in about
 # 0.2 s on a 2-vCPU x86 VM; 10^5 nodes wrote 17 MB, 5*10^6 ran for minutes
 MAX_SUBSAMPLES = 2 ** 12
+# orbit points `denjoy-circle` may blow up: the gap audit moves 2n+1 gaps each
+# step, and at this cap its default 2000 steps take about 6 s on a 2-vCPU x86
+# VM; 2^16 points took 13 s
+MAX_ORBIT_POINTS = 2 ** 15
+# rotation iterates: each adds a row to rotation.csv.  At this cap it is
+# 48 MB, written in about 4 s on a 2-vCPU x86 VM
+MAX_ITERATIONS = 2 ** 20
 # the ladders `smooth` and `blowup` run when no flag gives one
 SMOOTH_LADDER = (0.3, 0.15, 0.075)
 BLOWUP_WEIGHTS = (0.2, 0.1, 0.05)
 BLOWUP_EPSILON = 0.5
 
 
-class MalformedInput(ValueError):
-    """Input that fails to parse or lies outside documented ranges."""
+class ScenarioFailure(Exception):
+    """A run that stops early: its exit code and the manifest's results and
+    check rows."""
 
-
-class ValidationFailure(Exception):
-    """Scene rejected by the decomposition validator before any pipeline ran."""
-
-    def __init__(self, message: str, results, checks):
+    def __init__(self, code: int, message: str, results, checks):
         super().__init__(message)
+        self.code = code
         self.results = results
         self.checks = checks
 
 
-class PipelineFailure(Exception):
-    """A module pipeline raised; carries the stage identifier for the manifest."""
+class MalformedInput(ScenarioFailure, ValueError):
+    """Input that fails to parse or lies outside documented ranges."""
 
-    def __init__(self, stage: str, message: str, results=None):
-        super().__init__(message)
-        self.stage = stage
-        self.results = results
+    def __init__(self, message: str):
+        super().__init__(3, message, {"error": message},
+                         [{"name": "input-wellformed", "pass": False,
+                           "detail": message}])
 
 
 @dataclass(frozen=True)
@@ -124,9 +127,9 @@ class ScenarioConfig:
                                tuple(float(v) for v in getattr(self, name)))
         for name in ("alpha", "packet_shear", "blowup_level"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.kind not in SCENARIO_KINDS:
+        if self.kind not in _RUNNERS:
             raise MalformedInput(f"unknown scenario kind {self.kind!r}; "
-                                 f"choose one of {', '.join(SCENARIO_KINDS)}")
+                                 f"choose one of {', '.join(_RUNNERS)}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise MalformedInput("seed must be a nonnegative integer")
         for eps in self.epsilons:
@@ -138,9 +141,14 @@ class ScenarioConfig:
         if self.iterations < 1000:
             # rotation_number's documented Birkhoff minimum
             raise MalformedInput("need at least 1000 iterations")
+        if self.iterations > MAX_ITERATIONS:
+            raise MalformedInput(f"need at most {MAX_ITERATIONS} iterations")
         if self.orbit_points < 100:
             # blowup_circle_map's documented minimum
             raise MalformedInput("need at least 100 orbit points")
+        if self.orbit_points > MAX_ORBIT_POINTS:
+            raise MalformedInput(f"need at most {MAX_ORBIT_POINTS} orbit "
+                                 f"points")
         if self.audit_steps < 1:
             raise MalformedInput("audit steps must be positive")
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
@@ -166,24 +174,19 @@ class ScenarioConfig:
 # serialization helpers
 
 
-def _jsonable(value):
-    """Recursively coerce report payloads into JSON-representable values."""
-    if isinstance(value, Fraction):
-        return str(value)
+def _json_default(value):
+    """What json cannot write itself: numpy numbers and arrays as Python
+    ones, a set as its elements' JSON values sorted by str, and anything
+    else, a Fraction say, as its str.  Dict keys must be str already."""
     if isinstance(value, np.floating):
         return float(value)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return value.tolist()
     if isinstance(value, (frozenset, set)):
-        return sorted((_jsonable(v) for v in value), key=str)
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
+        return sorted(json.loads(json.dumps(list(value),
+                                            default=_json_default)), key=str)
     return str(value)
 
 
@@ -193,25 +196,24 @@ def _write_manifest(out_dir: Path, config: dict, results, checks,
         "schema_version": SCHEMA_VERSION,
         "created": datetime.datetime.now(datetime.timezone.utc)
                    .isoformat(timespec="seconds"),
-        "config": _jsonable(config),
-        "results": _jsonable(results),
-        "checks": _jsonable(checks),
+        "config": config,
+        "results": results,
+        "checks": checks,
         "ok": exit_code == 0,
         "exit_code": exit_code,
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True,
+                               default=_json_default) + "\n")
     return path
 
 
 def _write_csv(path: Path, header, rows) -> Path:
-    # repr-based float formatting keeps '.' decimals at full precision
+    # csv writes a float as its shortest repr, '.' decimals at full precision
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row])
+        writer.writerows(rows)
     return path
 
 
@@ -243,10 +245,9 @@ def _load_scene(path_str: str | None) -> DecompositionComplex:
 def _require_valid(scene: DecompositionComplex) -> None:
     report = scene.validation
     if not report["valid"]:
-        raise ValidationFailure(
-            "scene fails validation",
-            results={"validation": report},
-            checks=_condition_checks(report))
+        raise ScenarioFailure(2, "scene fails validation",
+                              {"validation": report},
+                              _condition_checks(report))
 
 
 def _condition_checks(report: dict) -> list:
@@ -275,14 +276,18 @@ def _run_validate(config: ScenarioConfig, out_dir: Path):
 
 @contextlib.contextmanager
 def _named_failure(pipeline: str, results=None):
-    """Turn a pipeline's RuntimeError or ValueError into a PipelineFailure.
-    The report is only filled once an attempt finishes, so the failed stage
-    travels on the error itself."""
+    """Turn a pipeline's RuntimeError or ValueError into an exit-1 failure
+    that names the failed stage.  The report is only filled once an attempt
+    finishes, so the stage travels on the error itself."""
     try:
         yield
     except (RuntimeError, ValueError) as exc:
         stage = getattr(exc, "stage", None) or pipeline
-        raise PipelineFailure(stage, str(exc), results=results) from exc
+        message = str(exc)
+        raise ScenarioFailure(
+            1, message, dict(results or {}, failed_stage=stage, error=message),
+            [{"name": f"pipeline:{stage}", "pass": False,
+              "detail": message}]) from exc
 
 
 def _run_ladder(values, pipeline, name: str, grade, csv_path: Path,
@@ -349,8 +354,11 @@ def _run_blowup(config: ScenarioConfig, out_dir: Path):
     weights = config.weights or BLOWUP_WEIGHTS
     epsilon = config.epsilons[0] if config.epsilons else BLOWUP_EPSILON
     base = scene.boxes[0].family.base
-    packet = sheared_family(BaseDomain("rectangle", base.nx, base.ny),
-                            config.packet_shear, config.packet_samples)
+    if base.nx * base.ny * config.packet_samples > MAX_SCENE_VALUES:
+        raise MalformedInput(
+            f"{config.packet_samples} packet samples on a {base.nx}x{base.ny} "
+            f"grid exceed {MAX_SCENE_VALUES} leaf-grid values")
+    packet = sheared_family(base, config.packet_shear, config.packet_samples)
 
     def blowup(w, report):
         schedule = InsertionSchedule((config.blowup_level,), (w,))
@@ -436,7 +444,6 @@ def _run_denjoy_circle(config: ScenarioConfig, out_dir: Path):
     # one orbit feeds both the CSV and the Birkhoff estimate: the estimate
     # is the last row's running average, bit for bit
     orbit = circle_orbit(lift, config.iterations)
-    rows = [(k, x - math.floor(x), x / k) for k, x in enumerate(orbit, 1)]
     rotation_report = {}
     final = birkhoff_estimate(orbit, report=rotation_report)
     gaps = [tuple(v) for v in circle_report["gaps"].values()]
@@ -450,7 +457,8 @@ def _run_denjoy_circle(config: ScenarioConfig, out_dir: Path):
          "revisits": audit["revisits"]},
     ]
     _write_csv(out_dir / "rotation.csv",
-               ("iterate", "orbit_value", "rotation_estimate"), rows)
+               ("iterate", "orbit_value", "rotation_estimate"),
+               ((k, x - math.floor(x), x / k) for k, x in enumerate(orbit, 1)))
     results = {"alpha": config.alpha,
                "orbit_points": config.orbit_points,
                "gap_count": len(gaps),
@@ -522,12 +530,6 @@ _RUNNERS = {
 }
 
 
-def _malformed(exc: MalformedInput) -> tuple:
-    """Manifest results and check rows for input rejected as malformed."""
-    return ({"error": str(exc)},
-            [{"name": "input-wellformed", "pass": False, "detail": str(exc)}])
-
-
 def run(config: ScenarioConfig) -> int:
     """Dispatch one scenario and write manifest + CSV artifacts.
 
@@ -539,19 +541,8 @@ def run(config: ScenarioConfig) -> int:
     try:
         results, checks = _RUNNERS[config.kind](config, out_dir)
         code = 0
-    except MalformedInput as exc:
-        results, checks = _malformed(exc)
-        code = 3
-    except ValidationFailure as exc:
-        results, checks = exc.results, exc.checks
-        code = 2
-    except PipelineFailure as exc:
-        results = dict(exc.results or {})
-        results["failed_stage"] = exc.stage
-        results["error"] = str(exc)
-        checks = [{"name": f"pipeline:{exc.stage}", "pass": False,
-                   "detail": str(exc)}]
-        code = 1
+    except ScenarioFailure as exc:
+        results, checks, code = exc.results, exc.checks, exc.code
     if code == 0 and not all(row["pass"] for row in checks):
         code = 2 if config.kind == "validate" else 1
     _write_manifest(out_dir, config.to_json(), results, checks, code)
@@ -701,8 +692,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("blowup",
                                 help="blow up one leaf over a weight ladder")
     sub.add_argument("--scene", required=True)
-    sub.add_argument("--weights", type=_float_list,
-                     default=ScenarioConfig.weights,
+    sub.add_argument("--weights", default=None,
                      help="comma-separated total weights "
                           f"(default {','.join(map(str, BLOWUP_WEIGHTS))})")
     sub.add_argument("--epsilon", type=float, default=None,
@@ -779,6 +769,7 @@ _PARSE_FLAG = {
     "coefficients": lambda v: tuple(_parse_coefficient(tok)
                                     for tok in v.split(",")),
     "alpha": _parse_alpha,
+    "weights": _float_list,
 }
 
 
@@ -811,7 +802,8 @@ def main(argv=None) -> int:
             flags["kind"] = flags.pop("command")
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            _write_manifest(out_dir, flags, *_malformed(exc), 3)
+            _write_manifest(out_dir, flags, exc.results, exc.checks,
+                            exc.code)
         return 3
     code = run(config)
     manifest = Path(config.out) / "manifest.json"

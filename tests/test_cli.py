@@ -16,6 +16,9 @@ import flowbox
 from flowbox import cli, decomposition, denjoy, smoothing
 from flowbox.cli import (
     GOLDEN_MEAN,
+    MAX_ITERATIONS,
+    MAX_ORBIT_POINTS,
+    MAX_SCENE_VALUES,
     MAX_SUBSAMPLES,
     MalformedInput,
     ScenarioConfig,
@@ -179,6 +182,26 @@ def test_validate_split_scene_exit_two(scenes, tmp_path):
     assert not manifest["ok"]
     failed = [row for row in manifest["checks"] if not row["pass"]]
     assert any(row["name"] == "condition-5" for row in failed)
+
+
+@pytest.mark.parametrize("kind", ["smooth", "blowup", "measure"])
+def test_pipelines_refuse_an_invalid_scene_exit_two(kind, scenes, tmp_path):
+    # the scene's validation stops the run before any pipeline stage
+    assert run(ScenarioConfig(kind="validate", out=str(tmp_path / "v"),
+                              scene=str(scenes["split"]))) == 2
+    config = ScenarioConfig(kind=kind, out=str(tmp_path / kind),
+                            scene=str(scenes["split"]))
+    assert run(config) == 2
+    manifest = read_manifest(tmp_path / kind)
+    assert manifest["exit_code"] == 2 and manifest["ok"] is False
+    assert list(manifest["results"]) == ["validation"]
+    assert not manifest["results"]["validation"]["valid"]
+    names = [row["name"] for row in manifest["checks"]]
+    assert names == [f"condition-{k}" for k in range(1, 6)] + ["coverage"]
+    failed = [row["name"] for row in manifest["checks"] if not row["pass"]]
+    assert "condition-5" in failed
+    assert manifest["checks"] == read_manifest(tmp_path / "v")["checks"]
+    assert not list((tmp_path / kind).glob("*.csv"))
 
 
 def test_blowup_weight_ladder_distances_decrease(scenes, tmp_path):
@@ -443,6 +466,75 @@ def test_measure_subsamples_at_the_cap_runs(horizontal9_scene, tmp_path):
     assert len(rows) >= 4 * MAX_SUBSAMPLES
 
 
+# each size flag over its cap, small and huge; the caller never reached
+OVER_CAP = [
+    (["blowup", "--packet-samples", str(MAX_SCENE_VALUES // 81 + 1)],
+     MAX_SCENE_VALUES),
+    (["blowup", "--packet-samples", "1000000000000"], MAX_SCENE_VALUES),
+    (["denjoy-circle", "--orbit-points", str(MAX_ORBIT_POINTS + 1)],
+     MAX_ORBIT_POINTS),
+    (["denjoy-circle", "--orbit-points", "1000000000000"], MAX_ORBIT_POINTS),
+    (["denjoy-circle", "--iterations", str(MAX_ITERATIONS + 1)],
+     MAX_ITERATIONS),
+    (["denjoy-circle", "--iterations", "1000000000000"], MAX_ITERATIONS),
+]
+
+
+@pytest.mark.parametrize("argv, cap", OVER_CAP)
+def test_size_flags_over_their_caps_exit_three(argv, cap, horizontal9_scene,
+                                               tmp_path, monkeypatch):
+    # the caps are checked before the packet, the orbit's gaps or the
+    # orbit itself is allocated
+    for name in ("sheared_family", "blowup_circle_map", "circle_orbit"):
+        def never(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} ran over a size cap")
+
+        monkeypatch.setattr(cli, name, never)
+    if argv[0] == "blowup":
+        argv = argv + ["--scene", str(horizontal9_scene)]
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    manifest = read_manifest(tmp_path)
+    assert manifest["exit_code"] == 3
+    [row] = manifest["checks"]
+    assert row["name"] == "input-wellformed" and not row["pass"]
+    assert str(cap) in row["detail"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
+class _ReachedPacket(Exception):
+    pass
+
+
+def test_packet_samples_at_the_cap_reach_the_packet(tmp_path, monkeypatch):
+    # the bound is nx * ny * samples <= MAX_SCENE_VALUES on the scene's own
+    # base, which the packet is built on; on a grid of 8 the cap is exact
+    scene = generate_scene("horizontal-t3", {"grid": 8, "samples": 5},
+                           tmp_path / "h8.json")
+    seen = []
+
+    def stop(base, shear, samples):
+        seen.append((base, samples))
+        raise _ReachedPacket
+
+    monkeypatch.setattr(cli, "sheared_family", stop)
+    samples = MAX_SCENE_VALUES // 64
+    assert 64 * samples == MAX_SCENE_VALUES
+    with pytest.raises(_ReachedPacket):
+        main(["blowup", "--scene", str(scene), "--packet-samples",
+              str(samples), "--out", str(tmp_path / "run")])
+    [(base, got)] = seen
+    assert got == samples
+    assert base == load_scene(scene).boxes[0].family.base
+
+
+def test_orbit_flags_at_their_caps_are_accepted(tmp_path):
+    config = ScenarioConfig(kind="denjoy-circle", out=str(tmp_path),
+                            orbit_points=MAX_ORBIT_POINTS,
+                            iterations=MAX_ITERATIONS)
+    assert (config.orbit_points, config.iterations) == \
+        (MAX_ORBIT_POINTS, MAX_ITERATIONS)
+
+
 def test_measure_rejects_noninvariant_with_stage(scenes, tmp_path):
     # Lebesgue is not holonomy-invariant on the sheared scene; the
     # pre-check must stop the pipeline and name the stage
@@ -507,6 +599,100 @@ def test_manifest_determinism_excluding_timestamp(kind, scenes, tmp_path):
         json.dumps(second, sort_keys=True)
     assert {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")} == \
         first_csv
+
+
+def jsonable_oracle(value):
+    """The manifest writer's former walk, which coerced every payload to
+    plain JSON values before json.dumps saw it."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        return [jsonable_oracle(v) for v in value.tolist()]
+    if isinstance(value, dict):
+        return {str(k): jsonable_oracle(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable_oracle(v) for v in value]
+    if isinstance(value, (frozenset, set)):
+        return sorted((jsonable_oracle(v) for v in value), key=str)
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    return str(value)
+
+
+def write_csv_oracle(path, header, rows):
+    """The former CSV writer: each float field as its repr, row by row."""
+    with Path(path).open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v
+                             for v in row])
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1 + 0.2,
+                  1e300, 2.0 ** -1074 * 3]
+SERIALIZER_PAYLOAD = {
+    "fraction": Fraction(17, 12),
+    "numpy": [np.float64(0.1), np.float32(0.1), np.int64(-7), np.bool_(True),
+              np.float64(math.nan), np.float32(-0.0)],
+    "arrays": {"float": np.array([[0.5, -0.0], [math.inf, 5e-324]]),
+               "float32": np.array([[[0.1, 0.2]]], dtype=np.float32),
+               "int": np.arange(3, dtype=np.int64),
+               "bool": np.array([True, False]),
+               "object": np.array([Fraction(1, 3), None], dtype=object)},
+    "set": {"b", "a", 3, Fraction(1, 2), np.float32(0.25), np.int64(2),
+            np.bool_(False), None, 1.5},
+    "frozenset": frozenset({("x", Fraction(10, 3)), ("x", Fraction(2, 1)),
+                            ("x", 0.25), ("a", 2), frozenset({1, "1"})}),
+    "tuple": (1, (2.5, "z"), [Fraction(-1, 2)], ()),
+    "floats": SPECIAL_FLOATS,
+    "nested": {"deeper": {"value": np.float64(1e300), "none": None,
+                          "flag": False, "text": "a,\"b\""}},
+}
+
+
+def test_manifest_writer_matches_jsonable_oracle(tmp_path):
+    config = {"kind": "validate", "epsilons": (0.3, np.float64(0.15))}
+    checks = [{"name": "row", "pass": np.bool_(True),
+               "value": np.float32(1e-7)}]
+    path = cli._write_manifest(tmp_path, config, SERIALIZER_PAYLOAD, checks, 2)
+    text = path.read_text()
+    expected = {"schema_version": cli.SCHEMA_VERSION,
+                "created": json.loads(text)["created"],
+                "config": jsonable_oracle(config),
+                "results": jsonable_oracle(SERIALIZER_PAYLOAD),
+                "checks": jsonable_oracle(checks),
+                "ok": False, "exit_code": 2}
+    assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_csv_writer_matches_repr_oracle(tmp_path):
+    header = ("k", "value", "other")
+    rows = [(k, v, -v) for k, v in enumerate(SPECIAL_FLOATS)]
+    rows += [(None, "a,\"b\"", Fraction(1, 3)),
+             (np.int64(4), np.float32(0.1), np.bool_(True)), ("", 0, 1.0)]
+    cli._write_csv(tmp_path / "new.csv", header, iter(rows))
+    write_csv_oracle(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()
+
+
+def test_csv_writer_writes_numpy_doubles_as_floats(tmp_path):
+    # the one place the writers differ: the old one wrote repr of an
+    # np.float64, which numpy 2 spells np.float64(0.5); no pipeline hands
+    # the writer one
+    rows = [(1, np.float64(0.5), np.float64(-0.0)),
+            (2, np.float64(5e-324), np.float64(math.nan))]
+    cli._write_csv(tmp_path / "new.csv", ("k", "a", "b"), rows)
+    write_csv_oracle(tmp_path / "old.csv", ("k", "a", "b"),
+                     [tuple(float(v) if isinstance(v, np.float64) else v
+                            for v in row) for row in rows])
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()
 
 
 def test_malformed_scene_file_exit_three(tmp_path):
@@ -887,3 +1073,23 @@ def test_main_malformed_flags_exit_three(tmp_path, capsys):
         assert check["name"] == "input-wellformed"
         assert "finite" in check["detail"]
     capsys.readouterr()
+
+
+def test_blowup_bad_weights_list_exit_three(horizontal9_scene, tmp_path,
+                                            capsys):
+    assert main(["blowup", "--scene", str(horizontal9_scene),
+                 "--weights", "0.2,x", "--out", str(tmp_path)]) == 3
+    assert "flowbox: error: bad numeric list '0.2,x'" in \
+        capsys.readouterr().err
+    manifest = read_manifest(tmp_path)
+    assert manifest["exit_code"] == 3
+    assert manifest["config"]["weights"] == "0.2,x"
+    assert manifest["checks"] == [{"name": "input-wellformed", "pass": False,
+                                   "detail": "bad numeric list '0.2,x'"}]
+    assert manifest["results"] == {"error": "bad numeric list '0.2,x'"}
+
+
+def test_blowup_weights_flag_gives_the_weights_field():
+    args = cli._build_parser().parse_args(
+        ["blowup", "--scene", "s.json", "--weights", "0.2, 0.1,,0.05"])
+    assert cli._config_from_args(args).weights == (0.2, 0.1, 0.05)

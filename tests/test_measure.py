@@ -402,6 +402,29 @@ def test_scene_rejects_noninvariant_measure():
         smooth_measured_scene(measured)
 
 
+def test_scene_smooths_a_box_no_face_reaches_on_its_own():
+    # one cell split at height 1/2: each box's vertical faces are glued to
+    # itself, so the face transport never reaches the upper box from the
+    # root below it, and the upper box is smoothed from its own measure
+    scene = build_torus_scene(
+        (1, 1), height_splits={(0, 0): [Fraction(1, 2)]},
+        foliation={"kind": "horizontal", "grid": 17, "samples": 9})
+    assert scene.validation["valid"]
+    lower, upper = sorted(b.identifier for b in scene.boxes)
+    staircase, _ = staircase_measure()
+    measured = MeasuredScene(scene, {lower: kinked_measure(),
+                                     upper: staircase})
+    report = {}
+    out = smooth_measured_scene(measured, 9, report=report)
+    [row] = [s for s in report["stages"]
+             if s["stage"] == "maximal-face transport"]
+    assert row["tree_edges"] == []
+    assert row["loop_defect"] <= 1e-9
+    _, expected = smooth_measure_on_transversal(staircase, 9)
+    assert np.array_equal(out.measure(upper).heights, expected.heights)
+    assert np.array_equal(out.measure(upper).totals, expected.totals)
+
+
 def _assert_matches_invariance_oracle(measured):
     report, ref_report = {}, {}
     value = scene_invariance_defect(measured, report)
