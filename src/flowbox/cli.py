@@ -72,6 +72,11 @@ MAX_SUBSAMPLES = 2 ** 12
 # step, and at this cap its default 2000 steps take about 6 s on a 2-vCPU x86
 # VM; 2^16 points took 13 s
 MAX_ORBIT_POINTS = 2 ** 15
+# gap-audit work, orbit points times audit steps: the audit moves every gap
+# once per step, so its time is linear in this product.  The cap sits just
+# above MAX_ORBIT_POINTS at the default 2000 steps, about 6 s on a 2-vCPU x86
+# VM, so every run accepted at the default steps stays accepted
+MAX_GAP_STEPS = 2 ** 26
 # rotation iterates: each adds a row to rotation.csv.  At this cap it is
 # 48 MB, written in about 4 s on a 2-vCPU x86 VM
 MAX_ITERATIONS = 2 ** 20
@@ -151,6 +156,9 @@ class ScenarioConfig:
                                  f"points")
         if self.audit_steps < 1:
             raise MalformedInput("audit steps must be positive")
+        if self.orbit_points * self.audit_steps > MAX_GAP_STEPS:
+            raise MalformedInput(f"need at most {MAX_GAP_STEPS} orbit points "
+                                 f"times audit steps")
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
             raise MalformedInput("alpha must lie in (0, 1)")
         if not 4 <= self.subsamples <= MAX_SUBSAMPLES:

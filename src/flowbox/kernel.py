@@ -272,9 +272,37 @@ def choose_partition(t_samples, normals, epsilon: float) -> Partition:
     Each cell is the longest run of sampled leaves whose unit normals stay
     pairwise within epsilon in angle at every base sample; cut points are
     taken from t_samples.  Greedy left-to-right maximal steps, so ties go to
-    larger cells.  Candidates are scored in blocks that start at 4 per cell
-    and double after every block that passes whole, up to 64, so a short
-    cell does not pay for a wide rectangle of dot products.
+    larger cells.  A pair passes when its dot, as _min_dots computes it, is
+    at least c = cos(epsilon); most pairs are certified without a dot.
+
+    At base sample p let C[k, p] be the running sum of the chords
+    |n[l+1, p] - n[l, p]| over l < k, and T = max_p C[m-1, p].  The chord
+    is a metric, so |n[q] - n[r]| <= C[q] - C[r] at every p, and unit
+    normals have n[q].n[r] = 1 - |n[q] - n[r]|^2 / 2.  A pair r < q is
+    certified when
+
+        max_p (C[q] - C[r]) < sqrt(2 - 2c - 1e-12) - 1e-15 m T.
+
+    The two margins cover four sources of rounding, with u = 2^-53:
+    - each chord is a difference, three squares, a sum and a root, so it
+      is at least (1 - 4u) times the exact chord;
+    - the cumulative sum adds the chords one after another, so each C[k]
+      lies within 1.01 m u T of the exact sum of the rounded chords, and
+      1e-15 m T > 9 m u T covers the two ends of a pair.  With the
+      subtraction, the max and the bound's own rounding, a certified pair
+      has |n[q] - n[r]|^2 <= 2 - 2c - 1e-12 + 67u at every p;
+    - normals with |n|^2 = 1 + eta have n[q].n[r] >= 1 - |n[q] - n[r]|^2 / 2
+      - |eta|;
+    - the matmul's 3-term dot lies within 3.1u of the exact one.
+    So a certified pair's computed dot is at least c + 5e-13 - 37u - |eta|,
+    which is at least c for normals unit to |eta| <= 4.9e-13, thousands of
+    ulp.
+
+    C is nondecreasing in k, so the rows certified against a candidate q
+    are a suffix r >= r*(q), and r*(q) is nondecreasing in q.  A cell from
+    i first takes the longest run certified from i, found by bisection;
+    each further candidate q then needs _min_dots on rows i .. r*(q) - 1
+    only, and the first q that fails ends the cell.
 
     t_samples: (m,) increasing with t[0] = 0, t[-1] = 1.
     normals:   (m, P, 3) unit leaf normals at P base samples.
@@ -288,28 +316,37 @@ def choose_partition(t_samples, normals, epsilon: float) -> Partition:
     # pairwise angle <= eps  <=>  dot >= cos(eps) for unit vectors
     cos_floor = math.cos(min(epsilon, math.pi))
     m = t.size
+    sq = nrm[1:] - nrm[:-1]
+    sq *= sq
+    chords = sq[..., 0] + sq[..., 1]
+    chords += sq[..., 2]
+    chord_sums = np.zeros(nrm.shape[:2])
+    np.cumsum(np.sqrt(chords, out=chords), axis=0, out=chord_sums[1:])
+    reach = (math.sqrt(max(0.0, 2.0 - 2.0 * cos_floor - 1e-12))
+             - 1e-15 * m * float(chord_sums[-1].max()))
+
+    def certified(r, q):
+        # a NaN normal is never certified
+        return (chord_sums[q] - chord_sums[r]).max() < reach
+
     cuts = [0]
     i = 0
     while i < m - 1:
-        j = i
-        block = 4
+        lo, hi = i, m - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if certified(i, mid):
+                lo = mid
+            else:
+                hi = mid - 1
+        j, r = lo, i
         while j < m - 1:
-            # candidates j+1 .. j+span checked in one batch; candidate q is
-            # admissible iff every leaf from i up to it stays within eps of it,
-            # so the first failure ends the greedy run exactly as a
-            # one-at-a-time scan would
-            span = min(m - 1 - j, block)
-            rows = nrm[i:j + span]
-            cands = nrm[j + 1:j + 1 + span]
-            mins = _min_dots(rows, cands)
-            pref = np.minimum.accumulate(mins, axis=0)
-            qs = np.arange(span)
-            ok = pref[j - i + qs, qs] >= cos_floor
-            good = int(np.argmin(ok)) if not ok.all() else span
-            j += good
-            if good < span:
+            q = j + 1
+            while r < q and not certified(r, q):
+                r += 1
+            if not _min_dots(nrm[i:r], nrm[q:q + 1]).min() >= cos_floor:
                 break
-            block = min(2 * block, 64)
+            j = q
         if j == i:
             raise ValueError(
                 f"adjacent sampled leaves exceed epsilon={epsilon} near "

@@ -16,6 +16,7 @@ import flowbox
 from flowbox import cli, decomposition, denjoy, smoothing
 from flowbox.cli import (
     GOLDEN_MEAN,
+    MAX_GAP_STEPS,
     MAX_ITERATIONS,
     MAX_ORBIT_POINTS,
     MAX_SCENE_VALUES,
@@ -477,6 +478,9 @@ OVER_CAP = [
     (["denjoy-circle", "--iterations", str(MAX_ITERATIONS + 1)],
      MAX_ITERATIONS),
     (["denjoy-circle", "--iterations", "1000000000000"], MAX_ITERATIONS),
+    (["denjoy-circle", "--audit-steps",
+      str(MAX_GAP_STEPS // ScenarioConfig.orbit_points + 1)], MAX_GAP_STEPS),
+    (["denjoy-circle", "--audit-steps", "1000000000"], MAX_GAP_STEPS),
 ]
 
 
@@ -484,8 +488,9 @@ OVER_CAP = [
 def test_size_flags_over_their_caps_exit_three(argv, cap, horizontal9_scene,
                                                tmp_path, monkeypatch):
     # the caps are checked before the packet, the orbit's gaps or the
-    # orbit itself is allocated
-    for name in ("sheared_family", "blowup_circle_map", "circle_orbit"):
+    # orbit itself is allocated, and before the gap audit runs
+    for name in ("sheared_family", "blowup_circle_map", "circle_orbit",
+                 "wandering_audit"):
         def never(*args, name=name, **kwargs):
             raise AssertionError(f"{name} ran over a size cap")
 
@@ -533,6 +538,11 @@ def test_orbit_flags_at_their_caps_are_accepted(tmp_path):
                             iterations=MAX_ITERATIONS)
     assert (config.orbit_points, config.iterations) == \
         (MAX_ORBIT_POINTS, MAX_ITERATIONS)
+    steps = MAX_GAP_STEPS // MAX_ORBIT_POINTS
+    assert MAX_ORBIT_POINTS * steps == MAX_GAP_STEPS
+    config = ScenarioConfig(kind="denjoy-circle", out=str(tmp_path),
+                            orbit_points=MAX_ORBIT_POINTS, audit_steps=steps)
+    assert config.orbit_points * config.audit_steps == MAX_GAP_STEPS
 
 
 def test_measure_rejects_noninvariant_with_stage(scenes, tmp_path):

@@ -333,7 +333,12 @@ def test_partition_too_coarse_raises():
     normals[..., 2] = 1.0
     tilt = np.array([-math.sin(0.5), 0.0, math.cos(0.5)])
     normals[1] = tilt
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"near t=0; grid too coarse"):
+        choose_partition(t, normals, 0.01)
+    # a later cell names its own start
+    normals[1] = normals[0]
+    normals[2] = tilt
+    with pytest.raises(ValueError, match=r"near t=0\.5; grid too coarse"):
         choose_partition(t, normals, 0.01)
 
 
@@ -363,16 +368,46 @@ def wandering_normals(draw):
                                                         keepdims=True)
 
 
+def great_circle_case(seed, m, samples, a, b, side):
+    """Normals (sin θ, 0, cos θ) at `samples` base samples, θ a cumulative
+    sum of uniform(0, 0.05) steps along the leaf index, so every chord sum
+    is nearly tight.  epsilon is the angle of the pair (a, b): arccos of its
+    min dot as _min_dots computes it, or of the float next to that dot on
+    `side`, since one ulp of an angle below 1 rarely moves its cosine."""
+    rng = np.random.default_rng(seed)
+    theta = np.cumsum(rng.uniform(0.0, 0.05, (m, samples)), axis=0)
+    n = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], -1)
+    dot = float(_min_dots(n[a:a + 1], n[b:b + 1])[0, 0])
+    epsilon = math.acos(min(1.0, math.nextafter(dot, dot + side)))
+    return (np.linspace(0.0, 1.0, m), n), epsilon
+
+
+@st.composite
+def great_circle_cases(draw):
+    m = draw(st.integers(3, 40))
+    a = draw(st.integers(0, m - 2))
+    return great_circle_case(draw(st.integers(0, 2**32 - 1)), m,
+                             draw(st.integers(1, 4)), a,
+                             draw(st.integers(a + 1, m - 1)),
+                             draw(st.sampled_from([-1, 0, 1])))
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.one_of(long_leaf_families().map(_family_normals),
-                 wandering_normals()),
-       st.floats(0.002, 0.5))
-@example(_family_normals(horizontal_family(BaseDomain("rectangle", 9, 8),
-                                           260)), 0.002)
-@example(_family_normals(sheared_family(BaseDomain("rectangle", 9, 9), 0.3,
-                                        260)), 0.5)
-def test_choose_partition_matches_fixed_block_oracle(samples, epsilon):
-    t, normals = samples
+@given(st.one_of(st.tuples(st.one_of(long_leaf_families().map(_family_normals),
+                                     wandering_normals()),
+                           st.floats(0.002, 0.5)),
+                 great_circle_cases()))
+@example((_family_normals(horizontal_family(BaseDomain("rectangle", 9, 8),
+                                            260)), 0.002))
+@example((_family_normals(sheared_family(BaseDomain("rectangle", 9, 9), 0.3,
+                                         260)), 0.5))
+# adjacent pairs whose chord certifies them without the margin although
+# their dot falls one ulp short of the cosine
+@example(great_circle_case(660855429, 3, 2, 1, 2, 1))
+@example(great_circle_case(1967384845, 3, 2, 0, 1, 1))
+@example(great_circle_case(3734572741, 4, 1, 0, 1, 1))
+def test_choose_partition_matches_fixed_block_oracle(case):
+    (t, normals), epsilon = case
     assert (_partition_or_error(choose_partition, t, normals, epsilon)
             == _partition_or_error(choose_partition_fixed_blocks, t, normals,
                                    epsilon))
