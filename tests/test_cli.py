@@ -32,6 +32,8 @@ from flowbox.denjoy import blowup_circle_map
 from flowbox.foliation import c0_distance, horizontal_family
 from flowbox.kernel import LadderError
 
+from test_denjoy import mixed_horizontal_scene
+
 
 def read_csv(path):
     with Path(path).open(newline="") as handle:
@@ -222,6 +224,33 @@ def test_blowup_weight_ladder_distances_decrease(scenes, tmp_path):
                for row in manifest["checks"])
     for run_entry in manifest["results"]["runs"]:
         assert run_entry["verification"]["all_pass"]
+
+
+def test_blowup_manifest_on_a_mixed_scene(tmp_path):
+    # b00 and b01 byte-equal, b10 with other leaves, b11 one ulp off b00
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"scene": mixed_horizontal_scene().to_json()}))
+    config = ScenarioConfig(kind="blowup", out=str(tmp_path / "out"),
+                            scene=str(path), weights=(0.2, 0.1),
+                            packet_samples=9)
+    assert run(config) == 0
+    first = read_manifest(tmp_path / "out")
+    first_csv = (tmp_path / "out" / "blowup.csv").read_bytes()
+    assert all(row["pass"] for row in first["checks"])
+    for entry in first["results"]["runs"]:
+        distances = entry["pipeline"]["box_distances"]
+        assert list(distances) == ["b00", "b01", "b10", "b11"]
+        assert distances["b00"] == distances["b01"]
+        assert entry["pipeline"]["achieved_distance"] == max(
+            distances.values())
+        assert entry["verification"]["all_pass"]
+    assert run(config) == 0
+    second = read_manifest(tmp_path / "out")
+    first.pop("created")
+    second.pop("created")
+    assert json.dumps(first, sort_keys=True) == \
+        json.dumps(second, sort_keys=True)
+    assert (tmp_path / "out" / "blowup.csv").read_bytes() == first_csv
 
 
 @pytest.mark.parametrize("argv", [

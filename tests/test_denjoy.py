@@ -6,11 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flowbox.decomposition import build_torus_scene
+from flowbox.decomposition import build_torus_scene, with_families
 from flowbox.denjoy import (
     CircleMapLift,
     CollapseData,
     _leaf_membership_spread,
+    _verify_pairs,
     birkhoff_estimate,
     blowup_box,
     blowup_circle_map,
@@ -28,6 +29,8 @@ from flowbox.foliation import (
     sheared_family,
 )
 from flowbox.kernel import (
+    COMPARISON_TOL,
+    SOLVER_TOL,
     CollapseMap,
     InsertionSchedule,
     LadderError,
@@ -132,6 +135,121 @@ def leaf_membership_spread_oracle(orig: LeafFamily,
     gaps = hi - lo
     k = int(np.argmax(gaps))
     return float(gaps[k]), {"leaf_row": k, "spread": float(gaps[k])}
+
+
+def verify_blowup_oracle(original, blown, data: CollapseData) -> dict:
+    """verify_blowup as it was before it grouped byte-equal box pairs: every
+    per-box property loops over every box, and properties 6 and 7 each
+    collapse every blown family."""
+    if isinstance(original, LeafFamily):
+        pairs = {None: (original, blown)}
+    else:
+        pairs = {b.identifier: (b.family, blown.box(b.identifier).family)
+                 for b in original.boxes}
+    rows = []
+
+    def add(num, label, defect, witness=None):
+        row = {"property": num, "label": label, "defect": float(defect),
+               "pass": bool(defect <= COMPARISON_TOL)}
+        if witness is not None and not row["pass"]:
+            row["witness"] = witness
+        rows.append(row)
+
+    defect, wit = 0.0, None
+    for key, (_orig, fam) in pairs.items():
+        slack = float(np.min(np.diff(fam.values, axis=0)))
+        bad = 0.0 if slack > 0.0 else max(-slack, 10.0 * SOLVER_TOL)
+        if bad > defect:
+            defect, wit = bad, {"box": key, "min_step": slack}
+    add(1, "blown leaves transverse to the flow (strictly monotone)",
+        defect, wit)
+
+    gaps = data.gaps()
+    defect, wit = 0.0, None
+    for i, (lo, hi) in enumerate(gaps):
+        bad = max(0.0 - lo, hi - 1.0, lo - hi)
+        if bad > defect:
+            defect, wit = bad, {"gap": i}
+    for i, ((_l1, h1), (l2, _h2)) in enumerate(zip(gaps, gaps[1:])):
+        if h1 > l2 and h1 - l2 > defect:
+            defect, wit = h1 - l2, {"gap": i + 1}
+    add(2, "packet injection lands in disjoint gaps inside (0, 1)",
+        defect, wit)
+
+    defect, wit = 0.0, None
+    us = np.linspace(0.0, 1.0, 9)
+    for i, (lo, hi) in enumerate(gaps):
+        img = data.inject(i, us)
+        bad = max(float(lo - img.min()), float(img.max() - hi),
+                  float(np.max(-np.diff(img))) if img.size > 1 else 0.0)
+        if bad > defect:
+            defect, wit = bad, {"gap": i}
+    add(3, "injection is fiberwise monotone into its own gap", defect, wit)
+
+    defect, wit = 0.0, None
+    for key, (_orig, fam) in pairs.items():
+        for i, (lo, hi) in enumerate(gaps):
+            walls = fam.leaves_at(np.array([lo, hi]))
+            bad = max(float(np.max(np.abs(walls[0] - lo))),
+                      float(np.max(np.abs(walls[1] - hi))))
+            if bad > defect:
+                defect, wit = bad, {"box": key, "gap": i}
+    add(4, "gap boundary graphs are leaves of the blown family", defect, wit)
+
+    defect, wit = 0.0, None
+    collapse, points = data.collapse, data.schedule.points
+    for z, (lo, hi) in zip(points, gaps):
+        pre = collapse.preimage(z)
+        bad = max(abs(pre[0] - lo), abs(pre[1] - hi))
+        if bad > defect:
+            defect, wit = bad, {"point": z}
+    pts = np.array(points) if points else np.empty(0)
+    for key, (orig, _fam) in pairs.items():
+        off = orig.t[(np.min(np.abs(orig.t[:, None] - pts[None, :]), axis=1)
+                      > 1e-6)] if pts.size else orig.t
+        for z in off:
+            bad = abs(float(collapse(collapse.preimage(float(z)))) - float(z))
+            if bad > defect:
+                defect, wit = bad, {"box": key, "point": float(z)}
+    add(5, "preimage is a point off the locus and the whole gap on it",
+        defect, wit)
+
+    defect, wit = 0.0, None
+    for key, (orig, fam) in pairs.items():
+        collapsed = data.pi(fam.values)
+        spread, local = _leaf_membership_spread(orig, collapsed)
+        if spread > defect:
+            defect, wit = spread, {"box": key, **local}
+    add(6, "collapse sends each blown leaf onto one original leaf",
+        defect, wit)
+
+    defect, wit = 0.0, None
+    for key, (_orig, fam) in pairs.items():
+        if fam.base.nx < 5 or fam.base.nx % 2 == 0 or fam.base.ny % 2 == 0:
+            continue
+        collapsed = data.pi(fam.values)
+        dx = 1.0 / (fam.base.nx - 1)
+        g_full = np.gradient(collapsed, dx, axis=1)[:, ::2, ::2]
+        g_half = np.gradient(collapsed[:, ::2, ::2], 2.0 * dx, axis=1)
+        bad = float(np.max(np.abs(g_full - g_half)))
+        if bad > defect:
+            defect, wit = bad, {"box": key}
+    add(7, "leafwise derivative stable under grid coarsening (diagnostic)",
+        defect, wit)
+
+    zs = np.linspace(0.0, 1.0, 257)
+    id_defect = float(np.max(np.abs(data.pi_t(0.0, zs) - zs)))
+    end_defect = float(np.max(np.abs(data.pi_t(1.0, zs) - collapse(zs))))
+    mono = 0.0
+    for s in (0.25, 0.5, 0.75, 1.0):
+        mono = max(mono, -float(np.min(np.diff(data.pi_t(s, zs)))))
+    add(8, "collapse is the time-one map of a monotone straight-line isotopy",
+        max(id_defect, end_defect, mono))
+
+    worst = max(r["defect"] for r in rows)
+    return {"operation": "verify_blowup", "tolerance": COMPARISON_TOL,
+            "properties": rows, "max_defect": worst,
+            "all_pass": all(r["pass"] for r in rows)}
 
 
 def rotation_number_oracle(lift, iterations: int,
@@ -302,6 +420,25 @@ def _torus(samples=9, grid=17):
     return build_torus_scene((2, 2), foliation={"kind": "horizontal",
                                                 "samples": samples,
                                                 "grid": grid})
+
+
+def mixed_horizontal_scene():
+    """The grid-17 horizontal 2x2 torus with boxes that are not all
+    byte-equal: b00 keeps the template family and b01 a byte-equal copy of
+    it, b10 carries 13 leaves instead of 9, and b11 the template family with
+    its middle leaf lowered by one ulp at node (16, 5), off the anchor.
+    That ulp tilts b11's leaves on the x = 1 side, so an x-sheared blowup
+    lies a few ulp further from b11 than from b00."""
+    scene = _torus()
+    fam = scene.box("b00").family
+    copy = LeafFamily(fam.base, fam.t.copy(), fam.values.copy(), fam.anchor)
+    values = fam.values.copy()
+    values[4, 16, 5] = np.nextafter(values[4, 16, 5], 0.0)
+    bumped = LeafFamily(fam.base, fam.t, values, fam.anchor)
+    assert np.max(np.abs(values - fam.t[:, None, None])) <= SOLVER_TOL
+    return with_families(scene, {"b00": fam, "b01": copy,
+                                 "b10": horizontal_family(fam.base, 13),
+                                 "b11": bumped})
 
 
 @pytest.fixture(scope="module")
@@ -508,6 +645,75 @@ def test_verify_blowup_flags_corrupted_collapse(blown_sheared):
     assert not row["pass"]
     assert row["witness"]["box"] == "b00"
     assert row["defect"] > 1e-6
+
+
+def test_blowup_scene_blows_up_each_distinct_family_once(monkeypatch):
+    scene = mixed_horizontal_scene()
+    assert scene.validation["valid"]
+    base = BaseDomain("rectangle", 17, 17)
+    packets = (sheared_family(base, 0.3, 9),)
+    seen = []
+
+    def counting_blowup_box(family, schedule, packets):
+        seen.append(family)
+        return blowup_box(family, schedule, packets)
+
+    monkeypatch.setattr("flowbox.denjoy.blowup_box", counting_blowup_box)
+    report = {}
+    out, data = blowup_scene(scene, InsertionSchedule((0.5,), (0.1,)),
+                             packets, epsilon=0.5, report=report)
+    assert report["retries"] == 0
+    # b01 shares b00's blowup; the ulp-raised b11 is blown up on its own
+    assert [f is scene.box(i).family for f, i in
+            zip(seen, ("b00", "b10", "b11"))] == [True] * 3
+    assert out.box("b00").family is out.box("b01").family
+    assert list(report["box_distances"]) == ["b00", "b01", "b10", "b11"]
+    assert report["box_distances"]["b11"] != report["box_distances"]["b00"]
+    for box in scene.boxes:
+        solo, solo_data = blowup_box(box.family, data.schedule, packets)
+        got = out.box(box.identifier).family
+        assert (got.base, got.anchor) == (solo.base, solo.anchor)
+        assert np.array_equal(got.t, solo.t)
+        assert np.array_equal(got.values, solo.values)
+        assert solo_data.gaps() == data.gaps()
+        assert report["box_distances"][box.identifier] == \
+            c0_distance(box.family, solo)
+    assert report["achieved_distance"] == max(
+        report["box_distances"].values())
+
+
+def test_verify_blowup_matches_per_box_oracle_on_mixed_scene():
+    scene = mixed_horizontal_scene()
+    packets = (sheared_family(BaseDomain("rectangle", 17, 17), 0.3, 9),)
+    out, data = blowup_scene(scene, InsertionSchedule((0.5,), (0.1,)),
+                             packets, epsilon=0.5)
+    # the first box of each byte-equal (original, blown) pair stands for it
+    assert list(_verify_pairs(scene, out)) == ["b00", "b10", "b11"]
+    rep = verify_blowup(scene, out, data)
+    assert rep["all_pass"], rep
+    assert rep == verify_blowup_oracle(scene, out, data)
+    # off the gap the collapse fails properties 4, 6 and 7; each witness
+    # names the box the per-box loop names: b00 rather than its twin b01
+    # where every box ties, b11 where its lowered node spreads more
+    (lo, hi), = data.gaps()
+    shifted = CollapseMap(
+        plateaus=((lo + 0.05, hi + 0.05, 0.5),),
+        pieces=((0.0, lo + 0.05, 0.0, 0.5), (hi + 0.05, 1.0, 0.5, 1.0)))
+    corrupted = CollapseData(data.schedule, shifted)
+    rep = verify_blowup(scene, out, corrupted)
+    assert rep == verify_blowup_oracle(scene, out, corrupted)
+    failed = {r["property"]: r["witness"]["box"] for r in rep["properties"]
+              if not r["pass"]}
+    assert failed == {4: "b00", 6: "b11", 7: "b00"}
+
+
+def test_verify_blowup_matches_per_box_oracle_on_one_family(blown_sheared):
+    scene, _schedule, _packets, out, data, _report = blown_sheared
+    fam, blown = scene.box("b10").family, out.box("b10").family
+    assert verify_blowup(fam, blown, data) == \
+        verify_blowup_oracle(fam, blown, data)
+    assert verify_blowup(scene, out, data) == \
+        verify_blowup_oracle(scene, out, data)
 
 
 def _assert_membership_matches_oracle(orig, heights):
