@@ -231,7 +231,9 @@ def _read_json(path: Path, what: str):
         return json.loads(path.read_text())
     except OSError as exc:
         raise MalformedInput(f"cannot read {what} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an int past Python's digit limit, or nesting
+        # deeper than the recursion limit
         raise MalformedInput(f"{what} file {path} is not valid JSON: "
                              f"{exc}") from exc
 
@@ -245,7 +247,7 @@ def _load_scene(path_str: str | None) -> DecompositionComplex:
         data = data["scene"]  # generated files wrap the scene with metadata
     try:
         return DecompositionComplex.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"scene file {path} does not describe a "
                              f"decomposition: {exc}") from exc
 
@@ -487,11 +489,14 @@ def _load_measures(config: ScenarioConfig,
     data = _read_json(path, "measure")
     try:
         if isinstance(data, dict) and "measures" in data:
+            if not isinstance(data["measures"], dict):
+                raise TypeError("measures must map box identifiers to "
+                                "cumulatives")
             return {name: TransverseMeasure.from_json(entry)
                     for name, entry in data["measures"].items()}
         # a single cumulative is broadcast to every box
         mu = TransverseMeasure.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"measure file {path} does not describe a "
                              f"cumulative function: {exc}") from exc
     return {name: mu for name in identifiers}
@@ -744,8 +749,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="smooth an invariant transverse measure")
     sub.add_argument("--scene", required=True)
     sub.add_argument("--measure-file", default=ScenarioConfig.measure_file,
-                     help="JSON cumulative(s); default is Lebesgue on "
-                          "every box")
+                     help='JSON cumulative {"heights": [...], "totals": '
+                          '[...]} for every box, or {"measures": {box: '
+                          'cumulative}} with one per box; default is '
+                          'Lebesgue on every box')
     sub.add_argument("--subsamples", type=int,
                      default=ScenarioConfig.subsamples,
                      help=f"spline nodes per fiber, 4 to {MAX_SUBSAMPLES} "

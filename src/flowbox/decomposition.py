@@ -9,6 +9,8 @@ coordinates.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -24,14 +26,30 @@ from .foliation import (
 )
 
 SIDES = ("W", "E", "S", "N")
+# a rational as a scene file writes it: a sign, digits, and a decimal part or
+# a denominator.  No exponent, which Fraction would expand digit by digit
+# ("1e1000000000" runs for hours), and at most 64 digits a part, where
+# generate writes at most ten
+_RATIONAL = re.compile(r"[+-]?[0-9]{1,64}(?:\.[0-9]{1,64}|/[0-9]{1,64})?")
 
 
 def frac(v) -> Fraction:
+    if isinstance(v, str):
+        if not _RATIONAL.fullmatch(v):
+            raise ValueError(f"{v[:80]!r} is not a rational such as 1/3, "
+                             f"-2 or 0.25 with at most 64 digits a part")
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"{v!r} has a zero denominator") from None
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, (int, str)):
+    if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, float):
+        # Fraction refuses NaN with a ValueError but inf with an OverflowError
+        if math.isinf(v):
+            raise ValueError(f"{v!r} is not a finite rational")
         f = Fraction(v).limit_denominator(10 ** 9)
         if float(f) != v:
             raise ValueError(f"{v!r} is not exactly rational at scene scale")
@@ -72,7 +90,8 @@ def _interval_str(iv) -> list:
 
 
 def _interval_parse(data) -> tuple:
-    return (Fraction(data[0]), Fraction(data[1]))
+    lo, hi = data
+    return (frac(lo), frac(hi))
 
 
 # ------------------------------------------------------------------- types

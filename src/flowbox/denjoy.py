@@ -2,7 +2,7 @@
 
 Fiberwise insertion of foliated packets into the gaps of a collapse map, the
 scene-level construction glued across shared faces, a verifier for the eight
-defining properties of the collapse data, and the circle-dynamics shadow of
+defining properties of the collapse map, and the circle-dynamics shadow of
 the same construction (blown-up rotations, rotation numbers, wandering gaps).
 """
 
@@ -39,43 +39,6 @@ from .kernel import (
 from .smoothing import face_transport_defect
 
 
-# ------------------------------------------------------------ collapse data
-
-
-@dataclass(frozen=True)
-class CollapseData:
-    """One collapse map with the packet injection and isotopy trace.
-
-    Every fiber of every box carries the same collapse map, so pi acts as
-    identity x p on each box.  The injection j sends packet coordinate u of
-    gap i affinely onto that gap, and pi_t is the straight-line trace in the
-    fiber coordinate from the identity to pi.
-    """
-
-    schedule: InsertionSchedule
-    collapse: CollapseMap
-
-    def gaps(self) -> tuple:
-        """Blown-coordinate gap intervals, ordered like the schedule points."""
-        plats = sorted(self.collapse.plateaus)
-        if tuple(p[2] for p in plats) != tuple(self.schedule.points):
-            raise ValueError("collapse plateaus do not match the schedule")
-        return tuple((p[0], p[1]) for p in plats)
-
-    def pi(self, z):
-        return self.collapse(z)
-
-    def inject(self, index: int, u):
-        lo, hi = self.gaps()[index]
-        return lo + np.asarray(u, dtype=float) * (hi - lo)
-
-    def pi_t(self, s: float, z):
-        z = np.asarray(z, dtype=float)
-        if not 0.0 <= s <= 1.0:
-            raise ValueError("isotopy time must lie in [0, 1]")
-        return (1.0 - s) * z + s * self.collapse(z)
-
-
 # ------------------------------------------------------------ one flow box
 
 
@@ -101,10 +64,10 @@ def blowup_box(family: LeafFamily, schedule: InsertionSchedule, packets):
     Cuts the fiber at each scheduled height, opens a gap of the scheduled
     weight (rescaled so the fiber keeps length one), fills the gap with the
     packet family mapped in affinely, and keeps the complement leaves flat at
-    their re-embedded heights.  The collapse map, built fiberwise by the
-    kernel, undoes the insertion.
+    their re-embedded heights.  The kernel's collapse map, carried by every
+    fiber, undoes the insertion.
 
-    Returns the blown family and its CollapseData.
+    Returns the blown family and its collapse map.
     """
     _require_horizontal(family, "blowup_box input")
     packets = tuple(packets)
@@ -115,20 +78,20 @@ def blowup_box(family: LeafFamily, schedule: InsertionSchedule, packets):
             raise ValueError("packet base must match the box chart")
         if tuple(pkt.anchor) != tuple(family.anchor):
             raise ValueError("packet must share the box anchor node")
-    data = CollapseData(schedule, build_collapse(schedule))
+    collapse = build_collapse(schedule)
     if not schedule.points:
-        return family, data
+        return family, collapse
 
     pts = np.array(schedule.points)
     on_point = np.min(np.abs(family.t[:, None] - pts[None, :]), axis=1) == 0.0
-    t_comp = data.collapse.complement_embedding(family.t[~on_point])
+    t_comp = collapse.complement_embedding(family.t[~on_point])
     parts_t = [t_comp]
     nx, ny = family.base.nx, family.base.ny
     parts_v = [np.broadcast_to(t_comp[:, None, None],
                                (t_comp.size, nx, ny))]
-    for (lo, hi), pkt in zip(data.gaps(), packets):
-        hts = lo + (hi - lo) * pkt.t
-        vals_p = lo + (hi - lo) * pkt.values
+    for i, ((lo, hi), pkt) in enumerate(zip(collapse.gaps, packets)):
+        hts = collapse.inject(i, pkt.t)
+        vals_p = collapse.inject(i, pkt.values)
         # the affine image of 1.0 can miss hi by an ulp; the gap boundary
         # leaves are the plateau endpoints exactly
         hts[0], hts[-1] = lo, hi
@@ -143,7 +106,7 @@ def blowup_box(family: LeafFamily, schedule: InsertionSchedule, packets):
     t_all, vals = t_all[~dup], np.array(vals[~dup])
     ax, ay = family.anchor
     vals[:, ax, ay] = t_all
-    return LeafFamily(family.base, t_all, vals, family.anchor), data
+    return LeafFamily(family.base, t_all, vals, family.anchor), collapse
 
 
 # ------------------------------------------------------------ scene blowup
@@ -167,17 +130,17 @@ def _transport(family: LeafFamily, side: str) -> HolonomyMap:
     return fiber_transports(family, (nodes[0], nodes[-1]))[0]
 
 
-def _glued_rho(data, packets, side: str) -> HolonomyMap:
+def _glued_rho(collapse: CollapseMap, packets, side: str) -> HolonomyMap:
     """The face holonomy predicted by gluing: packet transports inside the
     gaps (conjugated into blown coordinates), the original holonomy through
     the collapse elsewhere.  The original here is horizontal, so the
     complement part is the identity."""
     xs = [np.array([0.0])]
     ys = [np.array([0.0])]
-    for (lo, hi), pkt in zip(data.gaps(), packets):
+    for i, pkt in enumerate(packets):
         rho_l = _transport(pkt, side)
-        xs.append(lo + (hi - lo) * rho_l.inputs)
-        ys.append(lo + (hi - lo) * rho_l.outputs)
+        xs.append(collapse.inject(i, rho_l.inputs))
+        ys.append(collapse.inject(i, rho_l.outputs))
     xs.append(np.array([1.0]))
     ys.append(np.array([1.0]))
     x = np.concatenate(xs)
@@ -199,6 +162,7 @@ def blowup_scene(scene: DecompositionComplex, schedule: InsertionSchedule,
     family and one distance.
 
     packets: one LeafFamily per schedule point, used in every box.
+    Returns the blown scene and its collapse map.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -225,7 +189,7 @@ def blowup_scene(scene: DecompositionComplex, schedule: InsertionSchedule,
             for box in scene.boxes:
                 key = _family_key(box.family)
                 if key not in blown:
-                    fam, data = blowup_box(box.family, live, packets)
+                    fam, collapse = blowup_box(box.family, live, packets)
                     blown[key] = fam, c0_distance(box.family, fam)
                 ident = box.identifier
                 fams[ident], box_distances[ident] = blown[key]
@@ -237,7 +201,7 @@ def blowup_scene(scene: DecompositionComplex, schedule: InsertionSchedule,
         rho_defect = 0.0
         with stage(stages, "maximal-face gluing") as row:
             for axis, pos, (id_a, side_a), (id_b, side_b) in faces:
-                predicted = _glued_rho(data, packets, side_a)
+                predicted = _glued_rho(collapse, packets, side_a)
                 for ident, side in ((id_a, side_a), (id_b, side_b)):
                     actual = _transport(fams[ident], side)
                     gap = predicted.max_difference(actual)
@@ -254,7 +218,7 @@ def blowup_scene(scene: DecompositionComplex, schedule: InsertionSchedule,
             row.update({"region": "box interiors (unique leaf-to-leaf, "
                                   "fiber-preserving extension)",
                         "holonomy_defect": face_defect})
-        return (blown_scene, data), worst <= epsilon, {
+        return (blown_scene, collapse), worst <= epsilon, {
             "operation": "blowup_scene",
             "epsilon": epsilon,
             "schedule": live.to_json(),
@@ -299,7 +263,7 @@ def _leaf_membership_spread(orig: LeafFamily, heights: np.ndarray) -> tuple:
     return float(gaps[k]), {"leaf_row": k, "spread": float(gaps[k])}
 
 
-def verify_blowup(original, blown, data: CollapseData) -> dict:
+def verify_blowup(original, blown, collapse: CollapseMap) -> dict:
     """Check the eight defining properties of a Denjoy blowup at grid
     resolution.  Report-only: every property yields a defect and a pass flag,
     with a witness on failure."""
@@ -324,7 +288,7 @@ def verify_blowup(original, blown, data: CollapseData) -> dict:
         defect, wit)
 
     # (2) the injection maps L x (0,1) onto disjoint open gaps
-    gaps = data.gaps()
+    gaps = collapse.gaps
     defect, wit = 0.0, None
     for i, (lo, hi) in enumerate(gaps):
         bad = max(0.0 - lo, hi - 1.0, lo - hi)
@@ -340,7 +304,7 @@ def verify_blowup(original, blown, data: CollapseData) -> dict:
     defect, wit = 0.0, None
     us = np.linspace(0.0, 1.0, 9)
     for i, (lo, hi) in enumerate(gaps):
-        img = data.inject(i, us)
+        img = collapse.inject(i, us)
         bad = max(float(lo - img.min()), float(img.max() - hi),
                   float(np.max(-np.diff(img))) if img.size > 1 else 0.0)
         if bad > defect:
@@ -358,16 +322,15 @@ def verify_blowup(original, blown, data: CollapseData) -> dict:
                 defect, wit = bad, {"box": key, "gap": i}
     add(4, "gap boundary graphs are leaves of the blown family", defect, wit)
 
-    # (5) preimages: whole gaps on the locus, points off it (gaps() checked
-    # that the plateau values are the schedule points: no other case arises)
+    # (5) preimages: whole gaps on the locus, points off it; the blown-up
+    # points are the plateau values
     defect, wit = 0.0, None
-    collapse, points = data.collapse, data.schedule.points
-    for z, (lo, hi) in zip(points, gaps):
+    for lo, hi, z in collapse.plateaus:
         pre = collapse.preimage(z)
         bad = max(abs(pre[0] - lo), abs(pre[1] - hi))
         if bad > defect:
             defect, wit = bad, {"point": z}
-    pts = np.array(points) if points else np.empty(0)
+    pts = np.array([z for _lo, _hi, z in collapse.plateaus])
     for key, (orig, _fam) in pairs.items():
         off = orig.t[(np.min(np.abs(orig.t[:, None] - pts[None, :]), axis=1)
                       > 1e-6)] if pts.size else orig.t
@@ -383,7 +346,7 @@ def verify_blowup(original, blown, data: CollapseData) -> dict:
     # both on one collapsed copy of each blown family
     defect, wit, defect7, wit7 = 0.0, None, 0.0, None
     for key, (orig, fam) in pairs.items():
-        collapsed = data.pi(fam.values)
+        collapsed = collapse(fam.values)
         spread, local = _leaf_membership_spread(orig, collapsed)
         if spread > defect:
             defect, wit = spread, {"box": key, **local}
@@ -402,11 +365,12 @@ def verify_blowup(original, blown, data: CollapseData) -> dict:
 
     # (8) straight-line isotopy: identity at 0, collapse at 1, monotone
     zs = np.linspace(0.0, 1.0, 257)
-    id_defect = float(np.max(np.abs(data.pi_t(0.0, zs) - zs)))
-    end_defect = float(np.max(np.abs(data.pi_t(1.0, zs) - collapse(zs))))
+    id_defect = float(np.max(np.abs(collapse.isotopy(0.0, zs) - zs)))
+    end_defect = float(np.max(np.abs(collapse.isotopy(1.0, zs)
+                                     - collapse(zs))))
     mono = 0.0
     for s in (0.25, 0.5, 0.75, 1.0):
-        mono = max(mono, -float(np.min(np.diff(data.pi_t(s, zs)))))
+        mono = max(mono, -float(np.min(np.diff(collapse.isotopy(s, zs)))))
     add(8, "collapse is the time-one map of a monotone straight-line isotopy",
         max(id_defect, end_defect, mono))
 

@@ -16,6 +16,15 @@ import numpy as np
 from .kernel import SOLVER_TOL
 
 
+def _json_ints(what: str, *values) -> tuple:
+    """values, each of which must be a JSON integer: a float or a string is
+    refused rather than truncated, and a bool is no integer."""
+    if any(type(v) is not int for v in values):
+        raise TypeError(f"{what} must be integers, got "
+                        f"{', '.join(type(v).__name__ for v in values)}")
+    return values
+
+
 @dataclass(frozen=True)
 class BaseDomain:
     """Base of a flow box: the unit square [0,1]^2 with nx x ny nodes.
@@ -47,7 +56,8 @@ class BaseDomain:
 
     @classmethod
     def from_json(cls, data: dict) -> "BaseDomain":
-        return cls(data["shape"], int(data["nx"]), int(data["ny"]))
+        return cls(data["shape"],
+                   *_json_ints("node counts", data["nx"], data["ny"]))
 
 
 def _bilinear_parts(base: BaseDomain, pts: np.ndarray):
@@ -144,11 +154,12 @@ class LeafFamily:
 
     @classmethod
     def from_json(cls, data: dict) -> "LeafFamily":
+        ax, ay = data["anchor"]
         return cls(
             base=BaseDomain.from_json(data["base"]),
             t=np.array(data["t"], dtype=float),
             values=np.array(data["values"], dtype=float),
-            anchor=tuple(data["anchor"]),
+            anchor=_json_ints("anchor indices", ax, ay),
         )
 
 

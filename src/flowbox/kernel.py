@@ -145,53 +145,54 @@ class InsertionSchedule:
 
 @dataclass(frozen=True)
 class CollapseMap:
-    """Weakly monotone surjection of [0,1]: affine pieces plus plateaus.
+    """Weakly monotone surjection of [0,1] that collapses each plateau
+    (x_lo, x_hi, value) to its value and is affine in between.
 
-    plateaus: (x_lo, x_hi, value) intervals collapsed to a point.
-    pieces:   (x_lo, x_hi, y_lo, y_hi) strictly increasing affine segments.
+    The plateaus are kept sorted.  The map is the piecewise-affine
+    interpolant of the knots (0, 0), (x_lo, value), (x_hi, value), ...,
+    (1, 1); pieces holds its strictly increasing segments (x_lo, x_hi,
+    y_lo, y_hi), one between consecutive plateaus, and gaps the plateaus'
+    (x_lo, x_hi) intervals.
     """
 
     plateaus: tuple
-    pieces: tuple
 
     def __post_init__(self):
-        segs = sorted(
-            [(p[0], p[1], p[2], p[2]) for p in self.plateaus]
-            + [tuple(p) for p in self.pieces])
-        if not segs:
-            raise ValueError("collapse map needs at least one piece")
-        if segs[0][0] != 0.0 or segs[-1][1] != 1.0:
-            raise ValueError("segments must cover [0, 1]")
-        for (a, b, ylo, yhi) in segs:
-            if b <= a:
-                raise ValueError("degenerate segment")
-            if yhi < ylo:
-                raise ValueError("decreasing segment")
-        for (_, b, _, yb), (c, _, yc, _) in zip(segs, segs[1:]):
-            if b != c:
-                raise ValueError("segments must tile [0, 1] without gaps")
-            if yb != yc:
-                raise ValueError("discontinuity between segments")
-        if segs[0][2] != 0.0 or segs[-1][3] != 1.0:
-            raise ValueError("image must be [0, 1]")
-        for (a, b, ylo, yhi) in self.pieces:
-            if yhi <= ylo:
-                raise ValueError("pieces must be strictly increasing")
-        # evaluation knots (plateaus appear as flat spans)
-        xs, ys = [segs[0][0]], [segs[0][2]]
-        for (a, b, ylo, yhi) in segs:
-            xs.append(b)
-            ys.append(yhi)
+        plats = tuple(sorted(tuple(p) for p in self.plateaus))
+        object.__setattr__(self, "plateaus", plats)
+        xs = [0.0] + [x for p in plats for x in p[:2]] + [1.0]
+        ys = [0.0] + [p[2] for p in plats for _ in p[:2]] + [1.0]
+        # `not b > a` also refuses NaN
+        if any(not b > a for a, b in zip(xs, xs[1:])):
+            raise ValueError("plateaus must be disjoint, nondegenerate and "
+                             "inside (0, 1)")
+        pieces = tuple(zip(xs[::2], xs[1::2], ys[::2], ys[1::2]))
+        if any(not y_hi > y_lo for *_, y_lo, y_hi in pieces):
+            raise ValueError("collapse must increase strictly off the "
+                             "plateaus")
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "gaps", tuple(p[:2] for p in plats))
         object.__setattr__(self, "_knots_x", np.array(xs))
         object.__setattr__(self, "_knots_y", np.array(ys))
-        # per-piece data for the right inverse, sorted by image interval
-        inv = sorted(self.pieces, key=lambda p: p[2])
-        object.__setattr__(self, "_px", np.array([(p[0], p[1]) for p in inv]))
-        object.__setattr__(self, "_py", np.array([(p[2], p[3]) for p in inv]))
+        # per-piece data for the right inverse, in image order
+        object.__setattr__(self, "_px", np.array([p[:2] for p in pieces]))
+        object.__setattr__(self, "_py", np.array([p[2:] for p in pieces]))
 
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float),
                          self._knots_x, self._knots_y)
+
+    def inject(self, index: int, u):
+        """Packet coordinate u of gap index, placed affinely onto the gap."""
+        lo, hi = self.gaps[index]
+        return lo + (hi - lo) * np.asarray(u, dtype=float)
+
+    def isotopy(self, s: float, z):
+        """Straight-line trace from the identity (s = 0) to the map (s = 1)."""
+        z = np.asarray(z, dtype=float)
+        if not 0.0 <= s <= 1.0:
+            raise ValueError("isotopy time must lie in [0, 1]")
+        return (1.0 - s) * z + s * self(z)
 
     def preimage(self, y: float):
         """The interval (x_lo, x_hi) if y is a collapsed value, else the
@@ -238,16 +239,7 @@ def build_collapse(schedule: InsertionSchedule) -> CollapseMap:
         lo = (z + cum) * shrink
         plateaus.append((lo, lo + w * shrink, z))
         cum += w
-    xs = [0.0] + [x for p in plateaus for x in p[:2]] + [1.0]
-    if any(v <= u for u, v in zip(xs, xs[1:])):
-        raise ValueError("inserted intervals overlap")
-    pieces = []
-    x_lo, y_lo = 0.0, 0.0
-    for lo, hi, z in plateaus:
-        pieces.append((x_lo, lo, y_lo, z))
-        x_lo, y_lo = hi, z
-    pieces.append((x_lo, 1.0, y_lo, 1.0))
-    return CollapseMap(plateaus=tuple(plateaus), pieces=tuple(pieces))
+    return CollapseMap(tuple(plateaus))
 
 
 def _min_dots(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:

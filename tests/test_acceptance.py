@@ -178,18 +178,18 @@ def test_criterion_6_denjoy_blowup_verification():
     for total_weight in (0.1, 0.05):
         schedule = InsertionSchedule((0.5,), (total_weight,))
         report = {}
-        blown, data = blowup_scene(scene, schedule, packets,
-                                   epsilon=0.5, report=report)
+        blown, collapse = blowup_scene(scene, schedule, packets,
+                                       epsilon=0.5, report=report)
         achieved.append(report["achieved_distance"])
         if total_weight == 0.1:
-            verification = verify_blowup(scene, blown, data)
+            verification = verify_blowup(scene, blown, collapse)
             assert verification["tolerance"] == 1e-9
             assert len(verification["properties"]) == 8
             assert all(row["pass"] for row in verification["properties"])
             assert verification["all_pass"]
             for box in scene.boxes:
                 ident = box.identifier
-                solo, _solo_data = blowup_box(box.family, schedule, packets)
+                solo, _solo_collapse = blowup_box(box.family, schedule, packets)
                 got = blown.box(ident).family
                 np.testing.assert_array_equal(got.t, solo.t)
                 assert np.max(np.abs(got.values - solo.values)) <= 1e-10

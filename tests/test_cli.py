@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowbox
 from flowbox import cli, decomposition, denjoy, smoothing
@@ -411,6 +413,42 @@ def test_measure_run_with_kinked_cumulative(scenes, tmp_path):
     assert {r[0] for r in rows} == {"b00", "b01", "b10", "b11"}
 
 
+def test_per_box_measure_file_matches_the_single_cumulative(scenes,
+                                                            tmp_path):
+    z = np.linspace(0.0, 1.0, 41)
+    totals = 0.85 * z + 0.3 * np.minimum(z, 0.5)
+    totals /= totals[-1]
+    cumulative = {"heights": z.tolist(), "totals": totals.tolist()}
+    boxes = [box.identifier for box in load_scene(scenes["horizontal"]).boxes]
+    files = {"single": cumulative,
+             "per-box": {"measures": {box: cumulative for box in boxes}}}
+    outputs = []
+    for name, content in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(content))
+        out = tmp_path / name
+        assert run(ScenarioConfig(kind="measure", out=str(out),
+                                  scene=str(scenes["horizontal"]),
+                                  measure_file=str(path))) == 0
+        manifest = read_manifest(out)
+        outputs.append((manifest["results"], manifest["checks"],
+                        (out / "measures.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("measures", [[1, 2], "b00"])
+def test_measure_file_whose_measures_are_no_object_exit_three(
+        measures, horizontal9_scene, tmp_path):
+    path = tmp_path / "measures.json"
+    path.write_text(json.dumps({"measures": measures}))
+    assert main(["measure", "--scene", str(horizontal9_scene),
+                 "--measure-file", str(path),
+                 "--out", str(tmp_path / "run")]) == 3
+    [row] = read_manifest(tmp_path / "run")["checks"]
+    assert row["name"] == "input-wellformed" and not row["pass"]
+    assert "measures must map box identifiers to cumulatives" in row["detail"]
+
+
 @pytest.mark.parametrize("target, stage", [
     ("smooth_with_holonomy_constraint", "maximal-face neighborhoods"),
     ("damped_cone", "interior coning"),
@@ -806,6 +844,38 @@ def _west_heights(scene):
     scene["boxes"][0]["faces"][0]["heights"] = ["0", "1/2"]
 
 
+def _heights_over_zero(scene):
+    scene["boxes"][0]["heights"] = ["0", "1/0"]
+
+
+def _span_over_zero(scene):
+    scene["boxes"][0]["faces"][0]["span"] = ["0", "1/0"]
+
+
+def _fractional_nx(scene):
+    scene["boxes"][0]["family"]["base"]["nx"] = 9.5
+
+
+def _fractional_anchor(scene):
+    scene["boxes"][0]["family"]["anchor"] = [0.5, 0]
+
+
+def _one_index_anchor(scene):
+    scene["boxes"][0]["family"]["anchor"] = [0]
+
+
+def _infinite_range(scene):
+    scene["boxes"][0]["x_range"] = [0, math.inf]
+
+
+def _one_ended_range(scene):
+    scene["boxes"][0]["x_range"] = ["0"]
+
+
+def _huge_leaf_index(scene):
+    scene["boxes"][0]["family"]["t"][1] = 10 ** 400
+
+
 @pytest.mark.parametrize("kind", ["validate", "smooth"])
 @pytest.mark.parametrize("corrupt, problem", [
     (_west_missing, "side W has no faces"),
@@ -849,6 +919,14 @@ def test_validate_condition_1_row_passes_on_every_template(template, scenes,
     (_far_anchor, "anchor must be a grid node"),
     (_disk_base, "unknown base shape 'disk'"),
     (_annulus_base, "unknown base shape 'annulus'"),
+    (_heights_over_zero, "'1/0' has a zero denominator"),
+    (_span_over_zero, "'1/0' has a zero denominator"),
+    (_fractional_nx, "node counts must be integers, got float, int"),
+    (_fractional_anchor, "anchor indices must be integers, got float, int"),
+    (_one_index_anchor, "not enough values to unpack"),
+    (_infinite_range, "inf is not a finite rational"),
+    (_one_ended_range, "not enough values to unpack"),
+    (_huge_leaf_index, "int too large to convert to float"),
 ])
 def test_corrupted_scene_exit_three(kind, corrupt, reason, grid9_scene,
                                     tmp_path):
@@ -863,6 +941,92 @@ def test_corrupted_scene_exit_three(kind, corrupt, reason, grid9_scene,
     row = manifest["checks"][0]
     assert row["name"] == "input-wellformed" and not row["pass"]
     assert reason in row["detail"]
+
+
+def test_scene_exponent_is_refused_before_fraction(grid9_scene, tmp_path,
+                                                   monkeypatch):
+    # Fraction would expand the exponent digit by digit, for hours; the
+    # grammar refuses it first.  It is b00's first rational, so no other
+    # call to Fraction comes before it
+    data = json.loads(Path(grid9_scene).read_text())
+    data["scene"]["boxes"][0]["x_range"] = ["1e1000000000", "1/2"]
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(data))
+
+    def never(*args, **kwargs):
+        raise AssertionError("Fraction read a scene rational")
+
+    monkeypatch.setattr(decomposition, "Fraction", never)
+    assert main(["validate", "--scene", str(path),
+                 "--out", str(tmp_path / "run")]) == 3
+    [row] = read_manifest(tmp_path / "run")["checks"]
+    assert row["name"] == "input-wellformed" and not row["pass"]
+    assert "'1e1000000000' is not a rational" in row["detail"]
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    '{"scene": 1' + "0" * 5000 + "}",    # past Python's int digit limit
+    "[" * 100000 + "]" * 100000,         # past the recursion limit
+])
+def test_unreadable_scene_json_exit_three(text, tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(text)
+    assert run(ScenarioConfig(kind="validate", out=str(tmp_path / "run"),
+                              scene=str(path))) == 3
+    [row] = read_manifest(tmp_path / "run")["checks"]
+    assert row["name"] == "input-wellformed" and not row["pass"]
+    assert "is not valid JSON" in row["detail"]
+
+
+def _json_paths(node, path=()):
+    """Paths to every node of a scene's JSON, entering only the first and
+    last entry of each list."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _json_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i in sorted({0, len(node) - 1} if node else set()):
+            yield from _json_paths(node[i], path + (i,))
+
+
+_DROP = object()
+_MUTANTS = st.one_of(
+    st.sampled_from([
+        _DROP, "1/0", "1e1000000000", "1e3", "-1", "-1/2", "nan", "inf",
+        "", "b00", "9" * 70, math.nan, math.inf, -math.inf, -1, 0, 9.5,
+        10 ** 30, 10 ** 400, True, None, [], {}, [0], ["0", "1/0"],
+        {"nx": 9}]),
+    st.integers(), st.floats(), st.text(max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_mutated_scene_field_never_ends_in_a_traceback(
+        horizontal9_scene, tmp_path_factory, data):
+    # swapped types, "1/0", NaN, exponents, negatives, huge ints and
+    # dropped keys: every mutant exits 0, 2 or 3 with a manifest
+    document = json.loads(Path(horizontal9_scene).read_text())
+    path = data.draw(st.sampled_from(list(_json_paths(document["scene"]))))
+    mutant = data.draw(_MUTANTS)
+    if not path:
+        document["scene"] = {} if mutant is _DROP else mutant
+    else:
+        parent = document["scene"]
+        for key in path[:-1]:
+            parent = parent[key]
+        if mutant is _DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = mutant
+    root = tmp_path_factory.mktemp("mutant")
+    scene = root / "scene.json"
+    scene.write_text(json.dumps(document))
+    code = run(ScenarioConfig(kind="validate", out=str(root),
+                              scene=str(scene)))
+    assert code in (0, 2, 3)
+    assert read_manifest(root)["exit_code"] == code
 
 
 def test_smooth_rejects_unchartable_scene_exit_three(grid9_scene, tmp_path):

@@ -570,6 +570,45 @@ def test_scene_json_roundtrip():
     assert back.volume == F(1)
 
 
+@pytest.mark.parametrize("token, value", [
+    ("0", F(0)), ("1", F(1)), ("-2", F(-2)), ("+3/4", F(3, 4)),
+    ("0.25", F(1, 4)), ("-0.5", F(-1, 2)), ("007/014", F(1, 2)),
+    ("9" * 64 + "/" + "9" * 64, F(1)),
+])
+def test_frac_reads_signed_digits_with_a_decimal_part_or_denominator(
+        token, value):
+    assert decomposition.frac(token) == value
+
+
+@pytest.mark.parametrize("token", [
+    "1e3", "1E3", "1e1000000000", "inf", "nan", " 1", "1 ", "1/", "/2",
+    "1.", ".5", "1_000", "1/2/3", "0.5/2", "0x10", "\u0661", "",
+    "9" * 65, "1/" + "9" * 65, "0." + "9" * 65,
+])
+def test_frac_refuses_strings_off_the_grammar(token):
+    with pytest.raises(ValueError, match="is not a rational"):
+        decomposition.frac(token)
+
+
+@pytest.mark.parametrize("token", ["1/0", "-3/000"])
+def test_frac_refuses_a_zero_denominator(token):
+    with pytest.raises(ValueError, match="zero denominator"):
+        decomposition.frac(token)
+
+
+def test_every_template_rational_reads_back_through_frac():
+    scene = build_torus_scene(
+        (3, 2), height_splits={(0, 0): [F(1, 3)], (2, 1): [F(5, 7)]},
+        foliation={"kind": "horizontal", "grid": 9, "samples": 3})
+    blob = scene.to_json()
+    tokens = [tok for box in blob["boxes"]
+              for pair in ([box["x_range"], box["y_range"], box["heights"]]
+                           + [f[k] for f in box["faces"]
+                              for k in ("span", "heights")])
+              for tok in pair]
+    assert all(str(decomposition.frac(tok)) == tok for tok in tokens)
+
+
 # -------------------------------------------------------------- properties
 
 @settings(deadline=None, max_examples=25)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from flowbox.decomposition import build_torus_scene, with_families
 from flowbox.denjoy import (
     CircleMapLift,
-    CollapseData,
     _leaf_membership_spread,
     _verify_pairs,
     birkhoff_estimate,
@@ -137,7 +136,7 @@ def leaf_membership_spread_oracle(orig: LeafFamily,
     return float(gaps[k]), {"leaf_row": k, "spread": float(gaps[k])}
 
 
-def verify_blowup_oracle(original, blown, data: CollapseData) -> dict:
+def verify_blowup_oracle(original, blown, collapse: CollapseMap) -> dict:
     """verify_blowup as it was before it grouped byte-equal box pairs: every
     per-box property loops over every box, and properties 6 and 7 each
     collapse every blown family."""
@@ -164,7 +163,7 @@ def verify_blowup_oracle(original, blown, data: CollapseData) -> dict:
     add(1, "blown leaves transverse to the flow (strictly monotone)",
         defect, wit)
 
-    gaps = data.gaps()
+    gaps = collapse.gaps
     defect, wit = 0.0, None
     for i, (lo, hi) in enumerate(gaps):
         bad = max(0.0 - lo, hi - 1.0, lo - hi)
@@ -179,7 +178,7 @@ def verify_blowup_oracle(original, blown, data: CollapseData) -> dict:
     defect, wit = 0.0, None
     us = np.linspace(0.0, 1.0, 9)
     for i, (lo, hi) in enumerate(gaps):
-        img = data.inject(i, us)
+        img = collapse.inject(i, us)
         bad = max(float(lo - img.min()), float(img.max() - hi),
                   float(np.max(-np.diff(img))) if img.size > 1 else 0.0)
         if bad > defect:
@@ -197,7 +196,7 @@ def verify_blowup_oracle(original, blown, data: CollapseData) -> dict:
     add(4, "gap boundary graphs are leaves of the blown family", defect, wit)
 
     defect, wit = 0.0, None
-    collapse, points = data.collapse, data.schedule.points
+    points = tuple(z for _lo, _hi, z in collapse.plateaus)
     for z, (lo, hi) in zip(points, gaps):
         pre = collapse.preimage(z)
         bad = max(abs(pre[0] - lo), abs(pre[1] - hi))
@@ -216,7 +215,7 @@ def verify_blowup_oracle(original, blown, data: CollapseData) -> dict:
 
     defect, wit = 0.0, None
     for key, (orig, fam) in pairs.items():
-        collapsed = data.pi(fam.values)
+        collapsed = collapse(fam.values)
         spread, local = _leaf_membership_spread(orig, collapsed)
         if spread > defect:
             defect, wit = spread, {"box": key, **local}
@@ -227,7 +226,7 @@ def verify_blowup_oracle(original, blown, data: CollapseData) -> dict:
     for key, (_orig, fam) in pairs.items():
         if fam.base.nx < 5 or fam.base.nx % 2 == 0 or fam.base.ny % 2 == 0:
             continue
-        collapsed = data.pi(fam.values)
+        collapsed = collapse(fam.values)
         dx = 1.0 / (fam.base.nx - 1)
         g_full = np.gradient(collapsed, dx, axis=1)[:, ::2, ::2]
         g_half = np.gradient(collapsed[:, ::2, ::2], 2.0 * dx, axis=1)
@@ -238,11 +237,12 @@ def verify_blowup_oracle(original, blown, data: CollapseData) -> dict:
         defect, wit)
 
     zs = np.linspace(0.0, 1.0, 257)
-    id_defect = float(np.max(np.abs(data.pi_t(0.0, zs) - zs)))
-    end_defect = float(np.max(np.abs(data.pi_t(1.0, zs) - collapse(zs))))
+    id_defect = float(np.max(np.abs(collapse.isotopy(0.0, zs) - zs)))
+    end_defect = float(np.max(np.abs(collapse.isotopy(1.0, zs)
+                                     - collapse(zs))))
     mono = 0.0
     for s in (0.25, 0.5, 0.75, 1.0):
-        mono = max(mono, -float(np.min(np.diff(data.pi_t(s, zs)))))
+        mono = max(mono, -float(np.min(np.diff(collapse.isotopy(s, zs)))))
     add(8, "collapse is the time-one map of a monotone straight-line isotopy",
         max(id_defect, end_defect, mono))
 
@@ -282,25 +282,25 @@ def rotation_number_oracle(lift, iterations: int,
 def test_blowup_box_empty_schedule_is_identity():
     base = BaseDomain("rectangle", 9, 9)
     fam = horizontal_family(base, 9)
-    blown, data = blowup_box(fam, InsertionSchedule((), ()), [])
+    blown, collapse = blowup_box(fam, InsertionSchedule((), ()), [])
     assert blown is fam
     z = np.linspace(0.0, 1.0, 33)
-    np.testing.assert_array_equal(data.pi(z), z)
-    assert data.gaps() == ()
+    np.testing.assert_array_equal(collapse(z), z)
+    assert collapse.gaps == ()
 
 
 def test_blowup_box_single_leaf_gap_quarters():
     base = BaseDomain("rectangle", 9, 9)
     fam = horizontal_family(base, 17)
-    blown, data = blowup_box(fam, InsertionSchedule((0.5,), (1.0,)),
-                             [horizontal_family(base, 17)])
-    assert data.gaps() == ((0.25, 0.75),)
+    blown, collapse = blowup_box(fam, InsertionSchedule((0.5,), (1.0,)),
+                                 [horizontal_family(base, 17)])
+    assert collapse.gaps == ((0.25, 0.75),)
     # the gap collapses to the blown leaf, the complement maps with slope 2
-    assert float(data.pi(0.25)) == 0.5
-    assert float(data.pi(0.75)) == 0.5
-    assert float(data.pi(0.5)) == 0.5
-    assert float(data.pi(0.1)) == pytest.approx(0.2, abs=1e-15)
-    assert float(data.pi(0.875)) == pytest.approx(0.75, abs=1e-15)
+    assert float(collapse(0.25)) == 0.5
+    assert float(collapse(0.75)) == 0.5
+    assert float(collapse(0.5)) == 0.5
+    assert float(collapse(0.1)) == pytest.approx(0.2, abs=1e-15)
+    assert float(collapse(0.875)) == pytest.approx(0.75, abs=1e-15)
     # horizontal packet keeps the family horizontal: 16 complement leaves
     # (the blown sample is replaced) plus 17 packet leaves
     assert blown.m == 33
@@ -314,10 +314,11 @@ def test_blowup_box_gaps_match_hand_computation():
     base = BaseDomain("rectangle", 9, 9)
     fam = horizontal_family(base, 9)
     points, weights = (0.25, 0.75), (0.5, 0.5)
-    blown, data = blowup_box(fam, InsertionSchedule(points, weights),
-                             [horizontal_family(base, 7)] * 2)
-    assert data.gaps() == ((0.125, 0.375), (0.625, 0.875))
-    for got, want in zip(data.gaps(), gap_intervals_by_hand(points, weights)):
+    blown, collapse = blowup_box(fam, InsertionSchedule(points, weights),
+                                 [horizontal_family(base, 7)] * 2)
+    assert collapse.gaps == ((0.125, 0.375), (0.625, 0.875))
+    by_hand = gap_intervals_by_hand(points, weights)
+    for got, want in zip(collapse.gaps, by_hand):
         assert got[0] == pytest.approx(want[0], abs=1e-15)
         assert got[1] == pytest.approx(want[1], abs=1e-15)
 
@@ -326,8 +327,8 @@ def test_blowup_box_sheared_packet_distance():
     base = BaseDomain("rectangle", 17, 17)
     fam = horizontal_family(base, 17)
     shear, weight = 0.3, 1.0
-    blown, data = blowup_box(fam, InsertionSchedule((0.5,), (weight,)),
-                             [sheared_family(base, shear, 17)])
+    blown, _collapse = blowup_box(fam, InsertionSchedule((0.5,), (weight,)),
+                                  [sheared_family(base, shear, 17)])
     measured = c0_distance(fam, blown)
     gap_width = weight / (1.0 + weight)
     # the packet gradient is scaled by the gap width exactly, and both the
@@ -359,20 +360,20 @@ def test_blowup_box_rejects_bad_inputs():
 def test_collapse_data_isotopy_and_injection():
     base = BaseDomain("rectangle", 9, 9)
     fam = horizontal_family(base, 17)
-    _blown, data = blowup_box(fam, InsertionSchedule((0.5,), (1.0,)),
-                              [horizontal_family(base, 9)])
-    assert float(data.inject(0, 0.0)) == 0.25
-    assert float(data.inject(0, 1.0)) == 0.75
+    _blown, collapse = blowup_box(fam, InsertionSchedule((0.5,), (1.0,)),
+                                  [horizontal_family(base, 9)])
+    assert float(collapse.inject(0, 0.0)) == 0.25
+    assert float(collapse.inject(0, 1.0)) == 0.75
     z = np.linspace(0.0, 1.0, 101)
-    np.testing.assert_array_equal(data.pi_t(0.0, z), z)
-    np.testing.assert_array_equal(data.pi_t(1.0, z), data.pi(z))
+    np.testing.assert_array_equal(collapse.isotopy(0.0, z), z)
+    np.testing.assert_array_equal(collapse.isotopy(1.0, z), collapse(z))
     # straight-line trace: the midpoint sits halfway, monotone in z
-    np.testing.assert_allclose(data.pi_t(0.5, z), 0.5 * (z + data.pi(z)),
-                               atol=1e-15)
+    np.testing.assert_allclose(collapse.isotopy(0.5, z),
+                               0.5 * (z + collapse(z)), atol=1e-15)
     for s in (0.25, 0.5, 0.75):
-        assert np.all(np.diff(data.pi_t(s, z)) >= -1e-15)
+        assert np.all(np.diff(collapse.isotopy(s, z)) >= -1e-15)
     with pytest.raises(ValueError):
-        data.pi_t(1.5, z)
+        collapse.isotopy(1.5, z)
 
 
 schedule_entries = st.integers(1, 5).flatmap(lambda n: st.tuples(
@@ -388,19 +389,18 @@ def test_blowup_box_random_schedules(entry):
     base = BaseDomain("rectangle", 9, 9)
     fam = horizontal_family(base, 9)
     sched = InsertionSchedule(tuple(zs), tuple(ws))
-    blown, data = blowup_box(fam, sched,
-                             [sheared_family(base, 0.2, 7)] * len(zs))
+    blown, collapse = blowup_box(fam, sched,
+                                 [sheared_family(base, 0.2, 7)] * len(zs))
     assert np.all(np.diff(blown.values, axis=0) > 0.0)
     total = sched.total_weight
-    for (lo, hi), w in zip(data.gaps(), ws):
+    for (lo, hi), w in zip(collapse.gaps, ws):
         assert abs((hi - lo) - w / (1.0 + total)) <= 1e-12
     # round trip: the collapse undoes the re-embedding on kept leaves
     kept = fam.t[np.min(np.abs(fam.t[:, None] - np.array(zs)[None, :]),
                         axis=1) > 0.0]
     np.testing.assert_allclose(
-        data.pi(data.collapse.complement_embedding(kept)), kept,
-        atol=1e-12)
-    rep = verify_blowup(fam, blown, data)
+        collapse(collapse.complement_embedding(kept)), kept, atol=1e-12)
+    rep = verify_blowup(fam, blown, collapse)
     assert rep["all_pass"], rep
 
 
@@ -408,10 +408,11 @@ def test_fiberwise_collapse_matches_kernel():
     base = BaseDomain("rectangle", 9, 9)
     fam = horizontal_family(base, 9)
     sched = InsertionSchedule((0.3, 0.8), (0.5, 0.25))
-    _blown, data = blowup_box(fam, sched, [horizontal_family(base, 7)] * 2)
+    _blown, collapse = blowup_box(fam, sched,
+                                  [horizontal_family(base, 7)] * 2)
     independent = build_collapse(sched)
     z = np.linspace(0.0, 1.0, 513)
-    np.testing.assert_allclose(data.pi(z), independent(z), atol=1e-12)
+    np.testing.assert_allclose(collapse(z), independent(z), atol=1e-12)
 
 
 # ---------------------------------------------------------------- scenes
@@ -448,19 +449,19 @@ def blown_sheared():
     schedule = InsertionSchedule((0.5,), (0.1,))
     packets = (sheared_family(base, 0.3, 17),)
     report = {}
-    out, data = blowup_scene(scene, schedule, packets, epsilon=0.5,
-                             report=report)
-    return scene, schedule, packets, out, data, report
+    out, collapse = blowup_scene(scene, schedule, packets, epsilon=0.5,
+                                 report=report)
+    return scene, schedule, packets, out, collapse, report
 
 
 def test_blowup_scene_empty_locus_identity():
     scene = _torus()
-    out, data = blowup_scene(scene, InsertionSchedule((), ()), (),
-                             epsilon=0.1)
+    out, collapse = blowup_scene(scene, InsertionSchedule((), ()), (),
+                                 epsilon=0.1)
     for box in scene.boxes:
         np.testing.assert_array_equal(
             box.family.values, out.box(box.identifier).family.values)
-    rep = verify_blowup(scene, out, data)
+    rep = verify_blowup(scene, out, collapse)
     assert rep["all_pass"]
     assert rep["max_defect"] == 0.0
 
@@ -470,21 +471,21 @@ def test_blowup_scene_horizontal_packet_per_box_oracle():
     base = BaseDomain("rectangle", 17, 17)
     schedule = InsertionSchedule((0.5,), (0.1,))
     packets = (horizontal_family(base, 9),)
-    out, data = blowup_scene(scene, schedule, packets, epsilon=0.1)
+    out, collapse = blowup_scene(scene, schedule, packets, epsilon=0.1)
     for box in scene.boxes:
         ident = box.identifier
-        solo, solo_data = blowup_box(box.family, schedule, packets)
+        solo, solo_collapse = blowup_box(box.family, schedule, packets)
         got = out.box(ident).family
         assert np.max(np.abs(got.values - solo.values)) <= 1e-10
         np.testing.assert_array_equal(got.t, solo.t)
-        assert data.gaps() == solo_data.gaps()
+        assert collapse.gaps == solo_collapse.gaps
         # horizontal packets keep the scene horizontal
         assert c0_distance(box.family, got) == 0.0
 
 
 def test_blowup_scene_sheared_packet_verifies(blown_sheared):
-    scene, _schedule, _packets, out, data, report = blown_sheared
-    rep = verify_blowup(scene, out, data)
+    scene, _schedule, _packets, out, collapse, report = blown_sheared
+    rep = verify_blowup(scene, out, collapse)
     assert rep["all_pass"], rep
     assert rep["max_defect"] < 1e-9
     want = sheared_packet_distance(0.1 / 1.1, 0.3)
@@ -494,13 +495,13 @@ def test_blowup_scene_sheared_packet_verifies(blown_sheared):
 
 
 def test_blowup_scene_leaf_membership_against_leaf_through(blown_sheared):
-    scene, _schedule, _packets, out, data, rep_unused = blown_sheared
-    rep = verify_blowup(scene, out, data)
+    scene, _schedule, _packets, out, collapse, rep_unused = blown_sheared
+    rep = verify_blowup(scene, out, collapse)
     row = next(r for r in rep["properties"] if r["property"] == 6)
     worst = 0.0
     for box in scene.boxes:
         fam = out.box(box.identifier).family
-        collapsed = data.pi(fam.values)
+        collapsed = collapse(fam.values)
         nodes = [(i, j, x, y)
                  for i, x in ((0, 0.0), (16, 0.5), (32, 1.0))
                  for j, y in ((0, 0.0), (32, 1.0))]
@@ -534,8 +535,7 @@ def test_blowup_scene_epsilon_forces_weight_halving():
     packets = (sheared_family(base, 0.3, 9),)
     schedule = InsertionSchedule((0.5,), (0.1,))
     report = {}
-    out, data = blowup_scene(scene, schedule, packets, epsilon=0.002,
-                             report=report)
+    blowup_scene(scene, schedule, packets, epsilon=0.002, report=report)
     assert report["retries"] == 2
     assert report["achieved_distance"] <= 0.002
     distances = report["attempt_distances"]
@@ -544,8 +544,8 @@ def test_blowup_scene_epsilon_forces_weight_halving():
     assert all(d > 0.002 for d in distances[:-1])
     assert report["achieved_distance"] == pytest.approx(
         sheared_packet_distance(0.025 / 1.025, 0.3), abs=1e-12)
-    # the returned data reflects the final halved weights
-    assert data.schedule.weights == (0.025,)
+    # the report's schedule holds the final halved weights
+    assert report["schedule"] == {"points": [0.5], "weights": [0.025]}
     with pytest.raises(LadderError) as err:
         blowup_scene(scene, schedule, packets, epsilon=1e-9)
     assert err.value.achieved > 0.0
@@ -605,23 +605,24 @@ def test_blowup_scene_multi_point_schedules(case):
     schedule, packets = case
     scene = _torus()
     report = {}
-    out, data = blowup_scene(scene, schedule, packets, epsilon=0.5,
-                             report=report)
-    rep = verify_blowup(scene, out, data)
+    out, collapse = blowup_scene(scene, schedule, packets, epsilon=0.5,
+                                 report=report)
+    rep = verify_blowup(scene, out, collapse)
     assert rep["all_pass"], rep
     assert len(rep["properties"]) == 8
+    live = InsertionSchedule(**report["schedule"])
     for box in scene.boxes:
-        solo, _solo_data = blowup_box(box.family, data.schedule, packets)
+        solo, _solo_collapse = blowup_box(box.family, live, packets)
         got = out.box(box.identifier).family
         np.testing.assert_array_equal(got.t, solo.t)
         np.testing.assert_array_equal(got.values, solo.values)
     assert report["face_defect"] <= 1e-12
-    plateaus = sorted(build_collapse(data.schedule).plateaus)
-    assert data.gaps() == tuple((lo, hi) for lo, hi, _z in plateaus)
+    plateaus = sorted(build_collapse(live).plateaus)
+    assert collapse.gaps == tuple((lo, hi) for lo, hi, _z in plateaus)
 
 
 def test_blowup_scene_report_is_json(blown_sheared):
-    _scene, _schedule, _packets, _out, _data, report = blown_sheared
+    _scene, _schedule, _packets, _out, _collapse, report = blown_sheared
     blob = json.loads(json.dumps(report))
     assert blob["operation"] == "blowup_scene"
     assert [s["stage"] for s in blob["stages"]] == [
@@ -633,12 +634,9 @@ def test_blowup_scene_report_is_json(blown_sheared):
 
 
 def test_verify_blowup_flags_corrupted_collapse(blown_sheared):
-    scene, _schedule, _packets, out, data, _report = blown_sheared
-    (lo, hi), = data.gaps()
-    shifted = CollapseMap(
-        plateaus=((lo + 0.01, hi + 0.01, 0.5),),
-        pieces=((0.0, lo + 0.01, 0.0, 0.5), (hi + 0.01, 1.0, 0.5, 1.0)))
-    corrupted = CollapseData(data.schedule, shifted)
+    scene, _schedule, _packets, out, collapse, _report = blown_sheared
+    (lo, hi), = collapse.gaps
+    corrupted = CollapseMap(((lo + 0.01, hi + 0.01, 0.5),))
     rep = verify_blowup(scene, out, corrupted)
     assert not rep["all_pass"]
     row = next(r for r in rep["properties"] if r["property"] == 6)
@@ -660,8 +658,8 @@ def test_blowup_scene_blows_up_each_distinct_family_once(monkeypatch):
 
     monkeypatch.setattr("flowbox.denjoy.blowup_box", counting_blowup_box)
     report = {}
-    out, data = blowup_scene(scene, InsertionSchedule((0.5,), (0.1,)),
-                             packets, epsilon=0.5, report=report)
+    out, collapse = blowup_scene(scene, InsertionSchedule((0.5,), (0.1,)),
+                                 packets, epsilon=0.5, report=report)
     assert report["retries"] == 0
     # b01 shares b00's blowup; the ulp-raised b11 is blown up on its own
     assert [f is scene.box(i).family for f, i in
@@ -669,13 +667,14 @@ def test_blowup_scene_blows_up_each_distinct_family_once(monkeypatch):
     assert out.box("b00").family is out.box("b01").family
     assert list(report["box_distances"]) == ["b00", "b01", "b10", "b11"]
     assert report["box_distances"]["b11"] != report["box_distances"]["b00"]
+    live = InsertionSchedule(**report["schedule"])
     for box in scene.boxes:
-        solo, solo_data = blowup_box(box.family, data.schedule, packets)
+        solo, solo_collapse = blowup_box(box.family, live, packets)
         got = out.box(box.identifier).family
         assert (got.base, got.anchor) == (solo.base, solo.anchor)
         assert np.array_equal(got.t, solo.t)
         assert np.array_equal(got.values, solo.values)
-        assert solo_data.gaps() == data.gaps()
+        assert solo_collapse.gaps == collapse.gaps
         assert report["box_distances"][box.identifier] == \
             c0_distance(box.family, solo)
     assert report["achieved_distance"] == max(
@@ -685,21 +684,18 @@ def test_blowup_scene_blows_up_each_distinct_family_once(monkeypatch):
 def test_verify_blowup_matches_per_box_oracle_on_mixed_scene():
     scene = mixed_horizontal_scene()
     packets = (sheared_family(BaseDomain("rectangle", 17, 17), 0.3, 9),)
-    out, data = blowup_scene(scene, InsertionSchedule((0.5,), (0.1,)),
-                             packets, epsilon=0.5)
+    out, collapse = blowup_scene(scene, InsertionSchedule((0.5,), (0.1,)),
+                                 packets, epsilon=0.5)
     # the first box of each byte-equal (original, blown) pair stands for it
     assert list(_verify_pairs(scene, out)) == ["b00", "b10", "b11"]
-    rep = verify_blowup(scene, out, data)
+    rep = verify_blowup(scene, out, collapse)
     assert rep["all_pass"], rep
-    assert rep == verify_blowup_oracle(scene, out, data)
+    assert rep == verify_blowup_oracle(scene, out, collapse)
     # off the gap the collapse fails properties 4, 6 and 7; each witness
     # names the box the per-box loop names: b00 rather than its twin b01
     # where every box ties, b11 where its lowered node spreads more
-    (lo, hi), = data.gaps()
-    shifted = CollapseMap(
-        plateaus=((lo + 0.05, hi + 0.05, 0.5),),
-        pieces=((0.0, lo + 0.05, 0.0, 0.5), (hi + 0.05, 1.0, 0.5, 1.0)))
-    corrupted = CollapseData(data.schedule, shifted)
+    (lo, hi), = collapse.gaps
+    corrupted = CollapseMap(((lo + 0.05, hi + 0.05, 0.5),))
     rep = verify_blowup(scene, out, corrupted)
     assert rep == verify_blowup_oracle(scene, out, corrupted)
     failed = {r["property"]: r["witness"]["box"] for r in rep["properties"]
@@ -708,12 +704,12 @@ def test_verify_blowup_matches_per_box_oracle_on_mixed_scene():
 
 
 def test_verify_blowup_matches_per_box_oracle_on_one_family(blown_sheared):
-    scene, _schedule, _packets, out, data, _report = blown_sheared
+    scene, _schedule, _packets, out, collapse, _report = blown_sheared
     fam, blown = scene.box("b10").family, out.box("b10").family
-    assert verify_blowup(fam, blown, data) == \
-        verify_blowup_oracle(fam, blown, data)
-    assert verify_blowup(scene, out, data) == \
-        verify_blowup_oracle(scene, out, data)
+    assert verify_blowup(fam, blown, collapse) == \
+        verify_blowup_oracle(fam, blown, collapse)
+    assert verify_blowup(scene, out, collapse) == \
+        verify_blowup_oracle(scene, out, collapse)
 
 
 def _assert_membership_matches_oracle(orig, heights):
@@ -723,14 +719,12 @@ def _assert_membership_matches_oracle(orig, heights):
 
 
 def test_leaf_membership_spread_matches_oracle_on_blowup(blown_sheared):
-    scene, _schedule, _packets, out, data, _report = blown_sheared
-    (lo, hi), = data.gaps()
-    shifted = CollapseMap(
-        plateaus=((lo + 0.01, hi + 0.01, 0.5),),
-        pieces=((0.0, lo + 0.01, 0.0, 0.5), (hi + 0.01, 1.0, 0.5, 1.0)))
+    scene, _schedule, _packets, out, collapse, _report = blown_sheared
+    (lo, hi), = collapse.gaps
+    shifted = CollapseMap(((lo + 0.01, hi + 0.01, 0.5),))
     for box in scene.boxes:
         fam = out.box(box.identifier).family
-        collapsed = data.pi(fam.values)
+        collapsed = collapse(fam.values)
         assert _assert_membership_matches_oracle(box.family, collapsed) < 1e-9
         # a collapse off the blown gap spreads leaves over many indices
         assert _assert_membership_matches_oracle(

@@ -14,6 +14,8 @@ from flowbox.foliation import (
 )
 from flowbox.kernel import (
     MAX_RETRIES,
+    SOLVER_TOL,
+    CollapseMap,
     InsertionSchedule,
     LadderError,
     Partition,
@@ -51,6 +53,58 @@ def collapse_by_hand(points, weights, x):
             return z
         shift += wi
     return s - shift
+
+
+class PieceBuiltCollapse:
+    """build_collapse and CollapseMap as they were when the map took its
+    pieces as a second input: the explicit piece-building loop, knots read
+    off the sorted plateaus and pieces, and right-inverse tables sorted by
+    image."""
+
+    def __init__(self, schedule):
+        shrink = 1.0 / (1.0 + schedule.total_weight)
+        plateaus = []
+        cum = 0.0
+        for z, w in zip(schedule.points, schedule.weights):
+            lo = (z + cum) * shrink
+            plateaus.append((lo, lo + w * shrink, z))
+            cum += w
+        pieces = []
+        x_lo, y_lo = 0.0, 0.0
+        for lo, hi, z in plateaus:
+            pieces.append((x_lo, lo, y_lo, z))
+            x_lo, y_lo = hi, z
+        pieces.append((x_lo, 1.0, y_lo, 1.0))
+        self.plateaus, self.pieces = tuple(plateaus), tuple(pieces)
+        segs = sorted([(p[0], p[1], p[2], p[2]) for p in plateaus] + pieces)
+        self.knots_x = np.array([segs[0][0]] + [seg[1] for seg in segs])
+        self.knots_y = np.array([segs[0][2]] + [seg[3] for seg in segs])
+        inv = sorted(pieces, key=lambda p: p[2])
+        self.px = np.array([(p[0], p[1]) for p in inv])
+        self.py = np.array([(p[2], p[3]) for p in inv])
+
+    def __call__(self, x):
+        return np.interp(np.asarray(x, dtype=float),
+                         self.knots_x, self.knots_y)
+
+    def preimage(self, y):
+        y = float(y)
+        for x_lo, x_hi, v in self.plateaus:
+            if abs(y - v) <= SOLVER_TOL:
+                return (x_lo, x_hi)
+        for x_lo, x_hi, y_lo, y_hi in self.pieces:
+            if y_lo - SOLVER_TOL <= y <= y_hi + SOLVER_TOL:
+                u = min(max((y - y_lo) / (y_hi - y_lo), 0.0), 1.0)
+                return x_lo + u * (x_hi - x_lo)
+        raise ValueError("no preimage found")
+
+    def complement_embedding(self, y):
+        y = np.asarray(y, dtype=float)
+        idx = np.searchsorted(self.py[:, 0], y, side="right") - 1
+        idx = np.clip(idx, 0, self.py.shape[0] - 1)
+        y_lo, y_hi = self.py[idx, 0], self.py[idx, 1]
+        u = np.clip((y - y_lo) / (y_hi - y_lo), 0.0, 1.0)
+        return self.px[idx, 0] + u * (self.px[idx, 1] - self.px[idx, 0])
 
 
 def max_pairwise_angle(normals):
@@ -286,6 +340,61 @@ def test_collapse_properties_random(entry):
     vals = p(np.linspace(0, 1, 513))
     assert np.all(np.diff(vals) >= -1e-15)
     assert vals[0] == 0.0 and vals[-1] == 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(schedules, st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_collapse_matches_piece_built_oracle(entry, probes):
+    zs, ws = sorted(entry[0]), entry[1]
+    assume(len(zs) < 2 or min(b - a for a, b in zip(zs, zs[1:])) > 1e-6)
+    schedule = InsertionSchedule(tuple(zs), tuple(ws))
+    p = build_collapse(schedule)
+    oracle = PieceBuiltCollapse(schedule)
+    assert p.plateaus == oracle.plateaus
+    assert p.pieces == oracle.pieces
+    # every knot, every plateau value and random probes, in x and in y
+    knots = [v for piece in oracle.pieces for v in piece]
+    x = np.array(knots + probes + list(np.linspace(0.0, 1.0, 129)))
+    assert np.array_equal(p(x), oracle(x))
+    assert np.array_equal(p.complement_embedding(x),
+                          oracle.complement_embedding(x))
+    for y in x:
+        assert p.preimage(y) == oracle.preimage(y)
+
+
+@pytest.mark.parametrize("plateaus", [
+    ((0.4, 0.3, 0.5),),                    # reversed
+    ((0.3, 0.3, 0.5),),                    # degenerate
+    ((0.0, 0.2, 0.5),),                    # touches 0
+    ((0.8, 1.0, 0.5),),                    # touches 1
+    ((0.2, 0.5, 0.3), (0.4, 0.6, 0.7)),    # overlapping
+    ((0.2, 0.4, 0.3), (0.4, 0.6, 0.7)),    # abutting
+    ((float("nan"), 0.4, 0.5),),
+])
+def test_collapse_map_refuses_knots_that_do_not_increase(plateaus):
+    with pytest.raises(ValueError, match="disjoint, nondegenerate"):
+        CollapseMap(plateaus)
+
+
+@pytest.mark.parametrize("plateaus", [
+    ((0.2, 0.3, 0.0),),                    # flat from 0
+    ((0.2, 0.3, 1.0),),                    # flat to 1
+    ((0.2, 0.3, 0.6), (0.5, 0.6, 0.4)),    # values out of order
+    ((0.2, 0.3, 0.5), (0.5, 0.6, 0.5)),    # one value twice
+    ((0.2, 0.3, float("nan")),),
+])
+def test_collapse_map_refuses_values_that_do_not_increase(plateaus):
+    with pytest.raises(ValueError, match="increase strictly"):
+        CollapseMap(plateaus)
+
+
+def test_collapse_map_sorts_its_plateaus():
+    p = CollapseMap(((0.6, 0.8, 0.7), (0.2, 0.4, 0.3)))
+    assert p.plateaus == ((0.2, 0.4, 0.3), (0.6, 0.8, 0.7))
+    assert p.gaps == ((0.2, 0.4), (0.6, 0.8))
+    assert p.pieces == ((0.0, 0.2, 0.0, 0.3), (0.4, 0.6, 0.3, 0.7),
+                        (0.8, 1.0, 0.7, 1.0))
+    assert p == CollapseMap(((0.2, 0.4, 0.3), (0.6, 0.8, 0.7)))
 
 
 # ---------------------------------------------------------------- partitions

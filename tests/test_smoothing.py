@@ -811,8 +811,8 @@ def blown_horizontal():
     # the inserted packet leaves refine every box's leaf grid
     scene = _scene(kind="horizontal", grid=17, samples=9)
     packet = sheared_family(BaseDomain("rectangle", 17, 17), 0.3, 9)
-    out, _data = blowup_scene(scene, InsertionSchedule((0.5,), (0.1,)),
-                              (packet,), epsilon=0.5)
+    out, _collapse = blowup_scene(scene, InsertionSchedule((0.5,), (0.1,)),
+                                  (packet,), epsilon=0.5)
     return out
 
 
