@@ -44,7 +44,7 @@ def frac(v) -> Fraction:
             raise ValueError(f"{v!r} has a zero denominator") from None
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, float):
         # Fraction refuses NaN with a ValueError but inf with an OverflowError
@@ -223,6 +223,9 @@ class FlowBoxSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "FlowBoxSpec":
+        if not isinstance(data["identifier"], str):
+            raise TypeError(f"box identifier must be a string, got "
+                            f"{type(data['identifier']).__name__}")
         return cls(
             data["identifier"],
             _interval_parse(data["x_range"]),
@@ -286,8 +289,12 @@ class DecompositionComplex:
 
     @classmethod
     def from_json(cls, data: dict) -> "DecompositionComplex":
-        return cls(tuple(FlowBoxSpec.from_json(b) for b in data["boxes"]),
-                   frozenset(data.get("v_boxes", ())))
+        boxes = tuple(FlowBoxSpec.from_json(b) for b in data["boxes"])
+        v_boxes = data.get("v_boxes", [])
+        if not isinstance(v_boxes, list):
+            raise TypeError(f"v_boxes must be a list of box identifiers, "
+                            f"got {type(v_boxes).__name__}")
+        return cls(boxes, frozenset(v_boxes))
 
 
 @dataclass(frozen=True)

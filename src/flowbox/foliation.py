@@ -243,6 +243,47 @@ def _interior_peak(g, dg, worst: float) -> float:
     return max(worst, float(_normal_angles(at[:2], at[2:]).max()))
 
 
+def _cut_rows(a: LeafFamily, b: LeafFamily):
+    """The indices of a's leaves that b's leaves are, or None: b's indices
+    are some of a's and b's grids are a's rows there, byte for byte."""
+    if b.m > a.m:
+        return None
+    cut = np.searchsorted(a.t, b.t)
+    if (not np.array_equal(a.t[cut], b.t)
+            or a.values[cut].tobytes() != b.values.tobytes()):
+        return None
+    return cut
+
+
+def _largest_angle(g: np.ndarray, order=None) -> float:
+    """Sup of the angle between the leaf normals of the gradients p = g[:2]
+    and q = g[2:], each (n, k), affine in z between consecutive points of a
+    node row; order[r] lists row r's columns by height (None: as stored).
+
+    The angle is at most the gnomonic distance |q - p|, convex between
+    consecutive heights (the projection only stretches): only points
+    farther than the angle at the farthest, less 1e-9 for rounding (none:
+    all 0), and segments with an end farther than worst can hold the
+    largest.
+    """
+    e = g[2:] - g[:2]
+    far = np.einsum("i...,i...->...", e, e)
+    top = g.reshape(4, -1)[:, np.argmax(far)]
+    near = far > (1.0 - 1e-9) * _normal_angles(top[:2], top[2:]) ** 2
+    worst = float(_normal_angles(g[:2, near], g[2:, near]).max(initial=0.0))
+    n, k = far.shape
+    far = far > worst * worst
+    if order is not None:
+        far = far.take(order + k * np.arange(n)[:, None])
+    node, seg = np.divmod(np.flatnonzero(far[:, :-1] | far[:, 1:]), k - 1)
+    if node.size:
+        lo, hi = ((seg, seg + 1) if order is None
+                  else (order[node, seg], order[node, seg + 1]))
+        worst = _interior_peak(g[:, node, lo],
+                               g[:, node, hi] - g[:, node, lo], worst)
+    return worst
+
+
 def c0_distance(a: LeafFamily, b: LeafFamily) -> float:
     """Sup over grid nodes x and heights z of the angle between the leaf
     normals at (x, z).
@@ -252,10 +293,35 @@ def c0_distance(a: LeafFamily, b: LeafFamily) -> float:
     heights of both families' leaves both are affine in z, so the sup is
     taken at those heights and at the angle's critical points between them:
     it depends on the normal fields, not on where they are sampled.
+
+    When b's leaves are some of a's, byte for byte (smooth_in_t's cut
+    leaves c_0 < c_1 < ...), every height of b is one of a's, and at a's
+    leaf i in [c_J, c_J+1] b's gradient is (1 - u) G[c_J] + u G[c_J+1] of
+    a's gradients G, the merge's own operands.  At b's own heights u is
+    exactly 0 or 1, so both normals are G[c_j]: the angle there is 0, the
+    zero-length segments the merge adds there never hold the sup, and one
+    pass over a's heights gives the merge's bits with no sort.
     """
     if a.base != b.base:
         raise ValueError("families must share a base domain")
-    n, k = a.base.nx * a.base.ny, a.m + b.m
+    n = a.base.nx * a.base.ny
+    cut = _cut_rows(a, b)
+    if cut is not None:
+        # one row per node, a's leaves: (p_x, p_y, q_x, q_y), with q read
+        # off a's gradients at the two cut leaves bracketing each leaf
+        z = a.values.reshape(a.m, n)
+        cell = np.minimum(np.searchsorted(cut, np.arange(a.m), side="right"),
+                          cut.size - 1)
+        lo, hi = cut[cell - 1], cut[cell]
+        u = np.clip((z - z[lo]) / (z[hi] - z[lo]), 0.0, 1.0)
+        g = np.empty((4, n, a.m))
+        for c, grad in enumerate(_leaf_gradients(a)):
+            grad = grad.reshape(a.m, n)
+            g[c] = grad.T
+            g[c + 2] = ((1.0 - u) * grad[lo] + u * grad[hi]).T
+        return _largest_angle(g)
+
+    k = a.m + b.m
     cols_b, cols_a = slice(0, b.m), slice(b.m, k)
     # one row per node, b's leaves and then a's: the heights z and (p_x,
     # p_y, q_x, q_y), a's gradient p and b's q, at their own leaves
@@ -285,22 +351,7 @@ def c0_distance(a: LeafFamily, b: LeafFamily) -> float:
         for d in g[c:c + 2]:
             d[:, at] = (1.0 - u) * d.take(pos) + u * d.take(pos1)
     del mask, pos, pos1, v_lo, u  # their pages serve the passes below
-    # the angle is at most the gnomonic distance |q - p|, convex between
-    # merged heights (the projection only stretches): only pairs farther
-    # than the angle at the farthest, less 1e-9 for rounding (none: all 0),
-    # and segments with an end farther than worst can hold the largest
-    e = g[2:] - g[:2]
-    far = np.einsum("i...,i...->...", e, e)
-    top = g.reshape(4, -1)[:, np.argmax(far)]
-    near = far > (1.0 - 1e-9) * _normal_angles(top[:2], top[2:]) ** 2
-    worst = float(_normal_angles(g[:2, near], g[2:, near]).max(initial=0.0))
-    far = (far > worst * worst).take(order + rows)
-    node, seg = np.divmod(np.flatnonzero(far[:, :-1] | far[:, 1:]), k - 1)
-    if node.size:
-        lo, hi = order[node, seg], order[node, seg + 1]
-        worst = _interior_peak(g[:, node, lo],
-                               g[:, node, hi] - g[:, node, lo], worst)
-    return worst
+    return _largest_angle(g, order)
 
 
 def merged_grid(a: np.ndarray, b: np.ndarray,

@@ -876,6 +876,20 @@ def _huge_leaf_index(scene):
     scene["boxes"][0]["family"]["t"][1] = 10 ** 400
 
 
+def _bool_rational(scene):
+    # a JSON bool is no rational, though Python's bool is an int
+    scene["boxes"][0]["x_range"] = [True, "1/2"]
+
+
+def _object_v_boxes(scene):
+    # an object's keys are no list of box identifiers
+    scene["v_boxes"] = {"b00": 1}
+
+
+def _int_identifier(scene):
+    scene["boxes"][0]["identifier"] = 5
+
+
 @pytest.mark.parametrize("kind", ["validate", "smooth"])
 @pytest.mark.parametrize("corrupt, problem", [
     (_west_missing, "side W has no faces"),
@@ -927,6 +941,9 @@ def test_validate_condition_1_row_passes_on_every_template(template, scenes,
     (_infinite_range, "inf is not a finite rational"),
     (_one_ended_range, "not enough values to unpack"),
     (_huge_leaf_index, "int too large to convert to float"),
+    (_bool_rational, "cannot coerce bool to a rational"),
+    (_object_v_boxes, "v_boxes must be a list of box identifiers, got dict"),
+    (_int_identifier, "box identifier must be a string, got int"),
 ])
 def test_corrupted_scene_exit_three(kind, corrupt, reason, grid9_scene,
                                     tmp_path):

@@ -19,6 +19,7 @@ from flowbox.foliation import (
     merged_grid,
     sheared_family,
     tangent_field,
+    _cut_rows,
     _interior_peak,
     _leaf_gradients,
     _normal_angles,
@@ -517,6 +518,48 @@ def test_c0_distance_matches_scatter_oracle_on_ties():
     for a, b in pairs:
         for x, y in ((a, b), (b, a)):
             assert c0_distance(x, y) == c0_distance_scatter_oracle(x, y)
+
+
+@st.composite
+def cut_families(draw):
+    """A family, random monotone or x- or y-sheared, and its own leaves at
+    a partition's points: every leaf, the one cell (0, 1), or 1 to 4
+    random interior cuts."""
+    base = BaseDomain("rectangle", draw(st.integers(8, 17)),
+                      draw(st.integers(8, 17)))
+    axis = draw(st.sampled_from([None, "x", "y"]))
+    if axis is None:
+        a = draw(leaf_families(base))
+    else:
+        a = sheared_family(base, draw(st.floats(-0.9, 0.9)),
+                           draw(st.integers(2, 40)), axis)
+    how = draw(st.sampled_from(["finest", "one-cell", "cuts"]))
+    if how == "cuts" and a.m > 2:
+        inner = draw(st.sets(st.integers(1, a.m - 2), min_size=1,
+                             max_size=4))
+    else:
+        inner = range(1, a.m - 1) if how == "finest" else ()
+    cut = np.array([0, *sorted(inner), a.m - 1])
+    return a, LeafFamily(base, a.t[cut], a.values[cut], a.anchor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut_families())
+def test_c0_distance_cut_path_matches_scatter_oracle(case):
+    a, b = case
+    assert _cut_rows(a, b) is not None
+    d = c0_distance(a, b)
+    assert d == c0_distance_scatter_oracle(a, b)
+    assert d == c0_distance(b, a)
+    assert c0_distance(a, a) == 0.0
+    if b.m > 2:
+        # one height one ulp higher: b is no longer a's rows, so the merge
+        # path measures it
+        moved = b.values.copy()
+        moved[1, -1, -1] = np.nextafter(moved[1, -1, -1], 2.0)
+        b = LeafFamily(b.base, b.t, moved, b.anchor)
+        assert _cut_rows(a, b) is None
+        assert c0_distance(a, b) == c0_distance_scatter_oracle(a, b)
 
 
 def midpoint_refinement(family: LeafFamily) -> LeafFamily:
