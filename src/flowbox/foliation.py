@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -23,6 +24,20 @@ def _json_ints(what: str, *values) -> tuple:
         raise TypeError(f"{what} must be integers, got "
                         f"{', '.join(type(v).__name__ for v in values)}")
     return values
+
+
+def json_floats(what: str, data, depth: int = 1) -> np.ndarray:
+    """data, lists nested depth deep, as a float array.  Every entry must be
+    a JSON number: a bool or a numeric string is refused rather than
+    coerced, as np.array(data, dtype=float) alone would."""
+    entries = data
+    for _ in range(depth - 1):
+        entries = chain.from_iterable(entries)
+    kinds = set(map(type, entries)) - {int, float}
+    if kinds:
+        raise TypeError(f"{what} must be numbers, got "
+                        f"{', '.join(sorted(k.__name__ for k in kinds))}")
+    return np.array(data, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -157,8 +172,8 @@ class LeafFamily:
         ax, ay = data["anchor"]
         return cls(
             base=BaseDomain.from_json(data["base"]),
-            t=np.array(data["t"], dtype=float),
-            values=np.array(data["values"], dtype=float),
+            t=json_floats("leaf indices", data["t"]),
+            values=json_floats("leaf heights", data["values"], depth=3),
             anchor=_json_ints("anchor indices", ax, ay),
         )
 

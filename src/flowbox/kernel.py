@@ -194,22 +194,6 @@ class CollapseMap:
             raise ValueError("isotopy time must lie in [0, 1]")
         return (1.0 - s) * z + s * self(z)
 
-    def preimage(self, y: float):
-        """The interval (x_lo, x_hi) if y is a collapsed value, else the
-        unique point of the complement mapping to y."""
-        y = float(y)
-        if not -SOLVER_TOL <= y <= 1.0 + SOLVER_TOL:
-            raise ValueError("value outside [0, 1]")
-        for x_lo, x_hi, v in self.plateaus:
-            if abs(y - v) <= SOLVER_TOL:
-                return (x_lo, x_hi)
-        for x_lo, x_hi, y_lo, y_hi in self.pieces:
-            if y_lo - SOLVER_TOL <= y <= y_hi + SOLVER_TOL:
-                u = (y - y_lo) / (y_hi - y_lo)
-                u = min(max(u, 0.0), 1.0)
-                return x_lo + u * (x_hi - x_lo)
-        raise ValueError("no preimage found")  # unreachable for y in [0, 1]
-
     def complement_embedding(self, y):
         """Piecewise-affine right inverse onto the complement closure.
 

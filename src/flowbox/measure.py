@@ -26,6 +26,7 @@ from .foliation import (
     fiber_transports,
     interp_columns,
     inverse_interp_columns,
+    json_floats,
     merged_grid,
 )
 from .kernel import COMPARISON_TOL, FACE_COMPAT_TOL, SOLVER_TOL, stage
@@ -76,8 +77,8 @@ class TransverseMeasure:
 
     @classmethod
     def from_json(cls, data: dict) -> "TransverseMeasure":
-        return cls(np.asarray(data["heights"], dtype=float),
-                   np.asarray(data["totals"], dtype=float))
+        return cls(json_floats("measure heights", data["heights"]),
+                   json_floats("measure totals", data["totals"]))
 
 
 def _pchip_end(h0, h1, m0, m1):

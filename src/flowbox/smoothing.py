@@ -70,17 +70,16 @@ def _axis_weight(u: np.ndarray, lo_in, hi_in, lo_out, hi_out) -> np.ndarray:
 
 
 def damped_blend(f: LeafFamily, g: LeafFamily, weight) -> LeafFamily:
-    """Leaves f + weight*(g - f) on the merged leaf indices of f and g.
+    """Leaves f + weight*(g - f) on f's own leaf indices.
 
-    The weight broadcasts against (len(t), nx, ny) leaf grids.  Grid values
-    where it is exactly zero are f's resampled values, and f's anchor column
-    is pinned to the merged indices, which resampling can miss by an ulp.
+    The weight broadcasts against (len(f.t), nx, ny) leaf grids.  Grid
+    values where it is exactly zero are f's values, and f's anchor column
+    is pinned to f.t, which g's interpolated leaves can miss by an ulp.
+    Every pipeline's g is f cut or blended, whose indices are some of f's.
     """
-    t = merged_grid(f.t, g.t)
-    a = f.leaves_at(t)
-    vals = a + weight * (g.leaves_at(t) - a)
-    vals[:, f.anchor[0], f.anchor[1]] = t
-    return LeafFamily(f.base, t, vals, f.anchor)
+    vals = f.values + weight * (g.leaves_at(f.t) - f.values)
+    vals[:, f.anchor[0], f.anchor[1]] = f.t
+    return LeafFamily(f.base, f.t, vals, f.anchor)
 
 
 # ------------------------------------------------------------- smooth_in_t
@@ -325,7 +324,9 @@ def _face_chart(fam_a: LeafFamily, fam_b: LeafFamily, axis: str, width: int,
     runs along it.  Both halves are reindexed by the leaf height at the
     span-start corner; the W/S-side corner is that box's anchor, so its
     reindexing is the identity and the chart's index set doubles as the
-    W/S-side leaf index set.
+    W/S-side leaf index set.  Returns the chart, the E/N-side box's
+    reindexing e_a, the E/N-side indices ta that e_a sends to the chart's,
+    and the seam gap.
     """
     e_a = fiber_map(fam_a, (fam_a.base.nx - 1, 0) if axis == "x"
                     else (0, fam_a.base.ny - 1))
@@ -347,7 +348,7 @@ def _face_chart(fam_a: LeafFamily, fam_b: LeafFamily, axis: str, width: int,
                           axis=1)
     vals[:, width, 0] = zs
     base = BaseDomain("rectangle", 2 * width + 1, fam_a.base.ny)
-    return LeafFamily(base, zs, vals, (width, 0)), e_a, seam_gap
+    return LeafFamily(base, zs, vals, (width, 0)), e_a, ta, seam_gap
 
 
 def _chart_blend(chart: LeafFamily, smoothed: LeafFamily, width: int,
@@ -437,7 +438,7 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
         with stage(stages, "maximal-face neighborhoods") as row:
             for axis, pos, (id_a, side_a), (id_b, side_b) in faces:
                 label = f"face {axis}={pos} ({id_a}.{side_a}|{id_b}.{side_b})"
-                chart, e_a, seam_gap = _face_chart(
+                chart, e_a, ta, seam_gap = _face_chart(
                     fams[id_a], fams[id_b], axis, width, label)
                 rep = {}
                 try:
@@ -449,8 +450,7 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
                                       achieved=err.achieved) from err
                 blended = _chart_blend(chart, smoothed, width, amplitude)
                 # the chart carries box b's leaf indices; e_a sends box a's
-                # to them
-                ta = e_a.inverse()(blended.t)
+                # ta to them
                 if id_a == id_b:
                     # a box glued to itself reads its two halves along two
                     # reindexings, so it gets the union grid, each half at

@@ -449,6 +449,21 @@ def test_measure_file_whose_measures_are_no_object_exit_three(
     assert "measures must map box identifiers to cumulatives" in row["detail"]
 
 
+def test_measure_file_with_bool_and_string_entries_exit_three(
+        horizontal9_scene, tmp_path):
+    # np.array(..., dtype=float) would read these as the cumulative
+    # (0, 0.5, 1) over the heights (0, 0.5, 1)
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps({"heights": [False, "0.5", True],
+                                "totals": [0, "0.5", 1]}))
+    assert main(["measure", "--scene", str(horizontal9_scene),
+                 "--measure-file", str(path),
+                 "--out", str(tmp_path / "run")]) == 3
+    [row] = read_manifest(tmp_path / "run")["checks"]
+    assert row["name"] == "input-wellformed" and not row["pass"]
+    assert "measure heights must be numbers, got bool, str" in row["detail"]
+
+
 @pytest.mark.parametrize("target, stage", [
     ("smooth_with_holonomy_constraint", "maximal-face neighborhoods"),
     ("damped_cone", "interior coning"),
@@ -881,6 +896,19 @@ def _bool_rational(scene):
     scene["boxes"][0]["x_range"] = [True, "1/2"]
 
 
+def _bool_leaf_index(scene):
+    # np.array(..., dtype=float) would read false as 0.0, a valid t[0]
+    scene["boxes"][0]["family"]["t"][0] = False
+
+
+def _string_leaf_index(scene):
+    scene["boxes"][0]["family"]["t"][-1] = "1"
+
+
+def _bool_leaf_height(scene):
+    scene["boxes"][0]["family"]["values"][0][0][0] = False
+
+
 def _object_v_boxes(scene):
     # an object's keys are no list of box identifiers
     scene["v_boxes"] = {"b00": 1}
@@ -942,6 +970,9 @@ def test_validate_condition_1_row_passes_on_every_template(template, scenes,
     (_one_ended_range, "not enough values to unpack"),
     (_huge_leaf_index, "int too large to convert to float"),
     (_bool_rational, "cannot coerce bool to a rational"),
+    (_bool_leaf_index, "leaf indices must be numbers, got bool"),
+    (_string_leaf_index, "leaf indices must be numbers, got str"),
+    (_bool_leaf_height, "leaf heights must be numbers, got bool"),
     (_object_v_boxes, "v_boxes must be a list of box identifiers, got dict"),
     (_int_identifier, "box identifier must be a string, got int"),
 ])

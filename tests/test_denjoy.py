@@ -136,15 +136,31 @@ def leaf_membership_spread_oracle(orig: LeafFamily,
     return float(gaps[k]), {"leaf_row": k, "spread": float(gaps[k])}
 
 
+def collapse_preimage(collapse: CollapseMap, y: float):
+    """The collapse map's scalar inverse as CollapseMap.preimage gave it:
+    the plateau (x_lo, x_hi) if y is within SOLVER_TOL of a collapsed
+    value, else the point of the first piece whose image holds y."""
+    y = float(y)
+    if not -SOLVER_TOL <= y <= 1.0 + SOLVER_TOL:
+        raise ValueError("value outside [0, 1]")
+    for x_lo, x_hi, v in collapse.plateaus:
+        if abs(y - v) <= SOLVER_TOL:
+            return (x_lo, x_hi)
+    for x_lo, x_hi, y_lo, y_hi in collapse.pieces:
+        if y_lo - SOLVER_TOL <= y <= y_hi + SOLVER_TOL:
+            u = (y - y_lo) / (y_hi - y_lo)
+            u = min(max(u, 0.0), 1.0)
+            return x_lo + u * (x_hi - x_lo)
+    raise ValueError("no preimage found")
+
+
 def verify_blowup_oracle(original, blown, collapse: CollapseMap) -> dict:
-    """verify_blowup as it was before it grouped byte-equal box pairs: every
-    per-box property loops over every box, and properties 6 and 7 each
-    collapse every blown family."""
-    if isinstance(original, LeafFamily):
-        pairs = {None: (original, blown)}
-    else:
-        pairs = {b.identifier: (b.family, blown.box(b.identifier).family)
-                 for b in original.boxes}
+    """verify_blowup as it was before it grouped byte-equal box pairs and
+    dropped the scalar preimage: every per-box property loops over every
+    box, properties 6 and 7 each collapse every blown family, and property
+    5 inverts one point at a time."""
+    pairs = {b.identifier: (b.family, blown.box(b.identifier).family)
+             for b in original.boxes}
     rows = []
 
     def add(num, label, defect, witness=None):
@@ -198,7 +214,7 @@ def verify_blowup_oracle(original, blown, collapse: CollapseMap) -> dict:
     defect, wit = 0.0, None
     points = tuple(z for _lo, _hi, z in collapse.plateaus)
     for z, (lo, hi) in zip(points, gaps):
-        pre = collapse.preimage(z)
+        pre = collapse_preimage(collapse, z)
         bad = max(abs(pre[0] - lo), abs(pre[1] - hi))
         if bad > defect:
             defect, wit = bad, {"point": z}
@@ -207,7 +223,8 @@ def verify_blowup_oracle(original, blown, collapse: CollapseMap) -> dict:
         off = orig.t[(np.min(np.abs(orig.t[:, None] - pts[None, :]), axis=1)
                       > 1e-6)] if pts.size else orig.t
         for z in off:
-            bad = abs(float(collapse(collapse.preimage(float(z)))) - float(z))
+            bad = abs(float(collapse(collapse_preimage(collapse, float(z))))
+                      - float(z))
             if bad > defect:
                 defect, wit = bad, {"box": key, "point": float(z)}
     add(5, "preimage is a point off the locus and the whole gap on it",
@@ -400,7 +417,10 @@ def test_blowup_box_random_schedules(entry):
                         axis=1) > 0.0]
     np.testing.assert_allclose(
         collapse(collapse.complement_embedding(kept)), kept, atol=1e-12)
-    rep = verify_blowup(fam, blown, collapse)
+    scene = build_torus_scene((1, 1), foliation={"kind": "horizontal",
+                                                 "samples": 9, "grid": 9})
+    rep = verify_blowup(with_families(scene, {"b00": fam}),
+                        with_families(scene, {"b00": blown}), collapse)
     assert rep["all_pass"], rep
 
 
@@ -705,7 +725,10 @@ def test_verify_blowup_matches_per_box_oracle_on_mixed_scene():
 
 def test_verify_blowup_matches_per_box_oracle_on_one_family(blown_sheared):
     scene, _schedule, _packets, out, collapse, _report = blown_sheared
-    fam, blown = scene.box("b10").family, out.box("b10").family
+    one_box = build_torus_scene((1, 1), foliation={"kind": "horizontal",
+                                                   "samples": 17, "grid": 33})
+    fam = with_families(one_box, {"b00": scene.box("b10").family})
+    blown = with_families(one_box, {"b00": out.box("b10").family})
     assert verify_blowup(fam, blown, collapse) == \
         verify_blowup_oracle(fam, blown, collapse)
     assert verify_blowup(scene, out, collapse) == \

@@ -14,7 +14,6 @@ from flowbox.foliation import (
 )
 from flowbox.kernel import (
     MAX_RETRIES,
-    SOLVER_TOL,
     CollapseMap,
     InsertionSchedule,
     LadderError,
@@ -86,17 +85,6 @@ class PieceBuiltCollapse:
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float),
                          self.knots_x, self.knots_y)
-
-    def preimage(self, y):
-        y = float(y)
-        for x_lo, x_hi, v in self.plateaus:
-            if abs(y - v) <= SOLVER_TOL:
-                return (x_lo, x_hi)
-        for x_lo, x_hi, y_lo, y_hi in self.pieces:
-            if y_lo - SOLVER_TOL <= y <= y_hi + SOLVER_TOL:
-                u = min(max((y - y_lo) / (y_hi - y_lo), 0.0), 1.0)
-                return x_lo + u * (x_hi - x_lo)
-        raise ValueError("no preimage found")
 
     def complement_embedding(self, y):
         y = np.asarray(y, dtype=float)
@@ -285,7 +273,7 @@ def test_collapse_empty_schedule_is_identity():
     p = build_collapse(InsertionSchedule((), ()))
     x = np.linspace(0, 1, 17)
     np.testing.assert_allclose(p(x), x, atol=0)
-    assert p.preimage(0.3) == pytest.approx(0.3)
+    assert float(p.complement_embedding(0.3)) == pytest.approx(0.3)
 
 
 def test_collapse_two_entry_widths():
@@ -306,12 +294,16 @@ def test_collapse_matches_hand_evaluation_on_grid():
             collapse_by_hand(points, weights, float(x)), abs=1e-12)
 
 
-def test_collapse_preimage_cases():
+def test_collapse_complement_embedding_cases():
     p = build_collapse(InsertionSchedule((0.5,), (1.0,)))
-    assert p.preimage(0.5) == pytest.approx((0.25, 0.75))
-    assert p.preimage(0.1) == pytest.approx(0.05, abs=1e-12)
-    assert p.preimage(0.0) == pytest.approx(0.0)
-    assert p.preimage(1.0) == pytest.approx(1.0)
+    # the collapsed value is taken on the whole gap and embeds at its
+    # right end
+    assert p([0.25, 0.75]).tolist() == [0.5, 0.5]
+    assert float(p.complement_embedding(0.5)) == pytest.approx(0.75)
+    assert float(p.complement_embedding(0.1)) == pytest.approx(0.05,
+                                                               abs=1e-12)
+    assert float(p.complement_embedding(0.0)) == pytest.approx(0.0)
+    assert float(p.complement_embedding(1.0)) == pytest.approx(1.0)
 
 
 schedules = st.integers(1, 20).flatmap(lambda n: st.tuples(
@@ -358,8 +350,6 @@ def test_collapse_matches_piece_built_oracle(entry, probes):
     assert np.array_equal(p(x), oracle(x))
     assert np.array_equal(p.complement_embedding(x),
                           oracle.complement_embedding(x))
-    for y in x:
-        assert p.preimage(y) == oracle.preimage(y)
 
 
 @pytest.mark.parametrize("plateaus", [

@@ -30,6 +30,7 @@ from flowbox.foliation import (
     c0_distance,
     holonomy,
     horizontal_family,
+    merged_grid,
     sheared_family,
     tangent_field,
 )
@@ -146,6 +147,17 @@ def shear_holonomy_oracle(shear: float, z: float) -> float:
     t + shear * t(1-t) = z by the quadratic formula."""
     s = shear
     return ((1.0 + s) - math.sqrt((1.0 + s) ** 2 - 4.0 * s * z)) / (2.0 * s)
+
+
+def damped_blend_oracle(f: LeafFamily, g: LeafFamily, weight) -> LeafFamily:
+    """damped_blend as it was when it merged and resampled: f and g read on
+    merged_grid(f.t, g.t), blended there, f's anchor pinned to the merged
+    indices."""
+    t = merged_grid(f.t, g.t)
+    a = f.leaves_at(t)
+    vals = a + weight * (g.leaves_at(t) - a)
+    vals[:, f.anchor[0], f.anchor[1]] = t
+    return LeafFamily(f.base, t, vals, f.anchor)
 
 
 def formula_smooth_oracle(family: LeafFamily, partition: Partition) -> LeafFamily:
@@ -544,7 +556,7 @@ def blend_pairs(draw):
 @given(blend_pairs())
 def test_damped_blend_endpoints(pair):
     # the two families carry independent t-grids; weight 0 and 1 must give
-    # back either family resampled on the merged indices, anchor pinned
+    # back f and g resampled on f's indices, anchor pinned
     f, g = pair
     off = np.ones((f.base.nx, f.base.ny), dtype=bool)
     off[f.anchor] = False
@@ -558,6 +570,50 @@ def test_damped_blend_endpoints(pair):
     # f + (g - f) misses g by the rounding of g - f, at most one ulp of 1
     gap = np.abs(at_one.values - g.leaves_at(at_one.t))[:, off]
     assert gap.max() <= 2.0 ** -52
+
+
+@st.composite
+def own_blend_cases(draw):
+    """A family f, a g whose leaf indices are some of f's, as every
+    pipeline passes (f cut at the finest partition, the one-cell partition
+    or 1-4 random interior leaves, or f blended toward such a cut), and a
+    weight: 0, 1 or a random array."""
+    base = BaseDomain("rectangle", draw(st.integers(8, 17)),
+                      draw(st.integers(8, 17)))
+    f = draw(leaf_families(base))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["finest", "one-cell", "random", "blend"]))
+    if kind == "finest":
+        cut = f.t
+    elif kind == "one-cell":
+        cut = np.array([0.0, 1.0])
+    else:
+        inner = f.t[1:-1]
+        k = draw(st.integers(1, 4))
+        picked = rng.choice(inner, size=min(k, inner.size), replace=False)
+        cut = np.concatenate([[0.0], np.sort(picked), [1.0]])
+    g = _formula_smooth(f, Partition(tuple(cut.tolist())))
+    if kind == "blend":
+        g = damped_blend_oracle(f, g, rng.uniform(0.0, 1.0,
+                                                  (1, base.nx, base.ny)))
+    shape = draw(st.sampled_from([(), (1, base.nx, base.ny),
+                                  (f.m, base.nx, base.ny), (1, base.nx, 1)]))
+    weight = (draw(st.sampled_from([0.0, 1.0])) if not shape
+              else rng.uniform(0.0, 1.0, shape))
+    return f, g, weight
+
+
+@settings(max_examples=60, deadline=None)
+@given(own_blend_cases())
+def test_damped_blend_matches_merging_oracle(case):
+    # on g's leaf indices, all of them f's, the merge is f.t and f's
+    # resampled leaves are f's own, so the two blends agree bit for bit
+    f, g, weight = case
+    got = damped_blend(f, g, weight)
+    want = damped_blend_oracle(f, g, weight)
+    assert (got.base, got.anchor) == (want.base, want.anchor)
+    assert got.t.tobytes() == want.t.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 # ------------------------------------------- holonomy-constrained smoothing
@@ -985,7 +1041,8 @@ def test_face_chart_paste_roundtrip(sheared_scene):
     axis, _pos, (id_a, _sa), (id_b, _sb) = shared_faces(sheared_scene)[0]
     fam_a = sheared_scene.box(id_a).family
     fam_b = sheared_scene.box(id_b).family
-    chart, e_a, seam_gap = _face_chart(fam_a, fam_b, axis, 8, "roundtrip")
+    chart, e_a, ta, seam_gap = _face_chart(fam_a, fam_b, axis, 8,
+                                           "roundtrip")
     assert seam_gap <= 1e-12
     assert chart.base.nx == 17 and chart.anchor == (8, 0)
     assert np.array_equal(chart.values[:, 8, 0], chart.t)
@@ -993,7 +1050,7 @@ def test_face_chart_paste_roundtrip(sheared_scene):
     # functions of (t, x, y)
     blended = _chart_blend(chart, chart, 8, 1.0)
     assert np.array_equal(blended.values, chart.values)
-    ta = e_a.inverse()(blended.t)
+    assert np.array_equal(ta, e_a.inverse()(blended.t))
     ta[0], ta[-1] = 0.0, 1.0
     back_a = _paste(fam_a, blended, axis, 8, ta, first=blended.t)
     back_b = _paste(fam_b, blended, axis, 8, blended.t, second=blended.t)
