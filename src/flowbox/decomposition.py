@@ -223,17 +223,20 @@ class FlowBoxSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "FlowBoxSpec":
-        if not isinstance(data["identifier"], str):
+        ident = data["identifier"]
+        if not isinstance(ident, str):
             raise TypeError(f"box identifier must be a string, got "
-                            f"{type(data['identifier']).__name__}")
-        return cls(
-            data["identifier"],
-            _interval_parse(data["x_range"]),
-            _interval_parse(data["y_range"]),
-            _interval_parse(data["heights"]),
-            tuple(Face.from_json(f) for f in data["faces"]),
-            LeafFamily.from_json(data["family"]),
-        )
+                            f"{type(ident).__name__}")
+        ranges = [_interval_parse(data[name])
+                  for name in ("x_range", "y_range", "heights")]
+        faces = tuple(Face.from_json(f) for f in data["faces"])
+        try:
+            family = LeafFamily.from_json(data["family"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            # named as condition-1 breaches are, so a bad entry in a
+            # many-box scene points at its box
+            raise type(exc)(f"box {ident}: {exc}") from exc
+        return cls(ident, *ranges, faces, family)
 
 
 @dataclass(frozen=True)

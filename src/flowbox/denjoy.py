@@ -25,6 +25,7 @@ from .foliation import (
     c0_distance,
     fiber_transports,
     inverse_interp_columns,
+    shared_result,
 )
 from .kernel import (
     COMPARISON_TOL,
@@ -40,13 +41,6 @@ from .smoothing import face_transport_defect
 
 
 # ------------------------------------------------------------ one flow box
-
-
-def _family_key(family: LeafFamily) -> tuple:
-    """Byte identity of a family: byte-equal families give byte-equal
-    blowups, distances and verification defects."""
-    return (family.base, family.anchor, family.t.tobytes(),
-            family.values.tobytes())
 
 
 def _require_horizontal(family: LeafFamily, label: str) -> None:
@@ -183,16 +177,18 @@ def blowup_scene(scene: DecompositionComplex, schedule: InsertionSchedule,
     def attempt(scale):
         live = InsertionSchedule(schedule.points,
                                  tuple(w * scale for w in schedule.weights))
-        fams, box_distances, blown = {}, {}, {}
+        fams, box_distances, memo = {}, {}, []
+
+        def blow(family):
+            fam, collapse = blowup_box(family, live, packets)
+            return fam, c0_distance(family, fam), collapse
+
         stages = []
         with stage(stages, "edge-neighborhood boxes") as row:
             for box in scene.boxes:
-                key = _family_key(box.family)
-                if key not in blown:
-                    fam, collapse = blowup_box(box.family, live, packets)
-                    blown[key] = fam, c0_distance(box.family, fam)
                 ident = box.identifier
-                fams[ident], box_distances[ident] = blown[key]
+                fams[ident], box_distances[ident], collapse = shared_result(
+                    memo, blow, box.family)
             worst = max(box_distances.values())
             row.update({"region": "every flow box, fiberwise insertion",
                         "achieved_distance": worst})
@@ -240,12 +236,12 @@ def blowup_scene(scene: DecompositionComplex, schedule: InsertionSchedule,
 def _verify_pairs(original, blown):
     """(original, blown) family pairs keyed by box, one per distinct pair:
     the first box in box order stands for every byte-equal pair after it."""
-    firsts = {}
+    pairs, memo = {}, []
     for b in original.boxes:
         pair = (b.family, blown.box(b.identifier).family)
-        firsts.setdefault((_family_key(pair[0]), _family_key(pair[1])),
-                          (b.identifier, pair))
-    return dict(firsts.values())
+        first = shared_result(memo, lambda *_: b.identifier, *pair)
+        pairs.setdefault(first, pair)
+    return pairs
 
 
 def _leaf_membership_spread(orig: LeafFamily, heights: np.ndarray) -> tuple:

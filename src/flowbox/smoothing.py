@@ -35,6 +35,7 @@ from .foliation import (
     holonomy,
     interp_columns,
     merged_grid,
+    shared_result,
     tangent_field,
 )
 from .kernel import (
@@ -398,6 +399,12 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
     Every stage's amplitude scales with epsilon, and the whole ladder is
     re-run with halved amplitudes until each box stays within epsilon of its
     input.
+
+    Within one attempt, byte-equal boxes are damped and coned once,
+    byte-equal face charts are smoothed and blended once, and every stage
+    row's and box distance's c0_distance runs once per byte-equal
+    (before, after) pair; every face still gets its own row and every box
+    its own box_distances entry.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -423,32 +430,49 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
         eps_cone = 0.25 * epsilon * scale
         fams = dict(originals)
         stages = []
+
+        def distances(before):
+            # one c0_distance per byte-distinct (before, after) pair
+            memo = []
+            return {i: shared_result(memo, c0_distance, before[i], fams[i])
+                    for i in order}
+
+        def damp(family):
+            return _corner_fiber_damp(family, amplitude)
+
+        def smooth_face(chart):
+            rep = {}
+            smoothed = smooth_with_holonomy_constraint(
+                chart, eps_face, bands=(0.25, 15.0 / 32.0), report=rep)
+            return _chart_blend(chart, smoothed, width, amplitude), rep
+
+        def cone(family):
+            coned = damped_cone(family, 1.0 / 16.0, eps_cone)
+            return damped_blend(family, coned, amplitude)
+
         with stage(stages, "vertical-edge neighborhoods") as row:
+            memo = []
             for ident in order:
-                fams[ident] = _corner_fiber_damp(fams[ident], amplitude)
+                fams[ident] = shared_result(memo, damp, fams[ident])
             row.update({
                 "region": "corner squares of side 1/4 in every box",
-                "achieved_distance": max(
-                    c0_distance(originals[i], fams[i]) for i in order),
+                "achieved_distance": max(distances(originals).values()),
                 "holonomy_defect": face_transport_defect(
                     with_families(scene, fams)),
             })
         after_corners = dict(fams)
         face_rows = []
         with stage(stages, "maximal-face neighborhoods") as row:
+            memo = []
             for axis, pos, (id_a, side_a), (id_b, side_b) in faces:
                 label = f"face {axis}={pos} ({id_a}.{side_a}|{id_b}.{side_b})"
                 chart, e_a, ta, seam_gap = _face_chart(
                     fams[id_a], fams[id_b], axis, width, label)
-                rep = {}
                 try:
-                    smoothed = smooth_with_holonomy_constraint(
-                        chart, eps_face, bands=(0.25, 15.0 / 32.0),
-                        report=rep)
+                    blended, rep = shared_result(memo, smooth_face, chart)
                 except LadderError as err:
                     raise LadderError(f"{label}: {err}",
                                       achieved=err.achieved) from err
-                blended = _chart_blend(chart, smoothed, width, amplitude)
                 # the chart carries box b's leaf indices; e_a sends box a's
                 # ta to them
                 if id_a == id_b:
@@ -473,8 +497,7 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
                 })
             row.update({
                 "region": f"straddle strips over {len(faces)} shared faces",
-                "achieved_distance": max(
-                    c0_distance(after_corners[i], fams[i]) for i in order),
+                "achieved_distance": max(distances(after_corners).values()),
                 "holonomy_defect": max(r["holonomy_defect"]
                                        for r in face_rows),
                 "retries": sum(r["retries"] for r in face_rows),
@@ -482,22 +505,21 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
             })
         after_faces = dict(fams)
         with stage(stages, "interior coning") as row:
+            memo = []
             for ident in order:
                 try:
-                    coned = damped_cone(fams[ident], 1.0 / 16.0, eps_cone)
+                    fams[ident] = shared_result(memo, cone, fams[ident])
                 except LadderError as err:
                     raise LadderError(f"box {ident} interior coning: {err}",
                                       achieved=err.achieved) from err
-                fams[ident] = damped_blend(fams[ident], coned, amplitude)
             result = with_families(scene, fams)
             post_defect = face_transport_defect(result)
             row.update({
                 "region": "box interiors outside the collar of width 1/16",
-                "achieved_distance": max(
-                    c0_distance(after_faces[i], fams[i]) for i in order),
+                "achieved_distance": max(distances(after_faces).values()),
                 "holonomy_defect": post_defect,
             })
-        box_distances = {i: c0_distance(originals[i], fams[i]) for i in order}
+        box_distances = distances(originals)
         worst = max(box_distances.values())
         return result, worst <= epsilon, {
             "operation": "globally_smooth",

@@ -909,6 +909,12 @@ def _bool_leaf_height(scene):
     scene["boxes"][0]["family"]["values"][0][0][0] = False
 
 
+def _string_height_in_b10(scene):
+    # a family error names its box, as a condition-1 breach does
+    assert scene["boxes"][2]["identifier"] == "b10"
+    scene["boxes"][2]["family"]["values"][3][1][1] = "0.4"
+
+
 def _object_v_boxes(scene):
     # an object's keys are no list of box identifiers
     scene["v_boxes"] = {"b00": 1}
@@ -973,6 +979,7 @@ def test_validate_condition_1_row_passes_on_every_template(template, scenes,
     (_bool_leaf_index, "leaf indices must be numbers, got bool"),
     (_string_leaf_index, "leaf indices must be numbers, got str"),
     (_bool_leaf_height, "leaf heights must be numbers, got bool"),
+    (_string_height_in_b10, "box b10: leaf heights must be numbers, got str"),
     (_object_v_boxes, "v_boxes must be a list of box identifiers, got dict"),
     (_int_identifier, "box identifier must be a string, got int"),
 ])

@@ -9,6 +9,7 @@ from flowbox.foliation import (
     BaseDomain,
     HolonomyMap,
     LeafFamily,
+    byte_equal,
     c0_distance,
     fiber_map,
     fiber_transports,
@@ -17,6 +18,7 @@ from flowbox.foliation import (
     interp_columns,
     inverse_interp_columns,
     merged_grid,
+    shared_result,
     sheared_family,
     tangent_field,
     _cut_rows,
@@ -810,3 +812,42 @@ def test_choose_partition_family_level():
 def test_holonomy_rejects_endpoints_outside_domain(start, end):
     with pytest.raises(ValueError, match="leaves the base domain"):
         holonomy(horizontal_family(RECT, 9), start, end)
+
+
+def test_byte_equal_is_bit_identity():
+    fam = sheared_family(BaseDomain("rectangle", 9, 9), 0.3, m=9)
+    copy = LeafFamily(fam.base, fam.t.copy(), fam.values.copy(), fam.anchor)
+    assert byte_equal(fam, fam) and byte_equal(fam, copy)
+    values = fam.values.copy()
+    values[4, 5, 5] = np.nextafter(values[4, 5, 5], 1.0)
+    assert not byte_equal(fam, LeafFamily(fam.base, fam.t, values))
+    # equal as numbers, not as bits: 0.0 and -0.0 in a non-anchor column
+    values = fam.values.copy()
+    values[0, 3, 3] = -0.0
+    signed = LeafFamily(fam.base, fam.t, values)
+    assert np.array_equal(signed.values, fam.values)
+    assert not byte_equal(fam, signed)
+    horizontal = horizontal_family(fam.base, 9)
+    moved = horizontal_family(fam.base, 9, anchor=(1, 1))
+    assert not byte_equal(horizontal, moved)
+    assert not byte_equal(horizontal, horizontal_family(fam.base, 17))
+    assert not byte_equal(
+        horizontal, horizontal_family(BaseDomain("rectangle", 9, 10), 9))
+
+
+def test_shared_result_runs_once_per_byte_distinct_input():
+    base = BaseDomain("rectangle", 9, 9)
+    fam = sheared_family(base, 0.3, m=9)
+    copy = LeafFamily(fam.base, fam.t.copy(), fam.values.copy(), fam.anchor)
+    other = horizontal_family(base, 9)
+    calls, memo = [], []
+
+    def run(a, b):
+        calls.append((a, b))
+        return len(calls)
+
+    got = [shared_result(memo, run, a, b) for a, b in
+           ((fam, other), (copy, other), (other, fam), (fam, copy))]
+    # the second pair repeats the first byte for byte; the others are new
+    assert got == [1, 1, 2, 3]
+    assert [pair for pair, _ in memo] == calls
