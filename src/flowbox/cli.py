@@ -39,7 +39,7 @@ from .denjoy import (
     verify_blowup,
     wandering_audit,
 )
-from .foliation import BaseDomain, horizontal_family, sheared_family
+from .foliation import BaseDomain, horizontal_family, json_part, sheared_family
 from .kernel import (
     COMPARISON_TOL,
     FACE_COMPAT_TOL,
@@ -246,7 +246,7 @@ def _load_scene(path_str: str | None) -> DecompositionComplex:
     if isinstance(data, dict) and "scene" in data:
         data = data["scene"]  # generated files wrap the scene with metadata
     try:
-        return DecompositionComplex.from_json(data)
+        return json_part("", DecompositionComplex.from_json, data)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"scene file {path} does not describe a "
                              f"decomposition: {exc}") from exc
@@ -492,10 +492,11 @@ def _load_measures(config: ScenarioConfig,
             if not isinstance(data["measures"], dict):
                 raise TypeError("measures must map box identifiers to "
                                 "cumulatives")
-            return {name: TransverseMeasure.from_json(entry)
+            return {name: json_part(f"measures.{name}",
+                                    TransverseMeasure.from_json, entry)
                     for name, entry in data["measures"].items()}
         # a single cumulative is broadcast to every box
-        mu = TransverseMeasure.from_json(data)
+        mu = json_part("", TransverseMeasure.from_json, data)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"measure file {path} does not describe a "
                              f"cumulative function: {exc}") from exc

@@ -21,6 +21,7 @@ from .foliation import (
     BaseDomain,
     LeafFamily,
     horizontal_family,
+    json_part,
     node_columns,
     sheared_family,
 )
@@ -229,9 +230,11 @@ class FlowBoxSpec:
                             f"{type(ident).__name__}")
         ranges = [_interval_parse(data[name])
                   for name in ("x_range", "y_range", "heights")]
-        faces = tuple(Face.from_json(f) for f in data["faces"])
+        faces = tuple(json_part(f".faces[{j}]", Face.from_json, face)
+                      for j, face in enumerate(data["faces"]))
         try:
-            family = LeafFamily.from_json(data["family"])
+            family = json_part(".family", LeafFamily.from_json,
+                               data["family"])
         except (TypeError, ValueError, OverflowError) as exc:
             # named as condition-1 breaches are, so a bad entry in a
             # many-box scene points at its box
@@ -292,7 +295,12 @@ class DecompositionComplex:
 
     @classmethod
     def from_json(cls, data: dict) -> "DecompositionComplex":
-        boxes = tuple(FlowBoxSpec.from_json(b) for b in data["boxes"])
+        boxes = []
+        for i, box in enumerate(data["boxes"]):
+            ident = box.get("identifier") if isinstance(box, dict) else None
+            step = f"boxes[{i}]" + (f" ({ident})" if isinstance(ident, str)
+                                    else "")
+            boxes.append(json_part(step, FlowBoxSpec.from_json, box))
         v_boxes = data.get("v_boxes", [])
         if not isinstance(v_boxes, list):
             raise TypeError(f"v_boxes must be a list of box identifiers, "

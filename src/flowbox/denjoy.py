@@ -461,13 +461,12 @@ def birkhoff_estimate(orbit: list, report: dict | None = None) -> float:
     return estimate
 
 
-def rotation_number(lift: CircleMapLift, iterations: int,
-                    report: dict | None = None) -> float:
+def rotation_number(lift: CircleMapLift, iterations: int) -> float:
     """Birkhoff average h^n(0)/n over n >= 1000 iterates of the lift."""
     n = int(iterations)
     if n < 1000:
         raise ValueError("rotation number needs at least 1000 iterations")
-    return birkhoff_estimate(circle_orbit(lift, n), report=report)
+    return birkhoff_estimate(circle_orbit(lift, n))
 
 
 def blowup_circle_map(alpha: float, orbit_length: int,

@@ -26,6 +26,28 @@ def _json_ints(what: str, *values) -> tuple:
     return values
 
 
+class MissingKey(KeyError):
+    """A key missing from a JSON object.  args are the key and the path from
+    the document's root to that object, such as "boxes[2] (b10).family"."""
+
+    def __str__(self):
+        key, path = self.args
+        return f"{path}{': ' if path else ''}missing key {key!r}"
+
+
+def json_part(step: str, parse, data):
+    """parse(data), where step (such as ".family" or "boxes[2]") leads from
+    the enclosing object to data: a key missing from data, or from a part
+    that parse reads in turn, is raised as a MissingKey whose path begins
+    with step."""
+    try:
+        return parse(data)
+    except KeyError as exc:
+        key, path = (exc.args if isinstance(exc, MissingKey)
+                     else (exc.args[0], ""))
+        raise MissingKey(key, step + path) from None
+
+
 def json_floats(what: str, data, depth: int = 1) -> np.ndarray:
     """data, lists nested depth deep, as a float array.  Every entry must be
     a JSON number: a bool or a numeric string is refused rather than
@@ -171,7 +193,7 @@ class LeafFamily:
     def from_json(cls, data: dict) -> "LeafFamily":
         ax, ay = data["anchor"]
         return cls(
-            base=BaseDomain.from_json(data["base"]),
+            base=json_part(".base", BaseDomain.from_json, data["base"]),
             t=json_floats("leaf indices", data["t"]),
             values=json_floats("leaf heights", data["values"], depth=3),
             anchor=_json_ints("anchor indices", ax, ay),

@@ -17,13 +17,10 @@ from .decomposition import (
     DecompositionComplex,
     face_columns,
     shared_faces,
-    side_nodes,
     validate,  # unused; the bench tracer's alias test checks it
 )
 from .foliation import (
     HolonomyMap,
-    fiber_map,
-    fiber_transports,
     interp_columns,
     inverse_interp_columns,
     json_floats,
@@ -114,8 +111,7 @@ def _pchip(x, y, z):
     return y[cell] + d[cell] * s + c1[cell] * s2 + c0[cell] * (s2 * s)
 
 
-def smooth_measure_on_transversal(mu: TransverseMeasure, subsample_count: int,
-                                  report: dict | None = None):
+def smooth_measure_on_transversal(mu: TransverseMeasure, subsample_count: int):
     """Smooth a fiber measure: returns (reparametrization f, new measure).
 
     h is the sampled cumulative, g the monotone cubic spline through h at
@@ -125,26 +121,14 @@ def smooth_measure_on_transversal(mu: TransverseMeasure, subsample_count: int,
     """
     if int(subsample_count) != subsample_count or subsample_count < 4:
         raise ValueError("need at least 4 subsample nodes")
-    if np.any(np.diff(mu.totals) <= 0.0):
-        raise ValueError("cumulative must be strictly increasing")
     nodes = np.linspace(0.0, 1.0, int(subsample_count))
-    node_vals = mu(nodes)
     grid = merged_grid(mu.heights, nodes)
-    g_vals = _pchip(nodes, node_vals, grid)
+    g_vals = _pchip(nodes, mu(nodes), grid)
     if np.any(np.diff(g_vals) <= 0.0):
         raise ValueError("spline lost strict monotonicity; refine subsamples")
     f_vals = np.interp(g_vals, mu.totals, mu.heights)
     f_vals[0], f_vals[-1] = 0.0, 1.0
-    f = HolonomyMap(grid, f_vals)
-    smoothed = TransverseMeasure(grid, g_vals)
-    if report is not None:
-        node_residual = float(np.abs(
-            smoothed(nodes) - _pchip(nodes, node_vals, nodes)).max())
-        report.update({"operation": "smooth_measure_on_transversal",
-                       "subsample_count": int(subsample_count),
-                       "node_residual": node_residual,
-                       "reparametrization_defect": f.identity_defect()})
-    return f, smoothed
+    return HolonomyMap(grid, f_vals), TransverseMeasure(grid, g_vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,20 +185,19 @@ def scene_invariance_defect(measured: MeasuredScene,
     return worst
 
 
-def _propagation_chain(face, scene, source, target) -> HolonomyMap:
-    """Reference-fiber change of coordinates across one shared face.
+def _propagation_chain(face, scene, source) -> HolonomyMap:
+    """Reference-fiber change of coordinates across one shared face, from
+    its owner source to the other owner.
 
     The new cumulative of the target must induce the source's arc measures
     on the face, which pins M_target = M_source o chain with
     chain = E_source^-1 o E_target at any face column; invariance of the
     input makes the column choice immaterial, so the first column is used.
     """
-    axis, pos, owner_a, owner_b = face
-    sides = {owner_a[0]: owner_a[1], owner_b[0]: owner_b[1]}
-    fam_s = scene.box(source).family
-    fam_t = scene.box(target).family
-    e_s = fiber_map(fam_s, side_nodes(fam_s.base, sides[source])[0])
-    e_t = fiber_map(fam_t, side_nodes(fam_t.base, sides[target])[0])
+    fam_a, cols_a, fam_b, cols_b = face_columns(scene, face)
+    e_a = HolonomyMap(fam_a.t, cols_a[:, 0])
+    e_b = HolonomyMap(fam_b.t, cols_b[:, 0])
+    e_s, e_t = (e_a, e_b) if face[2][0] == source else (e_b, e_a)
     return e_s.inverse().compose(e_t)
 
 
@@ -224,11 +207,12 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
 
     Pipeline: smooth the root box's cumulative along its anchor
     transversal (the spline interpolates its end values, so the
-    horizontal-boundary values stay pinned), transport the smoothed
+    horizontal-boundary values stay pinned), then transport the smoothed
     cumulative across maximal faces (holonomy preserves the measure, so
-    transport is composition with the face's change of reference fiber),
-    and extend into box interiors by fiber pushforward, recording the
-    extension residual.  Leaves are never touched: on product boxes the
+    transport is composition with the face's change of reference fiber).
+    Box interiors need no stage of their own: each measure lives on its
+    box's anchor fiber, and every other fiber reads it through the box's
+    leaves, which the pipeline never changes.  On product boxes the
     reparametrization isotopy re-anchors each family to itself.
     """
     scene = measured.scene
@@ -236,12 +220,16 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
         raise ValueError("scene fails validation; fix the decomposition first")
     stages = []
     with stage(stages, "invariance pre-check") as row:
-        pre = scene_invariance_defect(measured)
+        per_face = {}
+        pre = scene_invariance_defect(measured, report=per_face)
         row["defect"] = pre
         if pre > FACE_COMPAT_TOL:
+            bad = [f"{r['face']} ({r['owners'][0]}|{r['owners'][1]})"
+                   for r in per_face["rows"] if r["defect"] > FACE_COMPAT_TOL]
             raise ValueError(
                 f"measure invariance defect {pre:.3e} exceeds "
-                f"{FACE_COMPAT_TOL:g}; not an invariant measure")
+                f"{FACE_COMPAT_TOL:g}; not an invariant measure on: "
+                + ", ".join(bad))
 
     order = sorted(b.identifier for b in scene.boxes)
     root = order[0]
@@ -253,9 +241,8 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
     smoothed = {root: mu_root}
 
     with stage(stages, "maximal-face transport") as row:
-        faces = shared_faces(scene)
         adjacency = {}
-        for face in faces:
+        for face in shared_faces(scene):
             _, _, (id_a, _), (id_b, _) = face
             adjacency.setdefault(id_a, []).append((id_b, face))
             adjacency.setdefault(id_b, []).append((id_a, face))
@@ -266,7 +253,7 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
             for neighbor, face in adjacency.get(current, ()):
                 if neighbor in smoothed:
                     continue
-                chain = _propagation_chain(face, scene, current, neighbor)
+                chain = _propagation_chain(face, scene, current)
                 if chain.identity_defect() <= SOLVER_TOL:
                     smoothed[neighbor] = smoothed[current]
                 else:
@@ -288,25 +275,6 @@ def smooth_measured_scene(measured: MeasuredScene, subsample_count: int = 9,
                 f"smoothed measure defect {loop_defect:.3e} exceeds "
                 f"{COMPARISON_TOL:g}")
         row.update({"tree_edges": tree_edges, "loop_defect": loop_defect})
-
-    with stage(stages, "interior cone extension") as row:
-        residual = 0.0
-        for box in scene.boxes:
-            fam = box.family
-            mu_new = smoothed[box.identifier]
-            iy = fam.base.ny // 2
-            nodes = [(0, iy)] + [(ix, iy) for ix in
-                                 sorted({1, fam.base.nx // 2, fam.base.nx - 2})
-                                 if 0 < ix < fam.base.nx - 1]
-            e_0j = fiber_map(fam, nodes[0])
-            for node, trans in zip(nodes[1:], fiber_transports(fam, nodes)):
-                e_ij = fiber_map(fam, node)
-                grid = merged_grid(e_ij.outputs, trans.outputs)
-                direct = mu_new(e_ij.inverse()(grid))
-                via_edge = mu_new(e_0j.inverse()(trans.inverse()(grid)))
-                residual = max(residual,
-                               float(np.abs(direct - via_edge).max()))
-        row["residual"] = residual
 
     if report is not None:
         report.update({"operation": "smooth_measured_scene",

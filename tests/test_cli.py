@@ -35,6 +35,7 @@ from flowbox.foliation import c0_distance, horizontal_family
 from flowbox.kernel import LadderError
 
 from test_denjoy import mixed_horizontal_scene
+from test_measure import wave_scene
 
 
 def read_csv(path):
@@ -464,6 +465,23 @@ def test_measure_file_with_bool_and_string_entries_exit_three(
     assert "measure heights must be numbers, got bool, str" in row["detail"]
 
 
+@pytest.mark.parametrize("content, where", [
+    ({"heights": [0, 0.5, 1]}, "cumulative function: missing key 'totals'"),
+    ({"measures": {"b00": {"heights": [0, 0.5, 1]}}},
+     "cumulative function: measures.b00: missing key 'totals'"),
+])
+def test_measure_file_missing_totals_exit_three(content, where,
+                                                horizontal9_scene, tmp_path):
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(content))
+    assert main(["measure", "--scene", str(horizontal9_scene),
+                 "--measure-file", str(path),
+                 "--out", str(tmp_path / "run")]) == 3
+    [row] = read_manifest(tmp_path / "run")["checks"]
+    assert row["name"] == "input-wellformed" and not row["pass"]
+    assert row["detail"] == f"measure file {path} does not describe a {where}"
+
+
 @pytest.mark.parametrize("target, stage", [
     ("smooth_with_holonomy_constraint", "maximal-face neighborhoods"),
     ("damped_cone", "interior coning"),
@@ -636,6 +654,37 @@ def test_measure_rejects_noninvariant_with_stage(scenes, tmp_path):
     manifest = read_manifest(tmp_path)
     assert not manifest["ok"]
     assert manifest["results"]["failed_stage"] == "invariance pre-check"
+
+
+@pytest.mark.parametrize("p, q, phase", [(1, 1, 1.3), (1, -1, 2.0)])
+def test_measure_run_transports_across_non_identity_faces(p, q, phase,
+                                                         tmp_path):
+    # the wave scene's boxes index their leaves differently, so the face
+    # transport changes each neighbor's reference fiber coordinates
+    measured = wave_scene(p, q, 0.5, phase)
+    scene = tmp_path / "wave.json"
+    scene.write_text(json.dumps({"scene": measured.scene.to_json()}))
+    measure_file = tmp_path / "measures.json"
+    measure_file.write_text(json.dumps({"measures": {
+        name: {"heights": mu.heights.tolist(), "totals": mu.totals.tolist()}
+        for name, mu in measured.measures.items()}}))
+    outputs = []
+    for _ in range(2):
+        assert main(["measure", "--scene", str(scene),
+                     "--measure-file", str(measure_file),
+                     "--out", str(tmp_path / "run")]) == 0
+        manifest = read_manifest(tmp_path / "run")
+        assert manifest["results"]["pipeline"]["post_defect"] < 1e-9
+        manifest.pop("created")
+        outputs.append((json.dumps(manifest, sort_keys=True),
+                        (tmp_path / "run" / "measures.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    _, rows = read_csv(tmp_path / "run" / "measures.csv")
+    per_box = {}
+    for box, z, total in rows:
+        per_box.setdefault(box, []).append((z, total))
+    # a face whose chain were the identity would copy the root's cumulative
+    assert len({tuple(v) for v in per_box.values()}) > 1
 
 
 def test_measure_names_the_skeleton_stage(tmp_path):
@@ -915,6 +964,27 @@ def _string_height_in_b10(scene):
     scene["boxes"][2]["family"]["values"][3][1][1] = "0.4"
 
 
+def _drop_boxes(scene):
+    del scene["boxes"]
+
+
+def _drop_faces_of_b10(scene):
+    # a missing key is named with the JSON path to the object that lacks it
+    del scene["boxes"][2]["faces"]
+
+
+def _drop_span_of_b10_face(scene):
+    del scene["boxes"][2]["faces"][1]["span"]
+
+
+def _drop_anchor_of_b10(scene):
+    del scene["boxes"][2]["family"]["anchor"]
+
+
+def _drop_nx_of_b10(scene):
+    del scene["boxes"][2]["family"]["base"]["nx"]
+
+
 def _object_v_boxes(scene):
     # an object's keys are no list of box identifiers
     scene["v_boxes"] = {"b00": 1}
@@ -980,6 +1050,14 @@ def test_validate_condition_1_row_passes_on_every_template(template, scenes,
     (_string_leaf_index, "leaf indices must be numbers, got str"),
     (_bool_leaf_height, "leaf heights must be numbers, got bool"),
     (_string_height_in_b10, "box b10: leaf heights must be numbers, got str"),
+    (_drop_boxes, "decomposition: missing key 'boxes'"),
+    (_drop_faces_of_b10, "decomposition: boxes[2] (b10): missing key 'faces'"),
+    (_drop_span_of_b10_face,
+     "decomposition: boxes[2] (b10).faces[1]: missing key 'span'"),
+    (_drop_anchor_of_b10,
+     "decomposition: boxes[2] (b10).family: missing key 'anchor'"),
+    (_drop_nx_of_b10,
+     "decomposition: boxes[2] (b10).family.base: missing key 'nx'"),
     (_object_v_boxes, "v_boxes must be a list of box identifiers, got dict"),
     (_int_identifier, "box identifier must be a string, got int"),
 ])

@@ -795,9 +795,10 @@ def test_rotation_number_rigid_third():
     third = 1.0 / 3.0
     lift = CircleMapLift(np.array([0.0, 0.5]),
                          np.array([third, third + 0.5]))
-    report = {}
-    value = rotation_number(lift, 1200, report)
+    value = rotation_number(lift, 1200)
     assert value == pytest.approx(third, abs=1e-12)
+    report = {}
+    assert birkhoff_estimate(circle_orbit(lift, 1200), report) == value
     assert report["iterations"] == 1200
     assert report["error_proxy"] >= 0.0
     with pytest.raises(ValueError, match="1000"):
@@ -977,8 +978,9 @@ def test_circle_lift_scalar_path_keeps_signed_zero():
 @given(circle_lifts(), st.integers(1000, 1200))
 def test_rotation_number_matches_single_loop_oracle(lift, n):
     report, ref_report = {}, {}
-    value = rotation_number(lift, n, report)
+    value = rotation_number(lift, n)
     assert _same_float(value, rotation_number_oracle(lift, n, ref_report))
+    assert _same_float(birkhoff_estimate(circle_orbit(lift, n), report), value)
     assert report == ref_report
 
 

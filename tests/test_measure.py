@@ -207,11 +207,9 @@ def test_lebesgue_and_sampling():
 
 def test_smooth_identity_cumulative_is_fixed():
     leb = TransverseMeasure.lebesgue(33)
-    report = {}
-    f, new = smooth_measure_on_transversal(leb, 9, report)
+    f, new = smooth_measure_on_transversal(leb, 9)
     assert f.identity_defect() < 1e-14
     assert np.abs(new(leb.heights) - leb.totals).max() < 1e-14
-    assert report["node_residual"] == 0.0
 
 
 def test_smooth_quadratic_cumulative_matches_spline_and_bisection():
@@ -247,11 +245,6 @@ def test_smooth_rejects_bad_inputs():
     leb = TransverseMeasure.lebesgue(9)
     with pytest.raises(ValueError, match="at least 4"):
         smooth_measure_on_transversal(leb, 3)
-    broken = TransverseMeasure.lebesgue(5)
-    object.__setattr__(broken, "totals",
-                       np.array([0.0, 0.1, 0.1, 0.2, 0.3]))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        smooth_measure_on_transversal(broken, 5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -363,8 +356,7 @@ def test_scene_nonsmooth_invariant_measure_replaced_by_splines():
     names = [s["stage"] for s in report["stages"]]
     assert names == ["invariance pre-check",
                      "vertical-skeleton smoothing",
-                     "maximal-face transport",
-                     "interior cone extension"]
+                     "maximal-face transport"]
     nodes = np.linspace(0.0, 1.0, 9)
     spline = PchipInterpolator(nodes, mu(nodes))
     for box in scene.boxes:
@@ -398,7 +390,9 @@ def test_scene_rejects_noninvariant_measure():
     leb = TransverseMeasure.lebesgue(33)
     measured = MeasuredScene(scene, {b.identifier: leb
                                      for b in scene.boxes})
-    with pytest.raises(ValueError, match="invariance defect"):
+    # the error names each face over the budget, with its two owners
+    with pytest.raises(ValueError, match=r"invariance defect .* on: "
+                       r"x=0 \(b10\|b00\), x=1/2 \(b00\|b10\)$"):
         smooth_measured_scene(measured)
 
 

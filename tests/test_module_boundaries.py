@@ -4,8 +4,9 @@ A module may import from another flowbox module only names without a
 leading underscore; a helper another module needs is made public first.
 Only kernel keeps retry-ladder bookkeeping and binds the contract
 tolerances (the module-level *_TOL names), only decomposition calls validate
-(everything else reads a scene's cached validation report), and every
-definition is used in src.
+(everything else reads a scene's cached validation report), every
+definition is used in src, and every report parameter is passed by some
+caller in src or bench.
 """
 
 import ast
@@ -14,6 +15,7 @@ from pathlib import Path
 import flowbox
 
 PACKAGE = Path(flowbox.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def private_imports(path: Path) -> list:
@@ -257,4 +259,79 @@ def test_rule_catches_unused_definitions(tmp_path):
         ("probe.py", None, "inner"),
         ("probe.py", None, "orphan"),
         ("probe.py", "Box", "lonely"),
+    ]
+
+
+def unpassed_reports(defining, calling) -> list:
+    """(file, name) of every module-level function or method in the
+    defining files that takes a report parameter no call in the calling
+    files passes: neither report= (or a ** splat) nor a positional argument
+    at report's place.  Calls match by name, as unused_definitions does.
+    Nested functions are callbacks, called through whatever parameter they
+    are handed to, so they are not checked.
+    """
+    wanted = {}
+    for path in defining:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [tree] + [node for node in tree.body
+                           if isinstance(node, ast.ClassDef)]
+        for scope in scopes:
+            for node in scope.body:
+                if not isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if scope is not tree:
+                    positional = positional[1:]   # self or cls
+                if "report" in positional:
+                    wanted[(path.name, node.name)] = positional.index("report")
+                elif "report" in [a.arg for a in args.kwonlyargs]:
+                    wanted[(path.name, node.name)] = None
+    passed = set()
+    for path in calling:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = (node.func.id if isinstance(node.func, ast.Name)
+                    else getattr(node.func, "attr", None))
+            by_keyword = any(k.arg in ("report", None) for k in node.keywords)
+            for (file, function), place in wanted.items():
+                if function == name and (by_keyword or (
+                        place is not None and len(node.args) > place)):
+                    passed.add((file, function))
+    return sorted(set(wanted) - passed)
+
+
+def test_every_report_parameter_is_passed_in_src_or_bench():
+    # a report branch only tests read is either read by a pipeline or removed
+    src = sorted(PACKAGE.glob("*.py"))
+    assert unpassed_reports(src, src + sorted(BENCH.glob("*.py"))) == []
+
+
+def test_rule_catches_unpassed_reports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def by_keyword(x, report=None): pass\n"
+                     "def by_place(x, report=None): pass\n"
+                     "def by_splat(x, *, report=None): pass\n"
+                     "def never(x, report=None): pass\n"
+                     "def too_few(x, y, report=None): pass\n"
+                     "class Box:\n"
+                     "    def method(self, report): pass\n"
+                     "    def unread(self, report): pass\n"
+                     "def outer():\n"
+                     "    def callback(w, report): pass\n"
+                     "    return callback\n"
+                     "by_keyword(1, report={})\n"
+                     "by_place(1, {})\n"
+                     "by_splat(1, **{})\n"
+                     "never(1)\n"
+                     "too_few(1, {})\n"
+                     "Box().method({})\n"
+                     "Box().unread()\n")
+    assert unpassed_reports([probe], [probe]) == [
+        ("probe.py", "never"),
+        ("probe.py", "too_few"),
+        ("probe.py", "unread"),
     ]
