@@ -228,17 +228,11 @@ class FlowBoxSpec:
         if not isinstance(ident, str):
             raise TypeError(f"box identifier must be a string, got "
                             f"{type(ident).__name__}")
-        ranges = [_interval_parse(data[name])
+        ranges = [json_part(f".{name}", _interval_parse, data[name])
                   for name in ("x_range", "y_range", "heights")]
         faces = tuple(json_part(f".faces[{j}]", Face.from_json, face)
                       for j, face in enumerate(data["faces"]))
-        try:
-            family = json_part(".family", LeafFamily.from_json,
-                               data["family"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            # named as condition-1 breaches are, so a bad entry in a
-            # many-box scene points at its box
-            raise type(exc)(f"box {ident}: {exc}") from exc
+        family = json_part(".family", LeafFamily.from_json, data["family"])
         return cls(ident, *ranges, faces, family)
 
 

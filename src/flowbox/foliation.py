@@ -39,13 +39,20 @@ def json_part(step: str, parse, data):
     """parse(data), where step (such as ".family" or "boxes[2]") leads from
     the enclosing object to data: a key missing from data, or from a part
     that parse reads in turn, is raised as a MissingKey whose path begins
-    with step."""
+    with step, and a TypeError, ValueError or OverflowError is raised again,
+    of the same kind, as "<path>: <message>"."""
     try:
         return parse(data)
     except KeyError as exc:
         key, path = (exc.args if isinstance(exc, MissingKey)
                      else (exc.args[0], ""))
         raise MissingKey(key, step + path) from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        inner, detail = getattr(exc, "json_path", ("", str(exc)))
+        path = step + inner
+        err = type(exc)(f"{path}: {detail}" if path else detail)
+        err.json_path = path, detail
+        raise err from None
 
 
 def json_floats(what: str, data, depth: int = 1) -> np.ndarray:

@@ -17,6 +17,7 @@ priori constants.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -364,24 +365,30 @@ def _chart_blend(chart: LeafFamily, smoothed: LeafFamily, width: int,
     return damped_blend(chart, smoothed, (amplitude * w)[None, :, None])
 
 
-def _paste(fam: LeafFamily, blended: LeafFamily, axis: str, width: int,
-           t_new: np.ndarray, first=None, second=None) -> LeafFamily:
-    """The blended chart's strips written back into a box resampled at t_new.
+def _paste(fam: LeafFamily, strips: dict, width: int) -> LeafFamily:
+    """The box resampled once, with its face strips written into it.
 
-    first and second give, per entry of t_new, the chart indices at which
-    the chart's first half (columns up to the seam) and its second half are
-    read.  The first half lands on the box's E or N edge, the second on its
-    W or S edge; a half given as None is not written.
+    strips maps each glued side of the box to (grid, blended, e_a): the box
+    leaf indices that the blended face chart covers and, on an E or N side,
+    the reindexing e_a that sends them to the chart's.  The box is resampled
+    on the merged grid of all its strips, so it carries every chart's
+    breakpoints and each seam stays exact.  An E or N side receives the
+    chart's first half (columns up to the seam) read at e_a(t), a W or S
+    side its second half read at t.  Strips overlap in the corner squares,
+    so they are written in the side order E, N, W, S, never in face order.
     """
-    if not np.all(np.diff(t_new) > 0.0):
-        raise RuntimeError("face reindexing collapsed leaf samples")
+    sides = [side for side in "ENWS" if side in strips]
+    t_new = reduce(merged_grid, [strips[side][0] for side in sides])
     vals = fam.leaves_at(t_new)
-    # a view whose first grid axis runs across the face: writes go to vals
-    across = vals if axis == "x" else np.swapaxes(vals, 1, 2)
-    if first is not None:
-        across[:, -(width + 1):] = blended.leaves_at(first)[:, :width + 1]
-    if second is not None:
-        across[:, :width + 1] = blended.leaves_at(second)[:, width:]
+    for side in sides:
+        _grid, blended, e_a = strips[side]
+        # a view whose first grid axis runs across the face: writes go to vals
+        across = vals if side in "EW" else np.swapaxes(vals, 1, 2)
+        if side in "EN":
+            across[:, -(width + 1):] = blended.leaves_at(
+                e_a(t_new))[:, :width + 1]
+        else:
+            across[:, :width + 1] = blended.leaves_at(t_new)[:, width:]
     vals[:, fam.anchor[0], fam.anchor[1]] = t_new
     return LeafFamily(fam.base, t_new, vals, fam.anchor)
 
@@ -393,14 +400,17 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
     Deterministic stage order: damped replacement toward the corner fibers
     (vertical-edge neighborhoods), holonomy-constrained smoothing of a
     straddle chart over every shared face (both sides then carry literally
-    the same face data), and a damped cone over each box interior.  The face
-    charts' write regions are pairwise disjoint and each reads only data the
-    stage does not touch, so within-stage order cannot affect the result.
-    Every stage's amplitude scales with epsilon, and the whole ladder is
-    re-run with halved amplitudes until each box stays within epsilon of its
-    input.
+    the same face data), and a damped cone over each box interior.  Every
+    face chart is read from the face stage's input, and each box is then
+    written once: resampled on the merged grid of its strips' leaf indices,
+    with its strips written in the side order E, N, W, S.  So the order in
+    which the faces come cannot affect the result, and byte-equal boxes
+    stay byte-equal.  Every stage's amplitude scales with epsilon, and the
+    whole ladder is re-run with halved amplitudes until each box stays
+    within epsilon of its input.
 
-    Within one attempt, byte-equal boxes are damped and coned once,
+    Within one attempt, byte-equal boxes are damped and coned once, byte-
+    equal (E/N box, W/S box) pairs along an axis build one face chart,
     byte-equal face charts are smoothed and blended once, and every stage
     row's and box distance's c0_distance runs once per byte-equal
     (before, after) pair; every face still gets its own row and every box
@@ -463,11 +473,14 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
         after_corners = dict(fams)
         face_rows = []
         with stage(stages, "maximal-face neighborhoods") as row:
-            memo = []
+            memo, charts = [], {"x": [], "y": []}
+            strips = {ident: {} for ident in order}
             for axis, pos, (id_a, side_a), (id_b, side_b) in faces:
                 label = f"face {axis}={pos} ({id_a}.{side_a}|{id_b}.{side_b})"
-                chart, e_a, ta, seam_gap = _face_chart(
-                    fams[id_a], fams[id_b], axis, width, label)
+                chart, e_a, ta, seam_gap = shared_result(
+                    charts[axis],
+                    lambda a, b: _face_chart(a, b, axis, width, label),
+                    after_corners[id_a], after_corners[id_b])
                 try:
                     blended, rep = shared_result(memo, smooth_face, chart)
                 except LadderError as err:
@@ -475,19 +488,8 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
                                       achieved=err.achieved) from err
                 # the chart carries box b's leaf indices; e_a sends box a's
                 # ta to them
-                if id_a == id_b:
-                    # a box glued to itself reads its two halves along two
-                    # reindexings, so it gets the union grid, each half at
-                    # its own image indices
-                    t_u = merged_grid(ta, blended.t)
-                    za = e_a(t_u)
-                    fams[id_a] = _paste(fams[id_a], blended, axis, width,
-                                        t_u, first=za, second=t_u)
-                else:
-                    fams[id_a] = _paste(fams[id_a], blended, axis, width, ta,
-                                        first=blended.t)
-                    fams[id_b] = _paste(fams[id_b], blended, axis, width,
-                                        blended.t, second=blended.t)
+                strips[id_a][side_a] = ta, blended, e_a
+                strips[id_b][side_b] = blended.t, blended, None
                 face_rows.append({
                     "face": label,
                     "seam_gap": seam_gap,
@@ -495,6 +497,8 @@ def globally_smooth(scene: DecompositionComplex, epsilon: float,
                     "holonomy_defect": rep.get("holonomy_defect"),
                     "retries": rep.get("retries", 0),
                 })
+            for ident in order:
+                fams[ident] = _paste(fams[ident], strips[ident], width)
             row.update({
                 "region": f"straddle strips over {len(faces)} shared faces",
                 "achieved_distance": max(distances(after_corners).values()),

@@ -959,9 +959,31 @@ def _bool_leaf_height(scene):
 
 
 def _string_height_in_b10(scene):
-    # a family error names its box, as a condition-1 breach does
+    # a family error is named with its JSON path, which names its box
     assert scene["boxes"][2]["identifier"] == "b10"
     scene["boxes"][2]["family"]["values"][3][1][1] = "0.4"
+
+
+def _int_identifier_of_b10(scene):
+    # a TypeError, ValueError or OverflowError is named with its JSON path
+    # too, at every level: box, range, face, family and base
+    scene["boxes"][2]["identifier"] = 10
+
+
+def _zero_denominator_in_b10_range(scene):
+    scene["boxes"][2]["y_range"] = ["0", "1/0"]
+
+
+def _infinite_span_of_b10_face(scene):
+    scene["boxes"][2]["faces"][1]["span"] = ["0", math.inf]
+
+
+def _huge_leaf_index_of_b10(scene):
+    scene["boxes"][2]["family"]["t"][1] = 10 ** 400
+
+
+def _fractional_nx_of_b10(scene):
+    scene["boxes"][2]["family"]["base"]["nx"] = 9.5
 
 
 def _drop_boxes(scene):
@@ -1014,7 +1036,8 @@ def test_condition_1_breach_exit_three(kind, corrupt, problem, scenes,
     row = read_manifest(tmp_path / "run")["checks"][0]
     assert row["name"] == "input-wellformed" and not row["pass"]
     assert row["detail"] == (f"scene file {path} does not describe a "
-                             f"decomposition: box b00: {problem}")
+                             f"decomposition: boxes[0] (b00): box b00: "
+                             f"{problem}")
 
 
 @pytest.mark.parametrize("template", ["horizontal", "sheared", "split",
@@ -1049,7 +1072,21 @@ def test_validate_condition_1_row_passes_on_every_template(template, scenes,
     (_bool_leaf_index, "leaf indices must be numbers, got bool"),
     (_string_leaf_index, "leaf indices must be numbers, got str"),
     (_bool_leaf_height, "leaf heights must be numbers, got bool"),
-    (_string_height_in_b10, "box b10: leaf heights must be numbers, got str"),
+    (_string_height_in_b10,
+     "decomposition: boxes[2] (b10).family: leaf heights must be numbers, "
+     "got str"),
+    (_int_identifier_of_b10,
+     "decomposition: boxes[2]: box identifier must be a string, got int"),
+    (_zero_denominator_in_b10_range,
+     "decomposition: boxes[2] (b10).y_range: '1/0' has a zero denominator"),
+    (_infinite_span_of_b10_face,
+     "decomposition: boxes[2] (b10).faces[1]: inf is not a finite rational"),
+    (_huge_leaf_index_of_b10,
+     "decomposition: boxes[2] (b10).family: int too large to convert to "
+     "float"),
+    (_fractional_nx_of_b10,
+     "decomposition: boxes[2] (b10).family.base: node counts must be "
+     "integers, got float, int"),
     (_drop_boxes, "decomposition: missing key 'boxes'"),
     (_drop_faces_of_b10, "decomposition: boxes[2] (b10): missing key 'faces'"),
     (_drop_span_of_b10_face,
