@@ -21,8 +21,8 @@ from .foliation import (
     BaseDomain,
     LeafFamily,
     horizontal_family,
+    interp_columns,
     json_part,
-    node_columns,
     sheared_family,
 )
 
@@ -646,29 +646,35 @@ def with_families(complex_: DecompositionComplex,
     return DecompositionComplex(boxes, complex_.v_boxes)
 
 
-def side_nodes(base: BaseDomain, side: str) -> list:
-    """Grid nodes (ix, iy) along one side of a chart, ordered by position
-    on the side."""
+def side_columns(family: LeafFamily, side: str) -> np.ndarray:
+    """Fiber heights along one side of a chart, one column per grid node in
+    order of position on the side: a view of shape (m, nodes)."""
     if side in ("W", "E"):
-        ix = 0 if side == "W" else base.nx - 1
-        return [(ix, iy) for iy in range(base.ny)]
+        return family.values[:, 0 if side == "W" else -1, :]
     if side in ("S", "N"):
-        iy = 0 if side == "S" else base.ny - 1
-        return [(ix, iy) for ix in range(base.nx)]
+        return family.values[:, :, 0 if side == "S" else -1]
     raise ValueError(f"unknown side {side!r}")
 
 
 def face_columns(scene: DecompositionComplex, face) -> tuple:
     """(fam_a, cols_a, fam_b, cols_b) of a face from shared_faces: each
-    owner's family and its node_columns along its side of the face."""
+    owner's family and its side_columns along its side of the face."""
     axis, pos, (id_a, side_a), (id_b, side_b) = face
     fam_a, fam_b = scene.box(id_a).family, scene.box(id_b).family
-    nodes_a = side_nodes(fam_a.base, side_a)
-    nodes_b = side_nodes(fam_b.base, side_b)
-    if len(nodes_a) != len(nodes_b):
+    cols_a, cols_b = side_columns(fam_a, side_a), side_columns(fam_b, side_b)
+    if cols_a.shape[1] != cols_b.shape[1]:
         raise ValueError(f"face {axis}={pos}: sides sampled differently")
-    return (fam_a, node_columns(fam_a, nodes_a),
-            fam_b, node_columns(fam_b, nodes_b))
+    return fam_a, cols_a, fam_b, cols_b
+
+
+def side_transport_gap(cols_a: np.ndarray, cols_b: np.ndarray) -> float:
+    """Sup disagreement between the leaf transports from the first fiber to
+    each later one along two sides given as side_columns, evaluated on the
+    union grid of the two first fibers in one pass per side."""
+    xs = np.union1d(cols_a[:, 0], cols_b[:, 0])
+    ta = interp_columns(xs, cols_a[:, 0], cols_a[:, 1:])
+    tb = interp_columns(xs, cols_b[:, 0], cols_b[:, 1:])
+    return float(np.abs(ta - tb).max())
 
 
 # ------------------------------------------------------------ construction

@@ -15,7 +15,8 @@ import numpy as np
 from .decomposition import (
     DecompositionComplex,
     shared_faces,
-    side_nodes,
+    side_columns,
+    side_transport_gap,
     validate,  # unused; the bench tracer's alias test checks it
     with_families,
 )
@@ -23,7 +24,6 @@ from .foliation import (
     HolonomyMap,
     LeafFamily,
     c0_distance,
-    fiber_transports,
     inverse_interp_columns,
     shared_result,
 )
@@ -106,22 +106,26 @@ def blowup_box(family: LeafFamily, schedule: InsertionSchedule, packets):
 # ------------------------------------------------------------ scene blowup
 
 
-def _packet_scene_defect(scene, packets):
-    """Transport compatibility of each packet's chart data across faces,
-    the packet placed in every box."""
-    worst, bad = 0.0, None
+def _packet_scene_defect(faces, packets):
+    """Worst transport defect of a packet placed in every box, with its
+    packet index and side pair: each face compares two of the packet's own
+    sides, so each distinct side pair is compared once."""
+    pairs = dict.fromkeys((side_a, side_b)
+                          for _, _, (_, side_a), (_, side_b) in faces)
+    worst, bad, sides = 0.0, None, None
     for i, pkt in enumerate(packets):
-        defect = face_transport_defect(
-            with_families(scene, {b.identifier: pkt for b in scene.boxes}))
-        if defect > worst:
-            worst, bad = defect, i
-    return worst, bad
+        for side_a, side_b in pairs:
+            defect = side_transport_gap(side_columns(pkt, side_a),
+                                        side_columns(pkt, side_b))
+            if defect > worst:
+                worst, bad, sides = defect, i, f"{side_a}|{side_b}"
+    return worst, bad, sides
 
 
 def _transport(family: LeafFamily, side: str) -> HolonomyMap:
     """Leaf transport from the first to the last fiber along one side."""
-    nodes = side_nodes(family.base, side)
-    return fiber_transports(family, (nodes[0], nodes[-1]))[0]
+    cols = side_columns(family, side)
+    return HolonomyMap(cols[:, 0], cols[:, -1])
 
 
 def _glued_rho(collapse: CollapseMap, packets, side: str) -> HolonomyMap:
@@ -168,10 +172,10 @@ def blowup_scene(scene: DecompositionComplex, schedule: InsertionSchedule,
     if len(packets) != len(schedule.points):
         raise ValueError("schedule points and packets must pair up")
     faces = shared_faces(scene)
-    pkt_defect, bad = _packet_scene_defect(scene, packets)
+    pkt_defect, bad, sides = _packet_scene_defect(faces, packets)
     if pkt_defect > FACE_COMPAT_TOL:
         raise ValueError(
-            f"packet {bad}: face holonomy data disagree across shared faces "
+            f"packet {bad}: face holonomy data disagree across {sides} faces "
             f"(defect {pkt_defect:.3g})")
 
     def attempt(scale):

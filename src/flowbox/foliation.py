@@ -489,30 +489,6 @@ class HolonomyMap:
         return float(np.max(np.abs(self.outputs - self.inputs)))
 
 
-def fiber_map(family: LeafFamily, node) -> HolonomyMap:
-    """Leaf index -> height of that leaf over the grid node (ix, iy)."""
-    ix, iy = node
-    return HolonomyMap(family.t, family.values[:, ix, iy])
-
-
-def node_columns(family: LeafFamily, nodes) -> np.ndarray:
-    """Fiber heights over the grid nodes (ix, iy), one column per node:
-    shape (m, len(nodes))."""
-    ix, iy = zip(*nodes)
-    return family.values[:, list(ix), list(iy)]
-
-
-def fiber_transports(family: LeafFamily, nodes) -> list:
-    """Leaf transports from the fiber over nodes[0] to each later node's.
-
-    Entry k sends a leaf's height over nodes[0] to the same leaf's height
-    over nodes[k + 1].  Both fibers are sampled at the same leaves, so the
-    transport is exactly the pair of node columns.
-    """
-    cols = node_columns(family, nodes)
-    return [HolonomyMap(cols[:, 0], col) for col in cols[:, 1:].T]
-
-
 def interp_columns(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """np.interp(x, xp, fp[:, c]) for every column c of fp in one pass:
     shape (len(x), fp.shape[1]), for queries x >= xp[0].

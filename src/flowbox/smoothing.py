@@ -25,16 +25,17 @@ from .decomposition import (
     DecompositionComplex,
     face_columns,
     shared_faces,
+    side_columns,
+    side_transport_gap,
     validate,  # unused; the bench tracer's alias test checks it
     with_families,
 )
 from .foliation import (
     BaseDomain,
+    HolonomyMap,
     LeafFamily,
     c0_distance,
-    fiber_map,
     holonomy,
-    interp_columns,
     merged_grid,
     shared_result,
     tangent_field,
@@ -281,12 +282,7 @@ def face_transport_defect(scene: DecompositionComplex,
     for face in shared_faces(scene):
         axis, pos, (id_a, _), (id_b, _) = face
         _, cols_a, _, cols_b = face_columns(scene, face)
-        # every transport along a side starts from the same fiber, so all of
-        # them are evaluated on one union grid in one pass per side
-        xs = np.union1d(cols_a[:, 0], cols_b[:, 0])
-        ta = interp_columns(xs, cols_a[:, 0], cols_a[:, 1:])
-        tb = interp_columns(xs, cols_b[:, 0], cols_b[:, 1:])
-        defect = float(np.abs(ta - tb).max())
+        defect = side_transport_gap(cols_a, cols_b)
         rows.append({"axis": axis, "pos": pos, "boxes": [id_a, id_b],
                      "defect": defect})
         worst = max(worst, defect)
@@ -330,8 +326,8 @@ def _face_chart(fam_a: LeafFamily, fam_b: LeafFamily, axis: str, width: int,
     reindexing e_a, the E/N-side indices ta that e_a sends to the chart's,
     and the seam gap.
     """
-    e_a = fiber_map(fam_a, (fam_a.base.nx - 1, 0) if axis == "x"
-                    else (0, fam_a.base.ny - 1))
+    e_a = HolonomyMap(fam_a.t,
+                      side_columns(fam_a, "E" if axis == "x" else "N")[:, 0])
     zs = merged_grid(e_a.outputs, fam_b.t, tol=1e-10)
     ta = e_a.inverse()(zs)
     if not np.all(np.diff(ta) > 0.0):

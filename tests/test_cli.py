@@ -34,7 +34,7 @@ from flowbox.denjoy import blowup_circle_map
 from flowbox.foliation import c0_distance, horizontal_family
 from flowbox.kernel import LadderError
 
-from test_denjoy import mixed_horizontal_scene
+from test_denjoy import bent_packet, mixed_horizontal_scene
 from test_measure import wave_scene
 
 
@@ -505,9 +505,9 @@ def test_smooth_failure_names_the_failed_stage(target, stage, scenes,
 @pytest.mark.parametrize("target, skip, stage", [
     ("blowup_box", 0, "edge-neighborhood boxes"),
     ("_glued_rho", 0, "maximal-face gluing"),
-    # the packet pre-check calls face_transport_defect once per leaf label
-    # before any attempt; the next call is the interior-extension check
-    ("face_transport_defect", 1, "interior extension"),
+    # the packet pre-check compares the packet's own sides without
+    # face_transport_defect, so its first call is the interior extension's
+    ("face_transport_defect", 0, "interior extension"),
 ])
 def test_blowup_failure_names_the_failed_stage(target, skip, stage, scenes,
                                                tmp_path, monkeypatch):
@@ -530,6 +530,22 @@ def test_blowup_failure_names_the_failed_stage(target, skip, stage, scenes,
     manifest = read_manifest(tmp_path)
     assert manifest["results"]["failed_stage"] == stage
     assert "injected failure" in manifest["results"]["error"]
+
+
+def test_blowup_packet_precheck_names_the_side_pair(scenes, tmp_path,
+                                                   monkeypatch):
+    # a packet with an x.y term glues with itself across no face; the
+    # pre-check fails before any attempt, with exit 1, and says which sides
+    monkeypatch.setattr(cli, "sheared_family",
+                        lambda base, shear, samples: bent_packet(
+                            grid=base.nx, samples=samples))
+    config = ScenarioConfig(kind="blowup", out=str(tmp_path),
+                            scene=str(scenes["horizontal"]), weights=(0.2,),
+                            packet_samples=9)
+    assert run(config) == 1
+    error = read_manifest(tmp_path)["results"]["error"]
+    assert ("packet 0: face holonomy data disagree across E|W faces "
+            "(defect 0.075)") in error
 
 
 @pytest.fixture(scope="module")
@@ -1176,8 +1192,12 @@ _MUTANTS = st.one_of(
 def test_one_mutated_scene_field_never_ends_in_a_traceback(
         horizontal9_scene, tmp_path_factory, data):
     # swapped types, "1/0", NaN, exponents, negatives, huge ints and
-    # dropped keys: every mutant exits 0, 2 or 3 with a manifest
+    # dropped keys: every mutant exits 0, 2 or 3 with a manifest, and an
+    # exit-3 detail names the mutated box.  The one exception is an
+    # identifier changed to another box's, which fails at scene level as a
+    # duplicate
     document = json.loads(Path(horizontal9_scene).read_text())
+    identifiers = [box["identifier"] for box in document["scene"]["boxes"]]
     path = data.draw(st.sampled_from(list(_json_paths(document["scene"]))))
     mutant = data.draw(_MUTANTS)
     if not path:
@@ -1196,7 +1216,14 @@ def test_one_mutated_scene_field_never_ends_in_a_traceback(
     code = run(ScenarioConfig(kind="validate", out=str(root),
                               scene=str(scene)))
     assert code in (0, 2, 3)
-    assert read_manifest(root)["exit_code"] == code
+    manifest = read_manifest(root)
+    assert manifest["exit_code"] == code
+    if code == 3 and len(path) > 1 and path[0] == "boxes":
+        detail = manifest["checks"][0]["detail"]
+        if path[2:] == ("identifier",) and mutant in identifiers:
+            assert "box identifiers must be unique" in detail
+        else:
+            assert f"boxes[{path[1]}]" in detail, detail
 
 
 def test_smooth_rejects_unchartable_scene_exit_three(grid9_scene, tmp_path):

@@ -1,15 +1,23 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flowbox.decomposition import build_torus_scene, with_families
+from flowbox.decomposition import (
+    DecompositionComplex,
+    FlowBoxSpec,
+    build_torus_scene,
+    shared_faces,
+    with_families,
+)
 from flowbox.denjoy import (
     CircleMapLift,
     _leaf_membership_spread,
+    _packet_scene_defect,
     _verify_pairs,
     birkhoff_estimate,
     blowup_box,
@@ -35,6 +43,7 @@ from flowbox.kernel import (
     LadderError,
     build_collapse,
 )
+from flowbox.smoothing import face_transport_defect
 
 from test_foliation import leaf_families, leaf_through
 
@@ -594,6 +603,78 @@ def test_blowup_scene_rejects_inconsistent_inputs():
                       * x[None, :, None] * x[None, None, :], (0, 0))
     with pytest.raises(ValueError, match="holonomy data disagree"):
         blowup_scene(scene, schedule, (bent,), epsilon=0.1)
+
+
+def packet_scene_defect_oracle(scene, packets):
+    """The packet check _packet_scene_defect replaced: the whole scene with
+    the packet in every box, through face_transport_defect."""
+    worst, bad = 0.0, None
+    for i, pkt in enumerate(packets):
+        defect = face_transport_defect(
+            with_families(scene, {b.identifier: pkt for b in scene.boxes}))
+        if defect > worst:
+            worst, bad = defect, i
+    return worst, bad
+
+
+def annulus_box(grid=17, samples=9):
+    """The annulus-box template: one box glued to itself across its E|W and
+    N|S faces."""
+    unit = (Fraction(0), Fraction(1))
+    box = FlowBoxSpec.with_default_faces(
+        "annulus", unit, unit, unit,
+        horizontal_family(BaseDomain("rectangle", grid, grid), samples))
+    return DecompositionComplex((box,))
+
+
+def bent_packet(coefficient=0.3, grid=17, samples=9):
+    """f_t = t + c t(1-t) x y: the identity along the W and S sides, a
+    bump of height c t(1-t) along E and N."""
+    t = np.linspace(0.0, 1.0, samples)
+    x = np.linspace(0.0, 1.0, grid)
+    bump = coefficient * t * (1.0 - t)
+    return LeafFamily(BaseDomain("rectangle", grid, grid), t,
+                      t[:, None, None] + bump[:, None, None]
+                      * x[None, :, None] * x[None, None, :], (0, 0))
+
+
+def _assert_packet_defect_matches_oracle(scene, packets):
+    worst, bad, sides = _packet_scene_defect(shared_faces(scene), packets)
+    assert (worst, bad) == packet_scene_defect_oracle(scene, packets)
+    assert (sides is None) == (bad is None)
+    return worst, bad, sides
+
+
+@pytest.mark.parametrize("scene", [_torus(), annulus_box()],
+                         ids=["horizontal-t3", "annulus-box"])
+def test_packet_scene_defect_matches_scene_oracle(scene):
+    base = BaseDomain("rectangle", 17, 17)
+    flat = horizontal_family(base, 9)
+    x_sheared = sheared_family(base, 0.3, 9)
+    y_sheared = sheared_family(base, -0.2, 5, axis="y")
+    for packets in ((), (flat,), (x_sheared, y_sheared)):
+        assert _assert_packet_defect_matches_oracle(scene, packets) == (
+            0.0, None, None)
+    # the x.y packet disagrees by 0.3 max t(1-t) = 0.075 across both side
+    # pairs; the E|W faces come first
+    for packets, bad in (((bent_packet(),), 0),
+                         ((flat, bent_packet(), bent_packet(0.4)), 2)):
+        worst, got, sides = _assert_packet_defect_matches_oracle(scene,
+                                                                 packets)
+        assert (got, sides) == (bad, "E|W")
+        assert worst == pytest.approx(0.075 if bad == 0 else 0.1, abs=1e-12)
+    # with no faces there is nothing to compare
+    assert _packet_scene_defect((), (bent_packet(),)) == (0.0, None, None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(leaf_families(BaseDomain("rectangle", 17, 17)), min_size=1,
+                max_size=3),
+       st.booleans())
+def test_packet_scene_defect_matches_scene_oracle_on_random_packets(
+        packets, annulus):
+    scene = annulus_box() if annulus else _torus()
+    _assert_packet_defect_matches_oracle(scene, tuple(packets))
 
 
 @st.composite

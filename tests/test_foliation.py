@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from flowbox.decomposition import SIDES, side_columns
 from flowbox.foliation import (
     BaseDomain,
     HolonomyMap,
     LeafFamily,
     byte_equal,
     c0_distance,
-    fiber_map,
-    fiber_transports,
     holonomy,
     horizontal_family,
     interp_columns,
@@ -163,9 +162,41 @@ def c0_distance_oracle(a: LeafFamily, b: LeafFamily, samples: int = 32) -> float
     return max(best, float(angle(0.5 * (lo + hi)).max()))
 
 
+# the per-node readers that side_columns replaced, kept as oracles
+
+def side_nodes(base: BaseDomain, side: str) -> list:
+    """Grid nodes (ix, iy) along one side of a chart, ordered by position
+    on the side."""
+    if side in ("W", "E"):
+        ix = 0 if side == "W" else base.nx - 1
+        return [(ix, iy) for iy in range(base.ny)]
+    iy = 0 if side == "S" else base.ny - 1
+    return [(ix, iy) for ix in range(base.nx)]
+
+
+def fiber_map(family: LeafFamily, node) -> HolonomyMap:
+    """Leaf index -> height of that leaf over the grid node (ix, iy)."""
+    ix, iy = node
+    return HolonomyMap(family.t, family.values[:, ix, iy])
+
+
+def node_columns(family: LeafFamily, nodes) -> np.ndarray:
+    """Fiber heights over the grid nodes (ix, iy), one column per node, by
+    fancy indexing: shape (m, len(nodes))."""
+    ix, iy = zip(*nodes)
+    return family.values[:, list(ix), list(iy)]
+
+
+def fiber_transports(family: LeafFamily, nodes) -> list:
+    """Leaf transports from the fiber over nodes[0] to each later node's,
+    each the pair of node columns."""
+    cols = node_columns(family, nodes)
+    return [HolonomyMap(cols[:, 0], col) for col in cols[:, 1:].T]
+
+
 def fiber_transports_oracle(family: LeafFamily, nodes) -> list:
-    """Reference for fiber_transports: each node's fiber map composed with
-    the inverted start fiber map."""
+    """Reference for the transports along a side: each node's fiber map
+    composed with the inverted start fiber map."""
     start = fiber_map(family, nodes[0]).inverse()
     return [fiber_map(family, node).compose(start) for node in nodes[1:]]
 
@@ -620,25 +651,54 @@ def families_with_nodes(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(families_with_nodes())
-def test_fiber_transports_carry_each_leaf(case):
+def test_side_columns_carry_each_leaf(case):
+    # each drawn node gives a position along every side; the transport from
+    # the side's first fiber to that position is the pair of side columns
     fam, nodes = case
-    maps = fiber_transports(fam, nodes)
-    assert len(maps) == len(nodes) - 1
-    start = fam.values[:, nodes[0][0], nodes[0][1]]
-    for rho, (ix, iy) in zip(maps, nodes[1:]):
-        assert np.array_equal(rho(start), fam.values[:, ix, iy])
+    nx, ny = fam.base.nx, fam.base.ny
+    for ix, iy in nodes:
+        for side, k, (jx, jy) in (("W", iy, (0, iy)), ("E", iy, (nx - 1, iy)),
+                                  ("S", ix, (ix, 0)), ("N", ix, (ix, ny - 1))):
+            cols = side_columns(fam, side)
+            rho = HolonomyMap(cols[:, 0], cols[:, k])
+            assert np.array_equal(rho(cols[:, 0]), fam.values[:, jx, jy])
 
 
 @settings(max_examples=60, deadline=None)
 @given(families_with_nodes())
-def test_fiber_transports_match_oracle(case):
-    fam, nodes = case
-    maps = fiber_transports(fam, nodes)
-    ref = fiber_transports_oracle(fam, nodes)
-    assert len(maps) == len(ref)
-    for rho, rho_ref in zip(maps, ref):
-        assert np.array_equal(rho.inputs, rho_ref.inputs)
-        assert np.array_equal(rho.outputs, rho_ref.outputs)
+def test_side_columns_match_oracle(case):
+    # every transport along a side, read off side_columns, equals the
+    # compose-based one over the side's nodes bit for bit
+    fam, _nodes = case
+    for side in SIDES:
+        cols = side_columns(fam, side)
+        ref = fiber_transports_oracle(fam, side_nodes(fam.base, side))
+        assert len(ref) == cols.shape[1] - 1
+        for k, rho_ref in enumerate(ref, start=1):
+            rho = HolonomyMap(cols[:, 0], cols[:, k])
+            assert np.array_equal(rho.inputs, rho_ref.inputs)
+            assert np.array_equal(rho.outputs, rho_ref.outputs)
+
+
+@st.composite
+def non_square_families(draw):
+    nx = draw(st.integers(8, 17))
+    ny = draw(st.integers(8, 17).filter(lambda n: n != nx))
+    return draw(leaf_families(BaseDomain("rectangle", nx, ny)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(non_square_families())
+def test_side_columns_match_node_columns(fam):
+    # on a non-square base a swapped axis changes the column count
+    for side in SIDES:
+        cols = side_columns(fam, side)
+        ref = node_columns(fam, side_nodes(fam.base, side))
+        assert cols.dtype == ref.dtype
+        assert np.array_equal(cols, ref)
+        assert np.shares_memory(cols, fam.values)
+    with pytest.raises(ValueError, match="unknown side"):
+        side_columns(fam, "X")
 
 
 def _same_floats(a, b):

@@ -13,15 +13,12 @@ from flowbox.decomposition import (
     FlowBoxSpec,
     build_torus_scene,
     shared_faces,
-    side_nodes,
     validate,
 )
 from flowbox.foliation import (
     BaseDomain,
     HolonomyMap,
     LeafFamily,
-    fiber_map,
-    fiber_transports,
     merged_grid,
 )
 from flowbox.kernel import InsertionSchedule, build_collapse
@@ -35,6 +32,8 @@ from flowbox.measure import (
     smooth_measured_scene,
     tischler_fibration,
 )
+
+from test_foliation import fiber_map, fiber_transports, side_nodes
 
 
 # ---------------------------------------------------------------- oracles

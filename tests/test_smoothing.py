@@ -21,7 +21,6 @@ from flowbox.decomposition import (
     DecompositionComplex,
     build_torus_scene,
     shared_faces,
-    side_nodes,
     with_families,
 )
 from flowbox.denjoy import blowup_scene
@@ -69,6 +68,7 @@ from test_foliation import (
     leaf_families,
     long_leaf_families,
     rough_family,
+    side_nodes,
     tilted_family,
 )
 
